@@ -225,6 +225,11 @@ def negativity(state: QuasiDistribution) -> NegativityReport:
     )
 
 
+def _l2_norm(values: np.ndarray) -> float:
+    # Elementwise, not np.linalg.norm: the BLAS call is sometimes 20x slower.
+    return float(np.sqrt((np.abs(values) ** 2).sum()))
+
+
 def truncation_ratio(
     state: QuasiDistribution, spec: PotentialSpec, epsilon: float
 ) -> float:
@@ -242,7 +247,7 @@ def truncation_ratio(
     z = state.z
     rho_tilde = np.fft.fft(state.values, axis=1)
     g1 = eval_gradient(spec, x, z) * y
-    denom = float(np.linalg.norm(g1 * rho_tilde))
+    denom = _l2_norm(g1 * rho_tilde)
     if denom == 0.0:
         return float("nan")
     if spec.degree <= 2:
@@ -252,4 +257,4 @@ def truncation_ratio(
     # cancellation noise enters.
     j_max = spec.degree if spec.degree % 2 == 1 else spec.degree - 1
     residual = _shift_series(spec, x, y, z, epsilon, j_max, j_min=3)
-    return float(np.linalg.norm(residual * rho_tilde)) / denom
+    return _l2_norm(residual * rho_tilde) / denom

@@ -13,6 +13,22 @@ deformed and the classical engines.
 
 z-dependent potential coefficients are sampled at the midpoint of each
 step, which preserves the second-order accuracy of the splitting.
+
+rho is real, so the state stays a real array between steps and every
+sub-flow uses real-data transforms: the drifts ``rfft``/``irfft`` along x,
+the kick along p.  Both multipliers are Hermitian (the drift phase is odd
+in kx, and G is odd in y), so each is built only on the non-negative half
+spectrum; the kick, rebuilt every step for z-dependent potentials, costs
+half the generator evaluations and forms ``exp(i dz G)`` as
+``cos(dz G) + i sin(dz G)`` of a real angle.
+
+The one place a half spectrum loses information is the unpaired Nyquist
+row (column): ``irfft`` drops the imaginary part that the multiplier
+rotates into it, where a complex transform would leave it as an
+imaginary residue of ``max|Im| / n``.  That residue signals a state whose
+content reaches the edge of the spectral axis, so each step sums it over
+its three sub-flows and refuses when the sum exceeds ``STEP_REALNESS_TOL``
+of the state's peak.
 """
 
 from __future__ import annotations
@@ -24,6 +40,7 @@ import numpy as np
 
 from .diagnostics import BeamMoments, moments_of
 from .exceptions import SolverError
+from .grids import AxisGrid, PhaseGrid
 from .potentials import (
     ConstantProfile,
     PotentialSpec,
@@ -118,21 +135,22 @@ class RayTrajectory:
 
 
 class _GridKernel:
-    """Spectral operators for repeated steps of one plan on one grid.
+    """Real-data spectral operators for repeated steps of one plan on one grid.
 
-    The drift phase depends only on the grid and dz, so it is built once.
-    For z-independent potentials the kick multiplier is also reused.
+    The drift phase depends only on the grid and dz, so it is built once on
+    the ``nx/2 + 1`` non-negative kx rows.  The kick is built on the
+    ``np/2 + 1`` non-negative y columns, the Nyquist column at ``|y|``;
+    for z-independent potentials it is also reused.
     """
 
-    def __init__(self, state: QuasiDistribution, spec: PotentialSpec, epsilon: float, plan: StepPlan):
-        grid = state.grid
+    def __init__(self, grid: PhaseGrid, spec: PotentialSpec, epsilon: float, plan: StepPlan):
         self.spec = spec
         self.epsilon = epsilon
         self.plan = plan
         self.x_col = grid.x_axis.points()[:, None]
-        self.y_row = grid.p_axis.frequencies()[None, :]
+        self.y_row = _half_spectrum(grid.p_axis)[None, :]
         self.drift_phase = np.exp(
-            -1j * np.outer(grid.x_axis.frequencies(), grid.p_axis.points()) * (0.5 * plan.dz)
+            -1j * np.outer(_half_spectrum(grid.x_axis), grid.p_axis.points()) * (0.5 * plan.dz)
         )
         self.static = all(isinstance(profile, ConstantProfile) for _, profile in spec.terms)
         self._cached_kick = None
@@ -154,36 +172,63 @@ class _GridKernel:
         if g is None:
             kick, guard = None, 0.0
         else:
+            # G is odd in y, so max |G| over the half spectrum is the whole-box value.
             guard = float(np.abs(g).max()) * self.plan.dz
-            kick = np.exp(1j * self.plan.dz * g)
+            angle = self.plan.dz * g
+            kick = np.empty(angle.shape, dtype=complex)
+            np.cos(angle, out=kick.real)
+            np.sin(angle, out=kick.imag)
         if self.static:
             self._cached_kick, self._cached_guard = kick, guard
         return kick, guard
 
-    def apply(self, rho: np.ndarray, z: float) -> np.ndarray:
-        """One Strang step on a complex working array."""
+    def _drift(self, rho: np.ndarray) -> tuple[np.ndarray, float]:
+        spectrum = np.fft.rfft(rho, axis=0)
+        spectrum *= self.drift_phase
+        n = rho.shape[0]
+        return np.fft.irfft(spectrum, n=n, axis=0), _nyquist_residue(spectrum[-1], n)
+
+    def apply(self, rho: np.ndarray, z: float) -> tuple[np.ndarray, float]:
+        """One Strang step of a real array: the new array and its Nyquist residue."""
         kick, guard = self._kick_multiplier(z + 0.5 * self.plan.dz)
         if guard >= math.pi:
             raise SolverError(
                 f"kick phase overflow: max |dz * G| = {guard:.3e} >= pi "
                 "(the complex exponential would alias); reduce dz or the grid extents"
             )
-        rho = np.fft.ifft(np.fft.fft(rho, axis=0) * self.drift_phase, axis=0)
+        rho, residue = self._drift(rho)
         if kick is not None:
-            rho = np.fft.ifft(np.fft.fft(rho, axis=1) * kick, axis=1)
-        rho = np.fft.ifft(np.fft.fft(rho, axis=0) * self.drift_phase, axis=0)
-        return rho
+            n = rho.shape[1]
+            spectrum = np.fft.rfft(rho, axis=1)
+            spectrum *= kick
+            residue += _nyquist_residue(spectrum[:, -1], n)
+            rho = np.fft.irfft(spectrum, n=n, axis=1)
+        rho, drift_residue = self._drift(rho)
+        return rho, residue + drift_residue
 
 
-def _check_realness(rho: np.ndarray) -> np.ndarray:
-    peak = float(np.abs(rho.real).max())
-    residue = float(np.abs(rho.imag).max())
+def _half_spectrum(axis: AxisGrid) -> np.ndarray:
+    """The ``n/2 + 1`` non-negative angular frequencies of ``rfft`` order."""
+    return np.abs(axis.frequencies()[: axis.n // 2 + 1])
+
+
+def _nyquist_residue(nyquist: np.ndarray, n: int) -> float:
+    """Imaginary residue a complex inverse FFT of length ``n`` would leave.
+
+    ``irfft`` keeps only the real part of the unpaired Nyquist coefficient;
+    a complex transform would turn its imaginary part into an alternating
+    ``(-1)**j * Im / n`` residue along the transformed axis.
+    """
+    return float(np.abs(nyquist.imag).max()) / n
+
+
+def _check_residue(rho: np.ndarray, residue: float) -> None:
+    peak = float(np.abs(rho).max())
     if residue > STEP_REALNESS_TOL * max(peak, 1e-300):
         raise SolverError(
             f"step produced imaginary residue {residue:.3e} above "
             f"{STEP_REALNESS_TOL:g} of the peak {peak:.3e}"
         )
-    return np.ascontiguousarray(rho.real)
 
 
 def _output_kind(input_kind: str, plan: StepPlan) -> str:
@@ -204,14 +249,15 @@ def step_phase_space(
 
     The kick phase must stay below pi in magnitude everywhere on the (x, y)
     grid, else the step would alias and a :class:`SolverError` is raised.
-    The output is real (the imaginary residue is measured against the
-    ``1e-8`` tolerance and discarded), keeps the grid, advances z by dz, and
-    keeps the ``classical`` tag only under the order-1 truncated generator.
+    The output is real (the Nyquist residue, see the module docstring, is
+    measured against the ``1e-8`` tolerance), keeps the grid, advances z by
+    dz, and keeps the ``classical`` tag only under the order-1 truncated
+    generator.
     """
     epsilon = _check_epsilon(epsilon)
-    kernel = _GridKernel(state, spec, epsilon, plan)
-    rho = kernel.apply(state.values.astype(complex), state.z)
-    values = _check_realness(rho)
+    kernel = _GridKernel(state.grid, spec, epsilon, plan)
+    values, residue = kernel.apply(state.values, state.z)
+    _check_residue(values, residue)
     return QuasiDistribution(
         state.grid, values, state.z + plan.dz, _output_kind(state.kind, plan)
     )
@@ -236,16 +282,16 @@ def evolve_phase_space(
     if snapshot_every is None:
         snapshot_every = max(plan.n_steps, 1)
     snapshot_every = _as_count(snapshot_every, "snapshot_every", 1)
-    kernel = _GridKernel(state, spec, epsilon, plan)
+    kernel = _GridKernel(state.grid, spec, epsilon, plan)
     kind = _output_kind(state.kind, plan)
-    rho = state.values.astype(complex)
+    values = state.values
     snapshots = [state]
     snapshot_steps = [0]
     moments = [moments_of(state)]
     for step in range(1, plan.n_steps + 1):
         try:
-            rho = kernel.apply(rho, state.z + (step - 1) * plan.dz)
-            values = _check_realness(rho)
+            values, residue = kernel.apply(values, state.z + (step - 1) * plan.dz)
+            _check_residue(values, residue)
         except SolverError as exc:
             raise SolverError(f"step {step}/{plan.n_steps}: {exc}") from None
         z = state.z + step * plan.dz

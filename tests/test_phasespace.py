@@ -7,7 +7,9 @@ import pytest
 
 from beamphase import (
     AxisGrid,
+    HarmonicProfile,
     PhaseGrid,
+    PotentialSpec,
     QuasiDistribution,
     RayEnsemble,
     SolverError,
@@ -17,11 +19,14 @@ from beamphase import (
     gaussian_quasidist,
     linear_lens,
     moments_of,
+    moyal_generator,
+    moyal_generator_truncated,
     quartic_channel,
     step_phase_space,
     superposition_quasidist,
     trace_rays,
 )
+from beamphase.phasespace import STEP_REALNESS_TOL, _GridKernel
 
 EPS = 0.1
 FREE_GRID = PhaseGrid(AxisGrid(256, 24.0), AxisGrid(64, 0.8))
@@ -163,6 +168,98 @@ class TestQuartic:
         rho = gaussian_quasidist(grid, 0.4, 0.25)
         with pytest.raises(SolverError, match="imaginary residue"):
             evolve_phase_space(rho, quartic_channel(1.0, 0.1), EPS, StepPlan(1e-3, 100))
+
+
+def complex_reference(state, spec, epsilon, plan):
+    """Complex-FFT Strang steps on the full spectrum, carried as a complex array.
+
+    This is the kernel the real-data one replaced: full-grid drift phase and
+    kick, ``exp(i dz G)`` of a complex array, no realness projection between
+    steps.  Returns the final complex array.
+    """
+    grid = state.grid
+    x = grid.x_axis.points()[:, None]
+    y = grid.p_axis.frequencies()[None, :]
+    drift = np.exp(
+        -1j * np.outer(grid.x_axis.frequencies(), grid.p_axis.points()) * (0.5 * plan.dz)
+    )
+    rho = state.values.astype(complex)
+    for step in range(plan.n_steps):
+        z_mid = state.z + step * plan.dz + 0.5 * plan.dz
+        rho = np.fft.ifft(np.fft.fft(rho, axis=0) * drift, axis=0)
+        if spec.degree >= 1:
+            if plan.generator == "full_moyal":
+                g = moyal_generator(spec, x, y, z_mid, epsilon)
+            else:
+                g = moyal_generator_truncated(spec, x, y, z_mid, epsilon, plan.max_order)
+            rho = np.fft.ifft(np.fft.fft(rho, axis=1) * np.exp(1j * plan.dz * g), axis=1)
+        rho = np.fft.ifft(np.fft.fft(rho, axis=0) * drift, axis=0)
+    return rho
+
+
+HARMONIC_LENS = PotentialSpec(((2, HarmonicProfile(0.5, 3.0)),))
+
+
+class TestRealKernel:
+    # Beams whose spectra have decayed to round-off at the Nyquist row and
+    # column, where the two kernels must agree to round-off.  (The lens
+    # cases use sigma_p = 0.2: at 0.12 the p spectrum still holds 3e-9 of
+    # the peak at Nyquist; see test_deviation_bounded_by_nyquist_residue.)
+    CASES = {
+        "free": (FREE_GRID, (1.0, 0.05), free_space(), StepPlan(0.1, 50)),
+        "lens": (LENS_GRID, (0.3, 0.2), linear_lens(1.0), StepPlan(0.01, 50)),
+        "harmonic_lens": (LENS_GRID, (0.3, 0.2), HARMONIC_LENS, StepPlan(0.01, 50)),
+        "quartic_full": (QUARTIC_GRID, (0.4, 0.25), quartic_channel(1.0, 0.1), StepPlan(5e-4, 50)),
+        "quartic_order1": (
+            QUARTIC_GRID, (0.4, 0.25), quartic_channel(1.0, 0.1), StepPlan(5e-4, 50, "truncated", 1)
+        ),
+        "quartic_order3": (
+            QUARTIC_GRID, (0.4, 0.25), quartic_channel(1.0, 0.1), StepPlan(5e-4, 50, "truncated", 3)
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_complex_reference(self, case):
+        grid, (sigma_x, sigma_p), spec, plan = self.CASES[case]
+        rho = gaussian_quasidist(grid, sigma_x, sigma_p)
+        final = evolve_phase_space(rho, spec, EPS, plan).final.values
+        reference = complex_reference(rho, spec, EPS, plan)
+        peak = np.abs(reference.real).max()
+        assert np.abs(final - reference.real).max() <= 1e-12 * peak
+        assert np.abs(reference.imag).max() <= 1e-12 * peak
+
+    def test_deviation_bounded_by_nyquist_residue(self):
+        # With Nyquist content above round-off the real kernel drops what the
+        # complex one keeps as an imaginary mode; the difference is bounded
+        # by the residue the monitor sums, and stays below its tolerance.
+        rho = gaussian_quasidist(LENS_GRID, 0.3, 0.12)
+        plan = StepPlan(0.01, 50)
+        kernel = _GridKernel(LENS_GRID, HARMONIC_LENS, EPS, plan)
+        values, total_residue = rho.values, 0.0
+        for step in range(plan.n_steps):
+            values, residue = kernel.apply(values, step * plan.dz)
+            total_residue += residue
+        reference = complex_reference(rho, HARMONIC_LENS, EPS, plan)
+        peak = np.abs(reference.real).max()
+        deviation = np.abs(values - reference.real).max()
+        assert deviation > 1e-12 * peak
+        assert deviation <= total_residue + 1e-12 * peak
+        assert total_residue <= STEP_REALNESS_TOL * peak
+
+    def test_harmonic_lens_moyal_equals_liouville_bitwise(self):
+        rho = gaussian_quasidist(LENS_GRID, 0.3, 0.12)
+        moyal = evolve_phase_space(rho, HARMONIC_LENS, EPS, StepPlan(0.01, 50))
+        liouville = evolve_phase_space(rho, HARMONIC_LENS, EPS, StepPlan(0.01, 50, "truncated", 1))
+        assert moyal.final.values.tobytes() == liouville.final.values.tobytes()
+
+    def test_nyquist_monitor_quiet_when_resolved(self):
+        rho = gaussian_quasidist(QUARTIC_GRID, 0.4, 0.25)
+        plan = StepPlan(5e-4, 200)
+        kernel = _GridKernel(QUARTIC_GRID, quartic_channel(1.0, 0.1), EPS, plan)
+        values = rho.values
+        for step in range(plan.n_steps):
+            values, residue = kernel.apply(values, step * plan.dz)
+            assert residue <= 1e-6 * STEP_REALNESS_TOL * np.abs(values).max()
 
 
 class TestTrajectoryBookkeeping:

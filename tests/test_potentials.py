@@ -209,3 +209,10 @@ class TestPresets:
         assert spec.degree == 4
         assert free_space().degree == -1
         assert linear_lens(2.0).degree == 2
+
+    def test_quartic_coefficient_convention(self):
+        # U = K x^2/2 + lambda4 x^4: the bench reference and the acceptance
+        # gates are pinned to this convention.
+        np.testing.assert_array_equal(
+            quartic_channel(1.5, 0.1).coefficients(0.0), [0.0, 0.0, 0.75, 0.0, 0.1]
+        )

@@ -3,6 +3,7 @@
 import math
 import textwrap
 
+import numpy as np
 import pytest
 
 from beamphase import ConfigError, eval_gradient, load_scenario
@@ -182,6 +183,24 @@ class TestPotential:
         spec = load_text(tmp_path, text).potential.build()
         z = 0.7
         assert eval_gradient(spec, 1.0, z) == pytest.approx(2.0 * math.cos(3.0 * z + 0.5))
+
+    def test_harmonic_profile_modulates_quartic_term(self, tmp_path):
+        text = (
+            MINIMAL
+            + "\n[potential]\npreset = quartic_channel\nk = 2.0\nlambda4 = 0.1\n"
+            + "profile = harmonic\nomega = 3.0\nphase = 0.5\n"
+        )
+        spec = load_text(tmp_path, text).potential.build()
+        z = 0.7
+        scale = math.cos(3.0 * z + 0.5)
+        np.testing.assert_allclose(
+            spec.coefficients(z), [0.0, 0.0, 1.0 * scale, 0.0, 0.1 * scale], rtol=1e-15
+        )
+
+    def test_piecewise_profile_not_accepted_in_files(self, tmp_path):
+        text = MINIMAL + "\n[potential]\npreset = linear_lens\nk = 1.0\nprofile = piecewise\n"
+        with pytest.raises(ConfigError, match="potential.profile"):
+            load_text(tmp_path, text)
 
 
 class TestClearance:
