@@ -29,16 +29,9 @@ from .exceptions import (
     StateError,
     TransformError,
 )
-from .grids import AxisGrid, PhaseGrid, ScaleContext, from_scaled, make_axis_grid, to_scaled
+from .grids import AxisGrid, PhaseGrid
 from .outputs import emit_outputs, read_grid_dump, write_grid_dump, write_heatmap, write_moments_csv
-from .phasespace import (
-    PhaseSpaceTrajectory,
-    RayTrajectory,
-    StepPlan,
-    evolve_phase_space,
-    step_phase_space,
-    trace_rays,
-)
+from .phasespace import StepPlan, Trajectory, evolve_phase_space, step_phase_space, trace_rays
 from .potentials import (
     ConstantProfile,
     HarmonicProfile,
@@ -65,7 +58,7 @@ from .states import (
     superposition_wavefield,
 )
 from .transforms import Tomogram, momentum_wavefield, tomogram, tomogram_axis, wigner_transform
-from .twm import TwmTrajectory, evolve_twm, free_gaussian_sigma, matched_width, step_twm
+from .twm import evolve_twm, free_gaussian_sigma, matched_width, step_twm
 
 __version__ = "0.1.0"
 
@@ -81,23 +74,20 @@ __all__ = [
     "NegativityReport",
     "PairDistances",
     "PhaseGrid",
-    "PhaseSpaceTrajectory",
     "PiecewiseProfile",
     "PotentialSpec",
     "QuasiDistribution",
     "RayEnsemble",
-    "RayTrajectory",
     "RunReport",
     "SamplingError",
-    "ScaleContext",
     "ScenarioConfig",
     "SolverError",
     "StateError",
     "StepPlan",
     "ThermalEmittance",
     "Tomogram",
+    "Trajectory",
     "TransformError",
-    "TwmTrajectory",
     "UncertaintyReport",
     "WaveField",
     "build_initial_states",
@@ -109,12 +99,10 @@ __all__ = [
     "evolve_twm",
     "free_gaussian_sigma",
     "free_space",
-    "from_scaled",
     "gaussian_quasidist",
     "gaussian_wavefield",
     "linear_lens",
     "load_scenario",
-    "make_axis_grid",
     "matched_width",
     "momentum_wavefield",
     "moments_of",
@@ -129,7 +117,6 @@ __all__ = [
     "step_twm",
     "superposition_quasidist",
     "superposition_wavefield",
-    "to_scaled",
     "tomogram",
     "tomogram_axis",
     "trace_rays",

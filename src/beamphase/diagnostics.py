@@ -17,9 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import StateError
+from .grids import AxisGrid
 from .potentials import PotentialSpec, _shift_series, eval_gradient
-from .states import NORM_TOL, QuasiDistribution, RayEnsemble, WaveField
-from .transforms import momentum_wavefield
+from .states import QuasiDistribution, RayEnsemble, WaveField, _check_norm
+from .transforms import _MomentumMap
 
 __all__ = [
     "BeamMoments",
@@ -79,23 +80,22 @@ class UncertaintyReport:
     satisfied: bool
 
 
-def _emittance(var_x: float, var_p: float, cov_xp: float) -> float:
+def _beam_moments(z, mean_x, mean_p, var_x, var_p, cov_xp) -> BeamMoments:
     # Cauchy-Schwarz keeps the radicand >= 0 for any genuine density; only
     # round-off (bounded by RADICAND_FLOOR in practice) can push it below.
     radicand = var_x * var_p - cov_xp**2
-    return 2.0 * math.sqrt(max(radicand, 0.0))
+    emittance = 2.0 * math.sqrt(max(radicand, 0.0))
+    return BeamMoments(z, mean_x, mean_p, math.sqrt(var_x), math.sqrt(var_p), cov_xp, emittance)
 
 
-def _moments_from_quasidist(state: QuasiDistribution) -> BeamMoments:
-    values = state.values
-    mass = float(values.sum()) * state.grid.cell_area
-    if abs(mass - 1.0) > NORM_TOL:
-        raise StateError(f"cannot take moments of a non-normalized density (mass {mass!r})")
-    x = state.grid.x_axis.points()
-    p = state.grid.p_axis.points()
+def _grid_moments(
+    values: np.ndarray, z: float, x: np.ndarray, p: np.ndarray, cell_area: float
+) -> BeamMoments:
+    """Moments of a density array on the grid with points ``x`` and ``p``; checks its mass."""
+    total = float(values.sum())
+    _check_norm(total * cell_area, "density mass")
     w_x = values.sum(axis=1)
     w_p = values.sum(axis=0)
-    total = float(values.sum())
     mean_x = float(w_x @ x) / total
     mean_p = float(w_p @ p) / total
     dx = x - mean_x
@@ -103,51 +103,47 @@ def _moments_from_quasidist(state: QuasiDistribution) -> BeamMoments:
     var_x = float(w_x @ dx**2) / total
     var_p = float(w_p @ dp**2) / total
     cov_xp = float(dx @ values @ dp) / total
-    return BeamMoments(
-        z=state.z,
-        mean_x=mean_x,
-        mean_p=mean_p,
-        sigma_x=math.sqrt(var_x),
-        sigma_p=math.sqrt(var_p),
-        sigma_xp=cov_xp,
-        emittance=_emittance(var_x, var_p, cov_xp),
-    )
+    return _beam_moments(z, mean_x, mean_p, var_x, var_p, cov_xp)
 
 
-def _moments_from_wavefield(state: WaveField) -> BeamMoments:
-    grid = state.grid
-    eps = state.epsilon
-    x = grid.points()
-    density = state.density()
-    norm = float(density.sum())
-    mean_x = float(density @ x) / norm
-    var_x = float(density @ (x - mean_x) ** 2) / norm
-    momentum = momentum_wavefield(state)
-    p = momentum.grid.points()
-    p_density = momentum.density()
-    p_norm = float(p_density.sum())
-    mean_p = float(p_density @ p) / p_norm
-    var_p = float(p_density @ (p - mean_p) ** 2) / p_norm
-    # <xp + px>/2 via the eps-scaled probability current J = eps*Im(Psi* Psi').
-    derivative = np.fft.ifft(1j * grid.frequencies() * np.fft.fft(state.values))
-    current = eps * np.imag(np.conj(state.values) * derivative)
-    cov_xp = float(current @ x) / norm - mean_x * mean_p
-    return BeamMoments(
-        z=state.z,
-        mean_x=mean_x,
-        mean_p=mean_p,
-        sigma_x=math.sqrt(var_x),
-        sigma_p=math.sqrt(var_p),
-        sigma_xp=cov_xp,
-        emittance=_emittance(var_x, var_p, cov_xp),
-    )
+class _WavefieldMoments:
+    """Moments of wavefield arrays on one grid at one epsilon; checks the norm.
+
+    The grid points, spectral derivative factor and momentum map are built
+    once, so repeated calls (one per solver step) cost three FFTs each.
+    """
+
+    def __init__(self, grid: AxisGrid, eps: float):
+        self.spacing = grid.spacing
+        self.eps = eps
+        self.x = grid.points()
+        self.ik = 1j * grid.frequencies()
+        self.momentum = _MomentumMap(grid, eps)
+        self.p = self.momentum.p_axis.points()
+
+    def __call__(self, values: np.ndarray, z: float) -> BeamMoments:
+        x = self.x
+        density = np.abs(values) ** 2
+        norm = float(density.sum())
+        _check_norm(norm * self.spacing, "wavefield norm")
+        mean_x = float(density @ x) / norm
+        var_x = float(density @ (x - mean_x) ** 2) / norm
+        p = self.p
+        p_density = np.abs(self.momentum(values)) ** 2
+        p_norm = float(p_density.sum())
+        mean_p = float(p_density @ p) / p_norm
+        var_p = float(p_density @ (p - mean_p) ** 2) / p_norm
+        # <xp + px>/2 via the eps-scaled probability current J = eps*Im(Psi* Psi').
+        derivative = np.fft.ifft(self.ik * np.fft.fft(values))
+        current = self.eps * np.imag(np.conj(values) * derivative)
+        cov_xp = float(current @ x) / norm - mean_x * mean_p
+        return _beam_moments(z, mean_x, mean_p, var_x, var_p, cov_xp)
 
 
-def _moments_from_rays(state: RayEnsemble) -> BeamMoments:
-    if state.count < 2:
+def _ray_moments(x: np.ndarray, p: np.ndarray, z: float) -> BeamMoments:
+    """Moments of position and momentum samples (at least two rays)."""
+    if x.size < 2:
         raise StateError("ray moments need at least two rays")
-    x = state.positions
-    p = state.momenta
     mean_x = float(x.mean())
     mean_p = float(p.mean())
     dx = x - mean_x
@@ -155,15 +151,7 @@ def _moments_from_rays(state: RayEnsemble) -> BeamMoments:
     var_x = float((dx**2).mean())
     var_p = float((dp**2).mean())
     cov_xp = float((dx * dp).mean())
-    return BeamMoments(
-        z=state.z,
-        mean_x=mean_x,
-        mean_p=mean_p,
-        sigma_x=math.sqrt(var_x),
-        sigma_p=math.sqrt(var_p),
-        sigma_xp=cov_xp,
-        emittance=_emittance(var_x, var_p, cov_xp),
-    )
+    return _beam_moments(z, mean_x, mean_p, var_x, var_p, cov_xp)
 
 
 def moments_of(state) -> BeamMoments:
@@ -174,11 +162,14 @@ def moments_of(state) -> BeamMoments:
     so all three representations of the same beam agree on every entry.
     """
     if isinstance(state, QuasiDistribution):
-        return _moments_from_quasidist(state)
+        grid = state.grid
+        return _grid_moments(
+            state.values, state.z, grid.x_axis.points(), grid.p_axis.points(), grid.cell_area
+        )
     if isinstance(state, WaveField):
-        return _moments_from_wavefield(state)
+        return _WavefieldMoments(state.grid, state.epsilon)(state.values, state.z)
     if isinstance(state, RayEnsemble):
-        return _moments_from_rays(state)
+        return _ray_moments(state.positions, state.momenta, state.z)
     raise TypeError(f"cannot take beam moments of {type(state).__name__}")
 
 

@@ -1,4 +1,4 @@
-"""Uniform periodic grids and the scaled-coordinate context.
+"""Uniform periodic axes and phase-space grids.
 
 All solvers in this package work on FFT-ready axes: ``n`` a power of two,
 points covering ``[center - length/2, center + length/2)`` with the right
@@ -14,14 +14,7 @@ import numpy as np
 
 from .exceptions import GridError
 
-__all__ = [
-    "AxisGrid",
-    "PhaseGrid",
-    "ScaleContext",
-    "make_axis_grid",
-    "to_scaled",
-    "from_scaled",
-]
+__all__ = ["AxisGrid", "PhaseGrid"]
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -78,11 +71,6 @@ class AxisGrid:
         return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.spacing)
 
 
-def make_axis_grid(n: int, length: float, center: float = 0.0) -> AxisGrid:
-    """Build an :class:`AxisGrid`; see the class for the validation rules."""
-    return AxisGrid(n, length, center)
-
-
 @dataclass(frozen=True)
 class PhaseGrid:
     """Tensor product of a position axis and a momentum axis.
@@ -105,39 +93,3 @@ class PhaseGrid:
     def meshes(self) -> tuple[np.ndarray, np.ndarray]:
         """Broadcastable (column x, row p) coordinate arrays."""
         return self.x_axis.points()[:, None], self.p_axis.points()[None, :]
-
-
-@dataclass(frozen=True)
-class ScaleContext:
-    """Reference beam width and deformation scale for coordinate scaling.
-
-    ``eta = epsilon / (2 * sigma0)`` is the dimensionless deformation
-    parameter; scaled coordinates are ``x / (2 * sigma0)`` for both the
-    transverse coordinate and the propagation distance.
-    """
-
-    sigma0: float
-    epsilon: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.sigma0) and self.sigma0 > 0.0):
-            raise GridError(f"sigma0 must be positive and finite, got {self.sigma0}")
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise GridError(f"epsilon must be positive and finite, got {self.epsilon}")
-
-    @property
-    def eta(self) -> float:
-        return self.epsilon / (2.0 * self.sigma0)
-
-
-def to_scaled(value, context: ScaleContext):
-    """Map a physical length-like coordinate (x or z) to scaled units.
-
-    Works elementwise on scalars and arrays.
-    """
-    return value / (2.0 * context.sigma0)
-
-
-def from_scaled(value, context: ScaleContext):
-    """Inverse of :func:`to_scaled`."""
-    return value * (2.0 * context.sigma0)

@@ -29,31 +29,36 @@ imaginary residue of ``max|Im| / n``.  That residue signals a state whose
 content reaches the edge of the spectral axis, so each step sums it over
 its three sub-flows and refuses when the sum exceeds ``STEP_REALNESS_TOL``
 of the state's peak.
+
+Every engine -- this grid solver, the ray tracer and the wavefield solver
+of :mod:`beamphase.twm` -- runs through one step loop, ``_evolve``, and
+returns a :class:`Trajectory`.  Raw arrays pass between steps; moments and
+state checks are taken from the arrays, and state objects are built only
+at snapshots.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import accumulate, repeat
 
 import numpy as np
 
-from .diagnostics import BeamMoments, moments_of
-from .exceptions import SolverError
+from .diagnostics import BeamMoments, _grid_moments, _ray_moments
+from .exceptions import SolverError, StateError
 from .grids import AxisGrid, PhaseGrid
 from .potentials import (
-    ConstantProfile,
     PotentialSpec,
     eval_gradient,
     moyal_generator,
     moyal_generator_truncated,
 )
-from .states import QuasiDistribution, RayEnsemble
+from .states import QuasiDistribution, RayEnsemble, _check_classical
 
 __all__ = [
     "StepPlan",
-    "PhaseSpaceTrajectory",
-    "RayTrajectory",
+    "Trajectory",
     "step_phase_space",
     "evolve_phase_space",
     "trace_rays",
@@ -79,14 +84,13 @@ class StepPlan:
 
     ``generator`` selects ``"full_moyal"`` (complete deformation series) or
     ``"truncated"`` with an odd ``max_order``; order 1 is the classical
-    Liouville equation.  Splitting is always Strang.
+    Liouville equation.  Every engine steps by Strang (or leapfrog) splitting.
     """
 
     dz: float
     n_steps: int
     generator: str = "full_moyal"
     max_order: int | None = None
-    splitting: str = "strang"
 
     def __post_init__(self):
         if not (isinstance(self.dz, (int, float, np.floating)) and math.isfinite(self.dz) and self.dz > 0.0):
@@ -104,8 +108,6 @@ class StepPlan:
             object.__setattr__(self, "max_order", order)
         elif self.max_order is not None:
             raise SolverError("max_order applies only to the truncated generator")
-        if self.splitting != "strang":
-            raise SolverError(f"only Strang splitting is available, got {self.splitting!r}")
 
     @property
     def is_classical(self) -> bool:
@@ -113,25 +115,68 @@ class StepPlan:
 
 
 @dataclass(frozen=True)
-class PhaseSpaceTrajectory:
-    """Grid evolution record: moments at every step, states at snapshots."""
+class Trajectory:
+    """Evolution record of any engine: moments every step, states at snapshots.
 
-    snapshots: tuple[QuasiDistribution, ...]
+    ``moments[k]`` belongs to step k (step 0 is the initial state).  The
+    states in ``snapshots`` (a :class:`~beamphase.states.WaveField`,
+    :class:`QuasiDistribution` or :class:`RayEnsemble` per engine) are
+    aligned with ``snapshot_steps`` and always include the initial and the
+    final state; the ray tracer keeps only those two.  ``lost`` counts rays
+    that left the representable range (0 for the other engines).
+    """
+
+    snapshots: tuple
     snapshot_steps: tuple[int, ...]
     moments: tuple[BeamMoments, ...]
+    lost: int = 0
 
     @property
-    def final(self) -> QuasiDistribution:
+    def final(self):
         return self.snapshots[-1]
 
 
-@dataclass(frozen=True)
-class RayTrajectory:
-    """Ray-ensemble evolution record; ``lost`` counts non-finite rays."""
+def _step_boundaries(z0: float, plan: StepPlan) -> list[float]:
+    """``z0 + k dz`` for k = 0..n_steps: the z of every state a plan visits."""
+    return (z0 + plan.dz * np.arange(plan.n_steps + 1)).tolist()
 
-    moments: tuple[BeamMoments, ...]
-    final: RayEnsemble
-    lost: int
+
+def _static_once(build, spec: PotentialSpec):
+    """``build`` itself, or for a z-independent ``spec`` its one result at every z."""
+    if not spec.is_static:
+        return build
+    built = build(0.0)
+    return lambda z: built
+
+
+def _evolve(kernel, initial, values, zs: list[float], snapshot_every: int | None) -> Trajectory:
+    """Advance ``values`` from ``zs[0]`` through every step boundary in ``zs``.
+
+    The step loop of every engine.  ``kernel`` supplies ``advance(values,
+    z)`` (one step starting at z), ``measure(values, z)`` (moments plus the
+    per-step state checks) and ``wrap(values, z)`` (a state object); arrays
+    pass between steps and state objects are built only at snapshots.
+    Moments are recorded at every step including the initial state; full
+    states every ``snapshot_every`` steps plus always ``initial`` and the
+    final one (default: only those two).  Step errors carry ``step k/n``.
+    """
+    n_steps = len(zs) - 1
+    if snapshot_every is None:
+        snapshot_every = max(n_steps, 1)
+    snapshot_every = _as_count(snapshot_every, "snapshot_every", 1)
+    snapshots = [initial]
+    snapshot_steps = [0]
+    moments = [kernel.measure(values, zs[0])]
+    for step in range(1, n_steps + 1):
+        try:
+            values = kernel.advance(values, zs[step - 1])
+            moments.append(kernel.measure(values, zs[step]))
+        except (SolverError, StateError) as exc:
+            raise SolverError(f"step {step}/{n_steps}: {exc}") from None
+        if step % snapshot_every == 0 or step == n_steps:
+            snapshots.append(kernel.wrap(values, zs[step]))
+            snapshot_steps.append(step)
+    return Trajectory(tuple(snapshots), tuple(snapshot_steps), tuple(moments), kernel.lost)
 
 
 class _GridKernel:
@@ -140,21 +185,30 @@ class _GridKernel:
     The drift phase depends only on the grid and dz, so it is built once on
     the ``nx/2 + 1`` non-negative kx rows.  The kick is built on the
     ``np/2 + 1`` non-negative y columns, the Nyquist column at ``|y|``;
-    for z-independent potentials it is also reused.
+    for z-independent potentials it is also reused.  ``kind`` tags the
+    evolved states; a ``"classical"`` state is checked for negative values
+    every step.
     """
 
-    def __init__(self, grid: PhaseGrid, spec: PotentialSpec, epsilon: float, plan: StepPlan):
+    lost = 0
+
+    def __init__(
+        self, grid: PhaseGrid, spec: PotentialSpec, epsilon: float, plan: StepPlan,
+        kind: str = "wigner",
+    ):
+        self.grid = grid
         self.spec = spec
         self.epsilon = epsilon
         self.plan = plan
-        self.x_col = grid.x_axis.points()[:, None]
+        self.kind = kind
+        self.x = grid.x_axis.points()
+        self.p = grid.p_axis.points()
+        self.x_col = self.x[:, None]
         self.y_row = _half_spectrum(grid.p_axis)[None, :]
         self.drift_phase = np.exp(
-            -1j * np.outer(_half_spectrum(grid.x_axis), grid.p_axis.points()) * (0.5 * plan.dz)
+            -1j * np.outer(_half_spectrum(grid.x_axis), self.p) * (0.5 * plan.dz)
         )
-        self.static = all(isinstance(profile, ConstantProfile) for _, profile in spec.terms)
-        self._cached_kick = None
-        self._cached_guard = None
+        self.kick_at = _static_once(self._kick_multiplier, spec)
 
     def _generator_at(self, z_mid: float):
         if self.spec.degree < 1:
@@ -166,20 +220,15 @@ class _GridKernel:
         )
 
     def _kick_multiplier(self, z_mid: float):
-        if self.static and self._cached_kick is not None:
-            return self._cached_kick, self._cached_guard
         g = self._generator_at(z_mid)
         if g is None:
-            kick, guard = None, 0.0
-        else:
-            # G is odd in y, so max |G| over the half spectrum is the whole-box value.
-            guard = float(np.abs(g).max()) * self.plan.dz
-            angle = self.plan.dz * g
-            kick = np.empty(angle.shape, dtype=complex)
-            np.cos(angle, out=kick.real)
-            np.sin(angle, out=kick.imag)
-        if self.static:
-            self._cached_kick, self._cached_guard = kick, guard
+            return None, 0.0
+        # G is odd in y, so max |G| over the half spectrum is the whole-box value.
+        guard = float(np.abs(g).max()) * self.plan.dz
+        angle = self.plan.dz * g
+        kick = np.empty(angle.shape, dtype=complex)
+        np.cos(angle, out=kick.real)
+        np.sin(angle, out=kick.imag)
         return kick, guard
 
     def _drift(self, rho: np.ndarray) -> tuple[np.ndarray, float]:
@@ -190,7 +239,7 @@ class _GridKernel:
 
     def apply(self, rho: np.ndarray, z: float) -> tuple[np.ndarray, float]:
         """One Strang step of a real array: the new array and its Nyquist residue."""
-        kick, guard = self._kick_multiplier(z + 0.5 * self.plan.dz)
+        kick, guard = self.kick_at(z + 0.5 * self.plan.dz)
         if guard >= math.pi:
             raise SolverError(
                 f"kick phase overflow: max |dz * G| = {guard:.3e} >= pi "
@@ -205,6 +254,19 @@ class _GridKernel:
             rho = np.fft.irfft(spectrum, n=n, axis=1)
         rho, drift_residue = self._drift(rho)
         return rho, residue + drift_residue
+
+    def advance(self, rho: np.ndarray, z: float) -> np.ndarray:
+        rho, residue = self.apply(rho, z)
+        _check_residue(rho, residue)
+        return rho
+
+    def measure(self, rho: np.ndarray, z: float) -> BeamMoments:
+        if self.kind == "classical":
+            _check_classical(rho)
+        return _grid_moments(rho, z, self.x, self.p, self.grid.cell_area)
+
+    def wrap(self, rho: np.ndarray, z: float) -> QuasiDistribution:
+        return QuasiDistribution(self.grid, rho, z, self.kind)
 
 
 def _half_spectrum(axis: AxisGrid) -> np.ndarray:
@@ -231,11 +293,6 @@ def _check_residue(rho: np.ndarray, residue: float) -> None:
         )
 
 
-def _output_kind(input_kind: str, plan: StepPlan) -> str:
-    # Classical transport preserves positivity; deformed transport does not.
-    return input_kind if plan.is_classical else "wigner"
-
-
 def _check_epsilon(epsilon: float) -> float:
     if not (isinstance(epsilon, (int, float, np.floating)) and math.isfinite(epsilon) and epsilon > 0.0):
         raise SolverError(f"epsilon must be positive and finite, got {epsilon!r}")
@@ -254,13 +311,7 @@ def step_phase_space(
     dz, and keeps the ``classical`` tag only under the order-1 truncated
     generator.
     """
-    epsilon = _check_epsilon(epsilon)
-    kernel = _GridKernel(state.grid, spec, epsilon, plan)
-    values, residue = kernel.apply(state.values, state.z)
-    _check_residue(values, residue)
-    return QuasiDistribution(
-        state.grid, values, state.z + plan.dz, _output_kind(state.kind, plan)
-    )
+    return evolve_phase_space(state, spec, epsilon, replace(plan, n_steps=1)).final
 
 
 def evolve_phase_space(
@@ -269,75 +320,79 @@ def evolve_phase_space(
     epsilon: float,
     plan: StepPlan,
     snapshot_every: int | None = None,
-) -> PhaseSpaceTrajectory:
+) -> Trajectory:
     """Advance ``plan.n_steps`` steps, recording moments and snapshots.
 
     Moments are recorded at every step including the initial state.  Full
     states are kept every ``snapshot_every`` steps plus always the initial
     and final ones (default: only those two).  ``n_steps = 0`` returns the
     input unchanged.  The result is the exact composition of
-    :func:`step_phase_space` steps.
+    :func:`step_phase_space` steps.  Every step checks the evolved density
+    for finite values and unit mass (and, when it stays classical, for
+    negative values) and raises :class:`SolverError` naming the step.
     """
     epsilon = _check_epsilon(epsilon)
-    if snapshot_every is None:
-        snapshot_every = max(plan.n_steps, 1)
-    snapshot_every = _as_count(snapshot_every, "snapshot_every", 1)
-    kernel = _GridKernel(state.grid, spec, epsilon, plan)
-    kind = _output_kind(state.kind, plan)
-    values = state.values
-    snapshots = [state]
-    snapshot_steps = [0]
-    moments = [moments_of(state)]
-    for step in range(1, plan.n_steps + 1):
-        try:
-            values, residue = kernel.apply(values, state.z + (step - 1) * plan.dz)
-            _check_residue(values, residue)
-        except SolverError as exc:
-            raise SolverError(f"step {step}/{plan.n_steps}: {exc}") from None
-        z = state.z + step * plan.dz
-        current = QuasiDistribution(state.grid, values, z, kind)
-        moments.append(moments_of(current))
-        if step % snapshot_every == 0 or step == plan.n_steps:
-            snapshots.append(current)
-            snapshot_steps.append(step)
-    return PhaseSpaceTrajectory(tuple(snapshots), tuple(snapshot_steps), tuple(moments))
+    # Classical transport preserves positivity; deformed transport does not.
+    kind = state.kind if plan.is_classical else "wigner"
+    kernel = _GridKernel(state.grid, spec, epsilon, plan, kind)
+    return _evolve(kernel, state, state.values, _step_boundaries(state.z, plan), snapshot_every)
 
 
-def trace_rays(
-    ensemble: RayEnsemble, spec: PotentialSpec, plan: StepPlan
-) -> RayTrajectory:
+class _RayKernel:
+    """Leapfrog on position and momentum arrays that are updated in place.
+
+    ``rays`` selects the rays still advanced and measured: all of them
+    until the first one is lost, then the finite ones.
+    """
+
+    def __init__(self, ensemble: RayEnsemble, spec: PotentialSpec, plan: StepPlan):
+        self.ensemble = ensemble
+        self.spec = spec
+        self.dz = plan.dz
+        self.rays = slice(None)
+        self.lost = 0
+
+    def advance(self, values, z: float):
+        x, p = values
+        rays = self.rays
+        z_mid = z + 0.5 * self.dz
+        half = 0.5 * self.dz
+        # Diverging anharmonic orbits overflow to inf before being pruned;
+        # that is the intended loss mechanism, not an arithmetic error.
+        with np.errstate(over="ignore", invalid="ignore"):
+            p[rays] -= half * eval_gradient(self.spec, x[rays], z_mid)
+            x[rays] += self.dz * p[rays]
+            p[rays] -= half * eval_gradient(self.spec, x[rays], z_mid)
+            finite = np.isfinite(x) & np.isfinite(p)
+        if not finite.all():
+            self.rays = finite
+            self.lost = int(finite.size - np.count_nonzero(finite))
+            if self.lost == finite.size:
+                raise SolverError("all rays diverged to non-finite phase-space values")
+        return values
+
+    def measure(self, values, z: float) -> BeamMoments:
+        x, p = values
+        return _ray_moments(x[self.rays], p[self.rays], z)
+
+    def wrap(self, values, z: float) -> RayEnsemble:
+        x, p = values
+        seed, clipped = self.ensemble.seed, self.ensemble.clipped_mass
+        return RayEnsemble(x[self.rays], p[self.rays], z, seed, clipped)
+
+
+def trace_rays(ensemble: RayEnsemble, spec: PotentialSpec, plan: StepPlan) -> Trajectory:
     """Trace rays through dx/dz = p, dp/dz = -dU/dx by leapfrog.
 
     Each step is kick-drift-kick with the potential coefficients sampled at
     the step midpoint, so the map is symplectic and second-order accurate
     for z-dependent potentials.  Rays that reach non-finite coordinates
     (diverging anharmonic orbits) are excluded from the moments and from
-    the final ensemble; ``lost`` reports how many.
+    the final ensemble; ``lost`` reports how many.  The snapshots are the
+    initial and the final ensemble.
     """
-    x = np.array(ensemble.positions, dtype=float)
-    p = np.array(ensemble.momenta, dtype=float)
-    alive = np.ones(x.size, dtype=bool)
-    z = ensemble.z
-    final = ensemble
-    moments = [moments_of(ensemble)]
-    for _ in range(plan.n_steps):
-        z_mid = z + 0.5 * plan.dz
-        # Diverging anharmonic orbits overflow to inf before being pruned;
-        # that is the intended loss mechanism, not an arithmetic error.
-        with np.errstate(over="ignore", invalid="ignore"):
-            p[alive] -= 0.5 * plan.dz * eval_gradient(spec, x[alive], z_mid)
-            x[alive] += plan.dz * p[alive]
-            p[alive] -= 0.5 * plan.dz * eval_gradient(spec, x[alive], z_mid)
-            z += plan.dz
-            alive &= np.isfinite(x) & np.isfinite(p)
-        if not alive.any():
-            raise SolverError("all rays diverged to non-finite phase-space values")
-        final = RayEnsemble(
-            positions=x[alive],
-            momenta=p[alive],
-            z=z,
-            seed=ensemble.seed,
-            clipped_mass=ensemble.clipped_mass,
-        )
-        moments.append(moments_of(final))
-    return RayTrajectory(tuple(moments), final, int(x.size - int(alive.sum())))
+    values = (np.array(ensemble.positions, dtype=float), np.array(ensemble.momenta, dtype=float))
+    # Rays advance z by repeated addition of dz (the grids use z0 + k dz); keeping
+    # that keeps their z column, and so their artifacts, bit-identical.
+    zs = list(accumulate(repeat(plan.dz, plan.n_steps), initial=ensemble.z))
+    return _evolve(_RayKernel(ensemble, spec, plan), ensemble, values, zs, None)

@@ -116,6 +116,11 @@ class PotentialSpec:
         object.__setattr__(self, "terms", tuple(cleaned))
 
     @property
+    def is_static(self) -> bool:
+        """True when no coefficient depends on z."""
+        return all(isinstance(profile, ConstantProfile) for _, profile in self.terms)
+
+    @property
     def degree(self) -> int:
         """Highest power with a term; -1 for the empty (free-space) spec."""
         return self.terms[-1][0] if self.terms else -1

@@ -22,7 +22,7 @@ from .diagnostics import (
     negativity,
     truncation_ratio,
 )
-from .exceptions import SolverError
+from .exceptions import SolverError, TransformError
 from .phasespace import StepPlan, evolve_phase_space, trace_rays
 from .scenario import ScenarioConfig
 from .states import (
@@ -147,6 +147,44 @@ def _linf(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(a - b).max())
 
 
+def _evolve_engine(name: str, states: dict, spec, config: ScenarioConfig):
+    plan = _engine_plan(name, config)
+    if name == "twm":
+        return evolve_twm(states["psi"], spec, plan, config.run.snapshot_every)
+    if name == "rays":
+        return trace_rays(states["rays"], spec, plan)
+    return evolve_phase_space(states["rho"], spec, config.epsilon, plan, config.run.snapshot_every)
+
+
+def _phase_space_snapshots(name: str, traj, config: ScenarioConfig, warnings: list[str]) -> tuple:
+    """An engine's snapshots as phase-space densities; empty when it has none.
+
+    Wavefield snapshots go through the Wigner transform.  When an evolved
+    snapshot fails its marginal check, the engine is recorded without any
+    (its moments stay valid) and a warning names the snapshot.  A failure on
+    the initial field is raised: the configured momentum axis cannot hold
+    the beam at all, which no evolution caused.
+    """
+    if name in GRID_ENGINES:
+        return traj.snapshots
+    if name != "twm":
+        return ()
+    wigners = []
+    for step, field in zip(traj.snapshot_steps, traj.snapshots):
+        try:
+            wigners.append(wigner_transform(field, config.grid.p_axis(), COMPARISON_MARGINAL_TOL))
+        except TransformError as exc:
+            if step == 0:
+                message = f"engine twm: Wigner transform of the initial field: {exc}"
+                raise TransformError(message) from None
+            warnings.append(
+                f"twm: Wigner transform of the step {step} snapshot failed ({exc}); "
+                "twm is left out of the distances, the final negativity and the grid artifacts"
+            )
+            return ()
+    return tuple(wigners)
+
+
 def run_scenario(config: ScenarioConfig, emit: bool = True) -> RunReport:
     """Run every requested engine and return the comparison report.
 
@@ -175,40 +213,20 @@ def run_scenario(config: ScenarioConfig, emit: bool = True) -> RunReport:
     for name in run.engines:
         started = time.perf_counter()
         try:
-            if name == "twm":
-                traj = evolve_twm(states["psi"], spec, _engine_plan(name, config), run.snapshot_every)
-                seconds = time.perf_counter() - started
-                wigners = tuple(
-                    wigner_transform(field, config.grid.p_axis(), COMPARISON_MARGINAL_TOL)
-                    for field in traj.snapshots
-                )
-                snapshots[name] = wigners
-                final_grid_states[name] = wigners[-1]
-                vols, ratios = _snapshot_diagnostics(wigners, spec, epsilon)
-                results.append(
-                    EngineResult(name, traj.moments, traj.snapshot_steps, vols, ratios, seconds)
-                )
-            elif name in GRID_ENGINES:
-                traj = evolve_phase_space(
-                    states["rho"], spec, epsilon, _engine_plan(name, config), run.snapshot_every
-                )
-                seconds = time.perf_counter() - started
-                snapshots[name] = traj.snapshots
-                final_grid_states[name] = traj.final
-                vols, ratios = _snapshot_diagnostics(traj.snapshots, spec, epsilon)
-                results.append(
-                    EngineResult(name, traj.moments, traj.snapshot_steps, vols, ratios, seconds)
-                )
-            else:
-                traj = trace_rays(states["rays"], spec, _engine_plan(name, config))
-                seconds = time.perf_counter() - started
-                results.append(
-                    EngineResult(name, traj.moments, (), (), (), seconds, traj.lost)
-                )
-                if traj.lost:
-                    warnings.append(f"rays: {traj.lost} rays left the representable range")
+            traj = _evolve_engine(name, states, spec, config)
         except SolverError as exc:
             raise SolverError(f"engine {name}: {exc}") from None
+        seconds = time.perf_counter() - started
+        densities = _phase_space_snapshots(name, traj, config, warnings)
+        steps, vols, ratios = (), (), ()
+        if densities:
+            snapshots[name] = densities
+            final_grid_states[name] = densities[-1]
+            steps = traj.snapshot_steps
+            vols, ratios = _snapshot_diagnostics(densities, spec, epsilon)
+        results.append(EngineResult(name, traj.moments, steps, vols, ratios, seconds, traj.lost))
+        if traj.lost:
+            warnings.append(f"rays: {traj.lost} rays left the representable range")
 
     if states["rays"] is not None and states["rays"].clipped_mass > 0.0:
         warnings.append(

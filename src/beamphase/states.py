@@ -51,6 +51,23 @@ SAMPLING_NEGATIVE_TOL = 1e-6
 RNG_ALGORITHM = "pcg64"
 
 
+def _check_norm(norm: float, what: str) -> None:
+    # A sum is non-finite exactly when some summand is, so the norm (or
+    # mass) every state is checked for doubles as its finiteness check.
+    if not math.isfinite(norm):
+        raise StateError(f"{what} is {norm!r}: the state holds non-finite values")
+    if abs(norm - 1.0) > NORM_TOL:
+        raise StateError(f"{what} is {norm!r}, expected 1 within {NORM_TOL}")
+
+
+def _check_classical(values: np.ndarray) -> None:
+    floor = -CLASSICAL_FLOOR * max(1.0, float(values.max(initial=0.0)))
+    if float(values.min()) < floor:
+        raise StateError(
+            f"classical density has negative values beyond round-off (min {values.min()!r})"
+        )
+
+
 def _frozen_array(obj, name, array):
     array.setflags(write=False)
     object.__setattr__(obj, name, array)
@@ -76,21 +93,14 @@ class WaveField:
             raise StateError(
                 f"wavefield shape {values.shape} does not match grid ({self.grid.n},)"
             )
-        if not np.all(np.isfinite(values.real)) or not np.all(np.isfinite(values.imag)):
-            raise StateError("wavefield contains non-finite values")
         if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
             raise StateError(f"epsilon must be positive and finite, got {self.epsilon}")
-        norm = np.sum(np.abs(values) ** 2) * self.grid.spacing
-        if abs(norm - 1.0) > NORM_TOL:
-            raise StateError(f"wavefield norm is {norm!r}, expected 1 within {NORM_TOL}")
+        _check_norm(float(np.sum(np.abs(values) ** 2)) * self.grid.spacing, "wavefield norm")
         _frozen_array(self, "values", values)
 
     def density(self) -> np.ndarray:
         """|Psi(x)|^2 on the grid."""
         return np.abs(self.values) ** 2
-
-    def with_values(self, values: np.ndarray, z: float) -> "WaveField":
-        return WaveField(self.grid, values, self.epsilon, z)
 
 
 @dataclass(frozen=True)
@@ -113,28 +123,16 @@ class QuasiDistribution:
             raise StateError(
                 f"density shape {values.shape} does not match grid {self.grid.shape}"
             )
-        if not np.all(np.isfinite(values)):
-            raise StateError("density contains non-finite values")
         if self.kind not in ("classical", "wigner"):
             raise StateError(f"kind must be 'classical' or 'wigner', got {self.kind!r}")
-        mass = float(np.sum(values)) * self.grid.cell_area
-        if abs(mass - 1.0) > NORM_TOL:
-            raise StateError(f"density mass is {mass!r}, expected 1 within {NORM_TOL}")
+        _check_norm(float(np.sum(values)) * self.grid.cell_area, "density mass")
         if self.kind == "classical":
-            floor = -CLASSICAL_FLOOR * max(1.0, float(values.max(initial=0.0)))
-            if float(values.min()) < floor:
-                raise StateError(
-                    "classical density has negative values beyond round-off "
-                    f"(min {values.min()!r})"
-                )
+            _check_classical(values)
         _frozen_array(self, "values", values)
 
     @property
     def mass(self) -> float:
         return float(np.sum(self.values)) * self.grid.cell_area
-
-    def with_values(self, values: np.ndarray, z: float, kind: str | None = None) -> "QuasiDistribution":
-        return QuasiDistribution(self.grid, values, z, kind or self.kind)
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,38 @@ REALNESS_TOL = 1e-10
 MARGINAL_TOL = 1e-10
 
 
+class _MomentumMap:
+    """``Psi(x) -> Phi(p)`` for one position grid, epsilon and momentum axis.
+
+    The ramps and phases depend only on those, so they are built once and a
+    call costs one FFT (or one matrix product off the conjugate axis).  The
+    default axis is the conjugate one, ``p = eps * k``.
+    """
+
+    def __init__(self, grid: AxisGrid, eps: float, p_axis: AxisGrid | None = None):
+        if p_axis is None:
+            p_axis = AxisGrid(grid.n, 2.0 * math.pi * eps / grid.spacing, 0.0)
+        self.p_axis = p_axis
+        x = grid.points()
+        p = p_axis.points()
+        self.scale = grid.spacing / math.sqrt(2.0 * math.pi * eps)
+        conjugate_length = 2.0 * math.pi * eps / grid.spacing
+        self.kernel = None
+        if p_axis.n == grid.n and p_axis.length == conjugate_length:
+            # Fast path: the requested axis is the conjugate grid up to a center
+            # offset, so a single FFT plus phase ramps evaluates the sum exactly.
+            self.ramp = np.exp(-1j * p[0] * x / eps)
+            k = np.arange(grid.n)
+            self.phase = np.exp(-2j * math.pi * k * (x[0] / grid.length))
+        else:
+            self.kernel = np.exp(-1j * np.outer(p, x) / eps)
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        if self.kernel is None:
+            return self.scale * np.fft.fft(values * self.ramp) * self.phase
+        return self.scale * (self.kernel @ values)
+
+
 def momentum_wavefield(psi: WaveField, p_axis: AxisGrid | None = None) -> WaveField:
     """Momentum-representation field of a wavefield.
 
@@ -51,26 +83,8 @@ def momentum_wavefield(psi: WaveField, p_axis: AxisGrid | None = None) -> WaveFi
     With the default (conjugate) axis, ``p = eps * k`` with k the spectral
     frequencies of the input grid, Parseval holds to round-off.
     """
-    grid = psi.grid
-    eps = psi.epsilon
-    if p_axis is None:
-        p_axis = AxisGrid(grid.n, 2.0 * math.pi * eps / grid.spacing, 0.0)
-    x = grid.points()
-    p = p_axis.points()
-    scale = grid.spacing / math.sqrt(2.0 * math.pi * eps)
-    conjugate_length = 2.0 * math.pi * eps / grid.spacing
-    if p_axis.n == grid.n and p_axis.length == conjugate_length:
-        # Fast path: the requested axis is the conjugate grid up to a center
-        # offset, so a single FFT plus phase ramps evaluates the sum exactly.
-        ramp = np.exp(-1j * p[0] * x / eps)
-        spectrum = np.fft.fft(psi.values * ramp)
-        k = np.arange(grid.n)
-        phase = np.exp(-2j * math.pi * k * (x[0] / grid.length))
-        values = scale * spectrum * phase
-    else:
-        kernel = np.exp(-1j * np.outer(p, x) / eps)
-        values = scale * (kernel @ psi.values)
-    return WaveField(p_axis, values, eps, psi.z)
+    momentum = _MomentumMap(psi.grid, psi.epsilon, p_axis)
+    return WaveField(momentum.p_axis, momentum(psi.values), psi.epsilon, psi.z)
 
 
 def wigner_transform(

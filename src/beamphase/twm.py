@@ -9,23 +9,24 @@ the wavefield itself, never from configuration.
 The potential ordering here is the mirror image of the drift ordering in
 the phase-space grid solver; both are second order in dz, so cross-solver
 disagreement is pure splitting error and shrinks by four when dz is halved.
+The step loop and the :class:`~beamphase.phasespace.Trajectory` record are
+shared with the phase-space engines.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
-from .diagnostics import BeamMoments, moments_of
+from .diagnostics import _WavefieldMoments
 from .exceptions import BeamPhaseError, SolverError
-from .phasespace import StepPlan, _as_count
+from .phasespace import StepPlan, Trajectory, _evolve, _static_once, _step_boundaries
 from .potentials import ConstantProfile, PotentialSpec, eval_potential
 from .states import WaveField
 
 __all__ = [
-    "TwmTrajectory",
     "step_twm",
     "evolve_twm",
     "matched_width",
@@ -33,25 +34,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TwmTrajectory:
-    """Wavefield evolution record: moments every step, fields at snapshots."""
-
-    snapshots: tuple[WaveField, ...]
-    snapshot_steps: tuple[int, ...]
-    moments: tuple[BeamMoments, ...]
-
-    @property
-    def final(self) -> WaveField:
-        return self.snapshots[-1]
-
-
 class _TwmKernel:
-    """Spectral phases for repeated steps of one plan on one grid."""
+    """Spectral phases and moment constants for repeated steps of one plan on one grid."""
+
+    lost = 0
 
     def __init__(self, psi: WaveField, spec: PotentialSpec, plan: StepPlan):
         self.spec = spec
         self.plan = plan
+        self.grid = psi.grid
         self.epsilon = psi.epsilon
         self.x = psi.grid.points()
         k = psi.grid.frequencies()
@@ -63,31 +54,26 @@ class _TwmKernel:
                 "(the complex exponential would alias); reduce dz or refine the grid"
             )
         self.kinetic_phase = np.exp(-1j * kinetic_angle)
-        self.static = all(isinstance(profile, ConstantProfile) for _, profile in spec.terms)
-        self._cached_half = None
+        self.half_at = _static_once(self._half_potential, spec)
+        self.measure = _WavefieldMoments(psi.grid, psi.epsilon)
 
     def _half_potential(self, z_mid: float):
-        if self.static and self._cached_half is not None:
-            return self._cached_half
         if self.spec.degree < 0:
-            half = None
-        else:
-            u = eval_potential(self.spec, self.x, z_mid)
-            half = np.exp(-1j * u * (0.5 * self.plan.dz / self.epsilon))
-        if self.static:
-            self._cached_half = half
-        return half
+            return None
+        u = eval_potential(self.spec, self.x, z_mid)
+        return np.exp(-1j * u * (0.5 * self.plan.dz / self.epsilon))
 
-    def apply(self, psi: np.ndarray, z: float) -> np.ndarray:
-        half = self._half_potential(z + 0.5 * self.plan.dz)
+    def advance(self, psi: np.ndarray, z: float) -> np.ndarray:
+        half = self.half_at(z + 0.5 * self.plan.dz)
         if half is not None:
             psi = psi * half
         psi = np.fft.ifft(np.fft.fft(psi) * self.kinetic_phase)
         if half is not None:
             psi = psi * half
-        if not np.isfinite(psi).all():
-            raise SolverError("wavefield became non-finite during a step")
         return psi
+
+    def wrap(self, psi: np.ndarray, z: float) -> WaveField:
+        return WaveField(self.grid, psi, self.epsilon, z)
 
 
 def step_twm(psi: WaveField, spec: PotentialSpec, plan: StepPlan) -> WaveField:
@@ -97,9 +83,7 @@ def step_twm(psi: WaveField, spec: PotentialSpec, plan: StepPlan) -> WaveField:
     The kinetic phase at the largest wavenumber must stay below pi, else a
     :class:`SolverError` is raised.  The norm is preserved to round-off.
     """
-    kernel = _TwmKernel(psi, spec, plan)
-    values = kernel.apply(psi.values.astype(complex), psi.z)
-    return WaveField(psi.grid, values, psi.epsilon, psi.z + plan.dz)
+    return evolve_twm(psi, spec, replace(plan, n_steps=1)).final
 
 
 def evolve_twm(
@@ -107,32 +91,17 @@ def evolve_twm(
     spec: PotentialSpec,
     plan: StepPlan,
     snapshot_every: int | None = None,
-) -> TwmTrajectory:
+) -> Trajectory:
     """Advance ``plan.n_steps`` steps, recording moments and snapshots.
 
     Same recording contract as the phase-space solver: moments at every
     step including the initial one, full fields at the snapshot cadence
     plus the initial and final states, ``n_steps = 0`` is the identity.
+    Every step checks the field for finite values and unit norm and raises
+    :class:`SolverError` naming the step.
     """
-    if snapshot_every is None:
-        snapshot_every = max(plan.n_steps, 1)
-    snapshot_every = _as_count(snapshot_every, "snapshot_every", 1)
     kernel = _TwmKernel(psi, spec, plan)
-    values = psi.values.astype(complex)
-    snapshots = [psi]
-    snapshot_steps = [0]
-    moments = [moments_of(psi)]
-    for step in range(1, plan.n_steps + 1):
-        try:
-            values = kernel.apply(values, psi.z + (step - 1) * plan.dz)
-        except SolverError as exc:
-            raise SolverError(f"step {step}/{plan.n_steps}: {exc}") from None
-        current = WaveField(psi.grid, values, psi.epsilon, psi.z + step * plan.dz)
-        moments.append(moments_of(current))
-        if step % snapshot_every == 0 or step == plan.n_steps:
-            snapshots.append(current)
-            snapshot_steps.append(step)
-    return TwmTrajectory(tuple(snapshots), tuple(snapshot_steps), tuple(moments))
+    return _evolve(kernel, psi, psi.values, _step_boundaries(psi.z, plan), snapshot_every)
 
 
 def matched_width(spec: PotentialSpec, epsilon: float) -> float:

@@ -49,6 +49,41 @@ formats = csv, grid-dump, heatmap
 """
 
 
+# The quartic superposition at 10x the benchmark step: the evolved twm field
+# outgrows the 128-point momentum axis, so the step-250 Wigner transform fails
+# its marginal check while the initial one passes.
+OUTGROWN_WIGNER_SCENARIO = """
+[grid]
+nx = 256
+np = 128
+x_length = 12.8
+p_length = 6.4
+
+[beam]
+kind = superposition
+sigma0 = 0.4
+separation = 1.2
+
+[physics]
+epsilon = 0.1
+
+[potential]
+preset = quartic_channel
+k = 1.0
+lambda4 = 0.1
+
+[run]
+dz = 2e-3
+n_steps = 500
+snapshot_every = 250
+engines = twm
+
+[output]
+directory = {outdir}
+formats = csv, grid-dump
+"""
+
+
 def write_ini(tmp_path, text, name="scenario.ini", **fmt):
     path = tmp_path / name
     path.write_text(textwrap.dedent(text).format(**fmt))
@@ -295,6 +330,17 @@ class TestRunnerReport:
         assert report.final_negativity is None
         assert report.distances == ()
         assert sorted(p.name for p in outdir.iterdir()) == ["moments_rays.csv"]
+
+    def test_evolved_wigner_failure_keeps_engine_results(self, tmp_path, capsys):
+        outdir = tmp_path / "out"
+        ini = write_ini(tmp_path, OUTGROWN_WIGNER_SCENARIO, outdir=outdir)
+        assert main(["run", str(ini)]) == 0
+        out = capsys.readouterr().out
+        assert "warning: twm: Wigner transform of the step 250 snapshot failed" in out
+        assert "final negativity:" not in out
+        rows = (outdir / "moments_twm.csv").read_text().splitlines()
+        assert len(rows) == 1 + 501
+        assert sorted(p.name for p in outdir.iterdir()) == ["moments_twm.csv"]
 
     def test_paraxial_warning_reaches_report_and_stdout(self, tmp_path, capsys):
         text = FREE_SCENARIO.replace(

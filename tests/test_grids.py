@@ -1,20 +1,11 @@
-"""Axis and phase-space grid construction, spectral axes, and unit scaling."""
+"""Axis and phase-space grid construction and spectral axes."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
-from beamphase import (
-    AxisGrid,
-    GridError,
-    PhaseGrid,
-    ScaleContext,
-    from_scaled,
-    make_axis_grid,
-    to_scaled,
-)
+from beamphase import AxisGrid, GridError, PhaseGrid
 
 
 class TestAxisGrid:
@@ -29,9 +20,6 @@ class TestAxisGrid:
         points = grid.points()
         assert points[0] == 0.0
         assert points[-1] == pytest.approx(0.9375)
-
-    def test_factory_matches_constructor(self):
-        assert make_axis_grid(32, 4.0, 1.0) == AxisGrid(32, 4.0, 1.0)
 
     @pytest.mark.parametrize("n", [12, 0, -8, 7, 4])
     def test_invalid_point_count(self, n):
@@ -83,39 +71,3 @@ class TestPhaseGrid:
             np.testing.assert_allclose(
                 np.diff(sorted_freqs), 2.0 * math.pi / axis.length, rtol=1e-12
             )
-
-
-class TestScaling:
-    def test_halving_by_two_sigma(self):
-        ctx = ScaleContext(sigma0=1.0, epsilon=0.1)
-        assert to_scaled(2.0, ctx) == 1.0
-        assert to_scaled(0.0, ctx) == 0.0
-
-    def test_round_trip_exact(self):
-        ctx = ScaleContext(sigma0=0.8, epsilon=0.1)
-        assert from_scaled(to_scaled(0.37, ctx), ctx) == 0.37
-
-    def test_round_trip_bulk_random(self):
-        rng = np.random.default_rng(42)
-        values = rng.standard_normal(1_000_000) * 10.0
-        ctx = ScaleContext(sigma0=1.7, epsilon=0.05)
-        back = from_scaled(to_scaled(values, ctx), ctx)
-        np.testing.assert_allclose(back, values, rtol=1e-15, atol=1e-300)
-
-    @given(
-        value=st.floats(-1e6, 1e6),
-        sigma0=st.floats(1e-3, 1e3),
-    )
-    def test_round_trip_property(self, value, sigma0):
-        ctx = ScaleContext(sigma0=sigma0, epsilon=0.1)
-        back = from_scaled(to_scaled(value, ctx), ctx)
-        assert back == pytest.approx(value, rel=1e-12, abs=1e-12)
-
-    def test_eta_identity(self):
-        ctx = ScaleContext(sigma0=2.0, epsilon=0.2)
-        assert ctx.eta == 0.05
-
-    @pytest.mark.parametrize("sigma0,epsilon", [(0.0, 0.1), (-1.0, 0.1), (1.0, 0.0), (1.0, -0.5)])
-    def test_invalid_context(self, sigma0, epsilon):
-        with pytest.raises(GridError):
-            ScaleContext(sigma0=sigma0, epsilon=epsilon)

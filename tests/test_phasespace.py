@@ -7,6 +7,7 @@ import pytest
 
 from beamphase import (
     AxisGrid,
+    ConstantProfile,
     HarmonicProfile,
     PhaseGrid,
     PotentialSpec,
@@ -15,13 +16,16 @@ from beamphase import (
     SolverError,
     StepPlan,
     evolve_phase_space,
+    evolve_twm,
     free_space,
     gaussian_quasidist,
+    gaussian_wavefield,
     linear_lens,
     moments_of,
     moyal_generator,
     moyal_generator_truncated,
     quartic_channel,
+    sample_rays,
     step_phase_space,
     superposition_quasidist,
     trace_rays,
@@ -38,7 +42,6 @@ class TestStepPlan:
     def test_defaults(self):
         plan = StepPlan(0.01, 10)
         assert plan.generator == "full_moyal"
-        assert plan.splitting == "strang"
         assert not plan.is_classical
 
     def test_truncated_defaults_to_classical(self):
@@ -59,7 +62,6 @@ class TestStepPlan:
             dict(dz=0.1, n_steps=1, generator="magic"),
             dict(dz=0.1, n_steps=1, generator="truncated", max_order=2),
             dict(dz=0.1, n_steps=1, generator="full_moyal", max_order=3),
-            dict(dz=0.1, n_steps=1, splitting="lie"),
         ],
     )
     def test_contract(self, kwargs):
@@ -275,6 +277,24 @@ class TestTrajectoryBookkeeping:
         rho = gaussian_quasidist(QUARTIC_GRID, 0.4, 0.25)
         with pytest.raises(SolverError, match=r"step 1/5"):
             evolve_phase_space(rho, quartic_channel(1.0, 0.1), EPS, StepPlan(2e-3, 5))
+
+
+class TestNonFiniteStep:
+    # A NaN coefficient passes every input check and the kick guard
+    # (nan >= pi is false); the per-step finiteness check must catch it.
+    NAN_LENS = PotentialSpec(((2, ConstantProfile(math.nan)),))
+
+    @pytest.mark.parametrize("engine", ["twm", "moyal", "liouville", "rays"])
+    def test_nan_coefficient_fails_at_step_one(self, engine):
+        rho = gaussian_quasidist(QUARTIC_GRID, 0.4, 0.25)
+        plan = StepPlan(0.01, 3, "truncated") if engine == "liouville" else StepPlan(0.01, 3)
+        with pytest.raises(SolverError, match=r"^step 1/3: .*non-finite"):
+            if engine == "twm":
+                evolve_twm(gaussian_wavefield(QUARTIC_GRID.x_axis, 0.4, EPS), self.NAN_LENS, plan)
+            elif engine == "rays":
+                trace_rays(sample_rays(rho, 100, seed=1), self.NAN_LENS, plan)
+            else:
+                evolve_phase_space(rho, self.NAN_LENS, EPS, plan)
 
 
 class TestTraceRays:
