@@ -5,7 +5,9 @@ Verbs:
 * ``run <scenario>``: execute a scenario file and write its artifacts.
 * ``compare <scenario>``: same, with engines forced to twm + moyal +
   liouville so the cross-engine distances are always recorded.
-* ``validate <scenario>``: parse, validate and echo the resolved config.
+* ``validate <scenario>``: parse, validate and echo the resolved config;
+  with twm among the engines, also check that the initial field passes the
+  Wigner transform the run compares it through.
 * ``info <grid-dump>``: print the header and value statistics of a dump.
 
 Exit codes: 0 success, 2 configuration or validation problem, 1 runtime
@@ -21,7 +23,7 @@ import sys
 
 from .exceptions import BeamPhaseError, ConfigError
 from .outputs import read_grid_dump
-from .runner import RunReport, run_scenario
+from .runner import RunReport, _preflight_wigner, run_scenario
 from .scenario import ScenarioConfig, load_scenario
 
 __all__ = ["main"]
@@ -91,6 +93,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_validate(args) -> int:
     config = load_scenario(args.scenario)
+    _preflight_wigner(config)
     if not args.quiet:
         print(f"scenario {args.scenario} is valid")
         for line in _echo_config(config):

@@ -20,7 +20,6 @@ from .exceptions import StateError
 from .grids import AxisGrid
 from .potentials import PotentialSpec, _shift_series, eval_gradient
 from .states import QuasiDistribution, RayEnsemble, WaveField, _check_norm
-from .transforms import _MomentumMap
 
 __all__ = [
     "BeamMoments",
@@ -109,17 +108,21 @@ def _grid_moments(
 class _WavefieldMoments:
     """Moments of wavefield arrays on one grid at one epsilon; checks the norm.
 
-    The grid points, spectral derivative factor and momentum map are built
-    once, so repeated calls (one per solver step) cost three FFTs each.
+    The grid points, spectral derivative factor and momenta are built once,
+    and one forward FFT serves both the momentum density and the derivative,
+    so repeated calls (one per solver step) cost two FFTs each.
     """
 
     def __init__(self, grid: AxisGrid, eps: float):
         self.spacing = grid.spacing
         self.eps = eps
         self.x = grid.points()
-        self.ik = 1j * grid.frequencies()
-        self.momentum = _MomentumMap(grid, eps)
-        self.p = self.momentum.p_axis.points()
+        k = grid.frequencies()
+        self.ik = 1j * k
+        # The momentum axis conjugate to a power-of-two grid, centred at 0, is
+        # eps * k up to a cyclic shift, so |FFT|^2 in FFT order is the
+        # momentum density up to a constant factor that the moments divide out.
+        self.p = eps * k
 
     def __call__(self, values: np.ndarray, z: float) -> BeamMoments:
         x = self.x
@@ -128,13 +131,14 @@ class _WavefieldMoments:
         _check_norm(norm * self.spacing, "wavefield norm")
         mean_x = float(density @ x) / norm
         var_x = float(density @ (x - mean_x) ** 2) / norm
+        spectrum = np.fft.fft(values)
         p = self.p
-        p_density = np.abs(self.momentum(values)) ** 2
+        p_density = np.abs(spectrum) ** 2
         p_norm = float(p_density.sum())
         mean_p = float(p_density @ p) / p_norm
         var_p = float(p_density @ (p - mean_p) ** 2) / p_norm
         # <xp + px>/2 via the eps-scaled probability current J = eps*Im(Psi* Psi').
-        derivative = np.fft.ifft(self.ik * np.fft.fft(values))
+        derivative = np.fft.ifft(self.ik * spectrum)
         current = self.eps * np.imag(np.conj(values) * derivative)
         cov_xp = float(current @ x) / norm - mean_x * mean_p
         return _beam_moments(z, mean_x, mean_p, var_x, var_p, cov_xp)
@@ -233,6 +237,9 @@ def truncation_ratio(
     undefined, returned as ``nan``.  Scales as epsilon**2 for a quartic
     potential (the series terminates at the cubic shift term).
     """
+    if spec.degree < 1:
+        # Free space or a constant potential: no force anywhere, so G1 = 0.
+        return float("nan")
     x = state.grid.x_axis.points()[:, None]
     y = state.grid.p_axis.frequencies()[None, :]
     z = state.z

@@ -22,7 +22,7 @@ from .diagnostics import (
     negativity,
     truncation_ratio,
 )
-from .exceptions import SolverError, TransformError
+from .exceptions import ConfigError, SolverError, StateError, TransformError
 from .phasespace import StepPlan, evolve_phase_space, trace_rays
 from .scenario import ScenarioConfig
 from .states import (
@@ -33,10 +33,16 @@ from .states import (
     superposition_quasidist,
     superposition_wavefield,
 )
-from .transforms import wigner_transform
+from .transforms import _WignerMap
 from .twm import evolve_twm
 
-__all__ = ["EngineResult", "PairDistances", "RunReport", "run_scenario", "build_initial_states"]
+__all__ = [
+    "EngineResult",
+    "PairDistances",
+    "RunReport",
+    "run_scenario",
+    "build_initial_states",
+]
 
 # Marginal-identity slack used when transforming wavefield snapshots for
 # cross-engine comparison; evolved fields sit closer to the grid edges than
@@ -102,15 +108,7 @@ def build_initial_states(config: ScenarioConfig):
     engines = config.run.engines
     beam = config.beam
     epsilon = config.epsilon
-    psi = None
-    if "twm" in engines:
-        x_axis = config.grid.x_axis()
-        if beam.kind == "gaussian":
-            psi = gaussian_wavefield(x_axis, beam.sigma0, epsilon, beam.x0, beam.p0)
-        else:
-            psi = superposition_wavefield(
-                x_axis, beam.sigma0, beam.separation, epsilon, beam.x0, beam.p0
-            )
+    psi = _initial_wavefield(config) if "twm" in engines else None
     rho = None
     if {"moyal", "liouville", "rays"} & set(engines):
         grid = config.grid.phase_grid()
@@ -125,6 +123,36 @@ def build_initial_states(config: ScenarioConfig):
     if "rays" in engines:
         rays = sample_rays(rho, config.run.ray_count, config.run.seed)
     return {"psi": psi, "rho": rho, "rays": rays}
+
+
+def _initial_wavefield(config: ScenarioConfig):
+    beam = config.beam
+    x_axis = config.grid.x_axis()
+    if beam.kind == "gaussian":
+        return gaussian_wavefield(x_axis, beam.sigma0, config.epsilon, beam.x0, beam.p0)
+    return superposition_wavefield(
+        x_axis, beam.sigma0, beam.separation, config.epsilon, beam.x0, beam.p0
+    )
+
+
+def _preflight_wigner(config: ScenarioConfig) -> None:
+    """Raise :class:`ConfigError` if a twm run would fail its step-0 Wigner transform.
+
+    The comparison transform of the initial field depends only on the grid,
+    the beam and epsilon, so it is checked here without evolving anything
+    (and without building the grid or ray states).  A no-op without twm.
+    """
+    if "twm" not in config.run.engines:
+        return
+    psi = _initial_wavefield(config)
+    try:
+        _WignerMap(psi.grid, psi.epsilon, config.grid.p_axis())(psi, COMPARISON_MARGINAL_TOL)
+    except (TransformError, StateError) as exc:
+        raise ConfigError(
+            "grid.x_length, grid.np, grid.p_length: the Wigner transform of the "
+            f"initial twm field fails its check ({exc}); the shifts it correlates "
+            "stop at x_length / 4 in steps of pi epsilon / p_length"
+        ) from None
 
 
 def _engine_plan(name: str, config: ScenarioConfig) -> StepPlan:
@@ -169,10 +197,12 @@ def _phase_space_snapshots(name: str, traj, config: ScenarioConfig, warnings: li
         return traj.snapshots
     if name != "twm":
         return ()
+    first = traj.snapshots[0]
+    wigner = _WignerMap(first.grid, first.epsilon, config.grid.p_axis())
     wigners = []
     for step, field in zip(traj.snapshot_steps, traj.snapshots):
         try:
-            wigners.append(wigner_transform(field, config.grid.p_axis(), COMPARISON_MARGINAL_TOL))
+            wigners.append(wigner(field, COMPARISON_MARGINAL_TOL))
         except TransformError as exc:
             if step == 0:
                 message = f"engine twm: Wigner transform of the initial field: {exc}"

@@ -14,6 +14,12 @@ requested momentum axis (``ds = pi * eps / p_length``), which makes the
 p-integrated marginal identity hold to round-off by construction; the
 x-integrated identity then holds whenever the momentum axis actually
 resolves and covers the state, and is checked.
+
+Everything but the field itself (kept shift rows, shift table, ramps and the
+momentum map of that check) depends only on the position grid, epsilon and
+momentum axis, so it is built once per such triple in ``_WignerMap``; a run
+that transforms many snapshots reuses one map, and :func:`wigner_transform`
+builds a map for a single call.
 """
 
 from __future__ import annotations
@@ -87,6 +93,71 @@ def momentum_wavefield(psi: WaveField, p_axis: AxisGrid | None = None) -> WaveFi
     return WaveField(momentum.p_axis, momentum(psi.values), psi.epsilon, psi.z)
 
 
+class _WignerMap:
+    """``Psi(x) -> rho_w(x, p)`` for one position grid, epsilon and momentum axis.
+
+    The kept shift rows, their spectral shift table, the first-point ramp and
+    the momentum map behind the marginal check depend only on those, so they
+    are built once; a call costs one FFT of the field, one inverse FFT per
+    kept shift and one FFT per x column.
+    """
+
+    def __init__(self, grid: AxisGrid, eps: float, p_axis: AxisGrid):
+        self.phase_grid = PhaseGrid(grid, p_axis)
+        n_p = p_axis.n
+        ds = math.pi * eps / p_axis.length
+        self.scale = ds / (math.pi * eps)
+        # Shift samples in FFT index order: m = 0, 1, ..., -1 times ds.
+        m = np.fft.fftfreq(n_p, d=1.0 / n_p)
+        s = m * ds
+        # On the periodic box the correlation Psi(x+s) Psi*(x-s) is genuine only
+        # while the shifted copies stay clear of their periodic images; beyond
+        # |s| = L/4 a state wider than half the box would fold onto itself, so
+        # those rows (where a valid state has no correlation left anyway) are
+        # dropped.  The unpaired -n/2 row goes too: it has no +s partner and
+        # would break the Hermitian symmetry that makes the output real.  The
+        # s = 0 row is always kept, so the p-marginal identity stays exact.
+        keep = np.abs(s) <= 0.25 * grid.length
+        keep[n_p // 2] = False
+        self.keep = keep
+        s_kept = s[keep]
+        # Spectral shift theorem: row i of the inverse FFT is Psi(x + s_i).
+        self.shift = np.exp(1j * np.outer(s_kept, grid.frequencies()))
+        # The kept shifts are 0, ..., M, -M, ..., -1, so Psi(x - s_i) is the
+        # row of -s_i, index -i mod count.
+        self.mirror = -np.arange(s_kept.size) % s_kept.size
+        # exp(-2 i p s / eps) split into the first-point ramp and a pure DFT.
+        self.ramp = np.exp(-2j * p_axis.points()[0] * s_kept / eps)[:, None]
+        self.momentum = _MomentumMap(grid, eps, p_axis)
+
+    def __call__(self, psi: WaveField, marginal_tol: float) -> QuasiDistribution:
+        grid = self.phase_grid.x_axis
+        plus = np.fft.ifft(np.fft.fft(psi.values)[None, :] * self.shift, axis=1)
+        corr = np.zeros((self.phase_grid.p_axis.n, grid.n), dtype=complex)
+        corr[self.keep] = plus * np.conj(plus[self.mirror]) * self.ramp
+        values = np.fft.fft(corr, axis=0) * self.scale
+        values = values.transpose()
+        peak = float(np.abs(values.real).max())
+        residue = float(np.abs(values.imag).max())
+        if residue > REALNESS_TOL * peak:
+            raise TransformError(
+                f"wigner transform imaginary residue {residue:.3e} exceeds "
+                f"{REALNESS_TOL} of peak {peak:.3e}"
+            )
+        values = np.ascontiguousarray(values.real)
+        marginal_x = values.sum(axis=0) * grid.spacing
+        # The WaveField constructor checks the momentum norm (Parseval on this axis).
+        phi = WaveField(self.momentum.p_axis, self.momentum(psi.values), psi.epsilon, psi.z)
+        reference = phi.density()
+        defect = float(np.abs(marginal_x - reference).max())
+        if defect > marginal_tol * max(1.0, float(reference.max())):
+            raise TransformError(
+                f"momentum axis too coarse or too narrow: marginal identity "
+                f"defect {defect:.3e} exceeds tolerance"
+            )
+        return QuasiDistribution(self.phase_grid, values, psi.z, "wigner")
+
+
 def wigner_transform(
     psi: WaveField, p_axis: AxisGrid, marginal_tol: float = MARGINAL_TOL
 ) -> QuasiDistribution:
@@ -97,53 +168,10 @@ def wigner_transform(
     the wavefield.  Raises :class:`TransformError` if the momentum axis is
     too coarse or too narrow for the marginal identity
     ``integral rho_w dx = |Phi(p)|**2`` to hold within ``marginal_tol``.
+    Each call builds and drops its own shift table and momentum map; the
+    runner builds them once per run and reuses them for every snapshot.
     """
-    grid = psi.grid
-    eps = psi.epsilon
-    n_p = p_axis.n
-    ds = math.pi * eps / p_axis.length
-    # Shift samples in FFT index order: m = 0, 1, ..., -1 times ds.
-    m = np.fft.fftfreq(n_p, d=1.0 / n_p)
-    s = m * ds
-    # On the periodic box the correlation Psi(x+s) Psi*(x-s) is genuine only
-    # while the shifted copies stay clear of their periodic images; beyond
-    # |s| = L/4 a state wider than half the box would fold onto itself, so
-    # those rows (where a valid state has no correlation left anyway) are
-    # dropped.  The unpaired -n/2 row goes too: it has no +s partner and
-    # would break the Hermitian symmetry that makes the output real.  The
-    # s = 0 row is always kept, so the p-marginal identity stays exact.
-    keep = np.abs(s) <= 0.25 * grid.length
-    keep[n_p // 2] = False
-    s_kept = s[keep]
-    k = grid.frequencies()
-    spectrum = np.fft.fft(psi.values)
-    # Psi(x + s) for every kept s, via the spectral shift theorem (rows: s).
-    plus = np.fft.ifft(spectrum[None, :] * np.exp(1j * np.outer(s_kept, k)), axis=1)
-    minus = np.fft.ifft(spectrum[None, :] * np.exp(-1j * np.outer(s_kept, k)), axis=1)
-    p0 = p_axis.points()[0]
-    corr = np.zeros((n_p, grid.n), dtype=complex)
-    # exp(-2 i p s / eps) split into the first-point ramp and a pure DFT.
-    corr[keep] = plus * np.conj(minus) * np.exp(-2j * p0 * s_kept / eps)[:, None]
-    values = np.fft.fft(corr, axis=0) * (ds / (math.pi * eps))
-    values = values.transpose()
-    peak = float(np.abs(values.real).max())
-    residue = float(np.abs(values.imag).max())
-    if residue > REALNESS_TOL * peak:
-        raise TransformError(
-            f"wigner transform imaginary residue {residue:.3e} exceeds "
-            f"{REALNESS_TOL} of peak {peak:.3e}"
-        )
-    values = np.ascontiguousarray(values.real)
-    phase_grid = PhaseGrid(grid, p_axis)
-    marginal_x = values.sum(axis=0) * grid.spacing
-    reference = momentum_wavefield(psi, p_axis).density()
-    defect = float(np.abs(marginal_x - reference).max())
-    if defect > marginal_tol * max(1.0, float(reference.max())):
-        raise TransformError(
-            f"momentum axis too coarse or too narrow: marginal identity "
-            f"defect {defect:.3e} exceeds tolerance"
-        )
-    return QuasiDistribution(phase_grid, values, psi.z, "wigner")
+    return _WignerMap(psi.grid, psi.epsilon, p_axis)(psi, marginal_tol)
 
 
 @dataclass(frozen=True)

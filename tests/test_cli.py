@@ -245,7 +245,24 @@ class TestVerbs:
     def test_quiet_silences_stdout(self, tmp_path, capsys):
         ini = write_ini(tmp_path, FREE_SCENARIO, outdir=tmp_path / "out")
         assert main(["validate", str(ini), "--quiet"]) == 0
-        assert capsys.readouterr().out == ""
+        assert capsys.readouterr() == ("", "")  # the twm pre-flight passes silently
+
+    def test_validate_preflights_initial_wigner_transform(self, tmp_path, capsys):
+        # The configuration of test_runtime_failure_exits_1: its initial twm
+        # field fails the Wigner marginal check that run applies at step 0.
+        text = FREE_SCENARIO.replace("x_length = 32.0", "x_length = 24.0")
+        ini = write_ini(tmp_path, text, outdir=tmp_path / "out")
+        assert main(["validate", str(ini), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "grid.x_length, grid.np, grid.p_length" in err
+        assert "marginal identity defect" in err
+
+    def test_validate_preflight_needs_twm(self, tmp_path):
+        text = FREE_SCENARIO.replace("x_length = 32.0", "x_length = 24.0").replace(
+            "engines = twm, moyal, liouville, rays", "engines = moyal, liouville, rays"
+        )
+        ini = write_ini(tmp_path, text, outdir=tmp_path / "out")
+        assert main(["validate", str(ini), "--quiet"]) == 0
 
     def test_runtime_failure_exits_1(self, tmp_path, capsys):
         # x_length = 24 clears the beam itself but leaves the wavefield's

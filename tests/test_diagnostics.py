@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from beam_corpus import wavefields
+from hypothesis import given, settings, strategies as st
 
 from beamphase import (
     AxisGrid,
     BeamMoments,
+    ConstantProfile,
     PhaseGrid,
+    PotentialSpec,
     StateError,
     StepPlan,
     emittance_from_thermal,
@@ -27,6 +31,8 @@ from beamphase import (
     uncertainty_check,
     wigner_transform,
 )
+from beamphase.diagnostics import _WavefieldMoments
+from beamphase.transforms import _MomentumMap
 
 EPS = 0.1
 WIDE_GRID = PhaseGrid(AxisGrid(512, 32.0), AxisGrid(128, 1.28))
@@ -87,6 +93,53 @@ class TestMoments:
         assert mw.sigma_xp == pytest.approx(mg.sigma_xp, abs=1e-8)
 
 
+def momentum_map_moments(values, grid, eps):
+    """Wavefield moments with the momentum density from ``_MomentumMap``.
+
+    The three-FFT path the shared-spectrum moments replaced: ``|Phi(p)|^2``
+    on the centred conjugate axis, and a separate FFT for the derivative.
+    """
+    x = grid.points()
+    density = np.abs(values) ** 2
+    norm = float(density.sum())
+    mean_x = float(density @ x) / norm
+    var_x = float(density @ (x - mean_x) ** 2) / norm
+    momentum = _MomentumMap(grid, eps)
+    p = momentum.p_axis.points()
+    p_density = np.abs(momentum(values)) ** 2
+    p_norm = float(p_density.sum())
+    mean_p = float(p_density @ p) / p_norm
+    var_p = float(p_density @ (p - mean_p) ** 2) / p_norm
+    derivative = np.fft.ifft(1j * grid.frequencies() * np.fft.fft(values))
+    current = eps * np.imag(np.conj(values) * derivative)
+    cov_xp = float(current @ x) / norm - mean_x * mean_p
+    emittance = 2.0 * math.sqrt(max(var_x * var_p - cov_xp**2, 0.0))
+    return mean_x, mean_p, math.sqrt(var_x), math.sqrt(var_p), cov_xp, emittance
+
+
+class TestSharedSpectrumMoments:
+    # Bounds fixed before measuring: 1e-13 of each moment's own scale.  The
+    # momentum density is the same |FFT|^2 cyclically shifted, so only the
+    # summation order and the momentum samples' last bits differ.
+    @settings(max_examples=40, deadline=None)
+    @given(wavefields(), st.floats(-0.02, 0.02))
+    def test_matches_momentum_map_path(self, field, chirp):
+        psi, _ = field
+        grid, eps = psi.grid, psi.epsilon
+        # A quadratic phase correlates x and p, so sigma_xp is not zero.
+        values = psi.values * np.exp(1j * chirp * (grid.points() - grid.center) ** 2 / eps)
+        m = _WavefieldMoments(grid, eps)(values, 0.0)
+        mean_x, mean_p, sigma_x, sigma_p, sigma_xp, emittance = momentum_map_moments(
+            values, grid, eps
+        )
+        assert m.mean_x == mean_x
+        assert m.sigma_x == sigma_x
+        assert abs(m.mean_p - mean_p) <= 1e-13 * sigma_p
+        assert abs(m.sigma_p - sigma_p) <= 1e-13 * sigma_p
+        assert abs(m.emittance - emittance) <= 1e-13 * emittance
+        assert abs(m.sigma_xp - sigma_xp) <= 1e-13 * sigma_x * sigma_p
+
+
 class TestUncertainty:
     def test_minimal_state_sits_on_bound(self):
         m = moments_of(gaussian_wavefield(AxisGrid(512, 32.0), 1.0, EPS))
@@ -142,7 +195,8 @@ class TestTruncationRatio:
 
     def test_free_space_scores_nan(self):
         mix = superposition_quasidist(self.GRID, 0.4, 0.4, 4.0)
-        assert math.isnan(truncation_ratio(mix, free_space(), EPS))
+        for spec in (free_space(), PotentialSpec(((0, ConstantProfile(2.0)),))):
+            assert math.isnan(truncation_ratio(mix, spec, EPS))
 
     def test_quartic_score_scales_with_epsilon_squared(self):
         mix = superposition_quasidist(self.GRID, 0.4, 0.4, 4.0)

@@ -4,12 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from beam_corpus import wavefields
+from hypothesis import given, settings
 
 from beamphase import (
     AxisGrid,
     PhaseGrid,
+    StateError,
+    StepPlan,
     TransformError,
+    evolve_twm,
     gaussian_wavefield,
+    linear_lens,
     moments_of,
     momentum_wavefield,
     negativity,
@@ -18,6 +24,8 @@ from beamphase import (
     tomogram_axis,
     wigner_transform,
 )
+from beamphase import transforms
+from beamphase.transforms import _WignerMap
 
 EPS = 0.1
 XGRID = AxisGrid(512, 32.0)
@@ -125,6 +133,81 @@ class TestTransformContract:
         psi = gaussian_wavefield(AxisGrid(256, 12.8), 0.5, 0.2)
         rho = wigner_transform(psi, AxisGrid(128, 6.4), marginal_tol=1e-7)
         assert rho.mass == pytest.approx(1.0, abs=1e-7)
+
+
+def two_table_reference(psi, p_axis):
+    """The direct Wigner transform that ``_WignerMap`` replaced.
+
+    Rebuilds both shift tables ``exp(+-i s k)`` and inverse-transforms each
+    of them on every call; returns the real part without the realness and
+    marginal checks.
+    """
+    grid = psi.grid
+    eps = psi.epsilon
+    n_p = p_axis.n
+    ds = math.pi * eps / p_axis.length
+    s = np.fft.fftfreq(n_p, d=1.0 / n_p) * ds
+    keep = np.abs(s) <= 0.25 * grid.length
+    keep[n_p // 2] = False
+    s_kept = s[keep]
+    k = grid.frequencies()
+    spectrum = np.fft.fft(psi.values)
+    plus = np.fft.ifft(spectrum[None, :] * np.exp(1j * np.outer(s_kept, k)), axis=1)
+    minus = np.fft.ifft(spectrum[None, :] * np.exp(-1j * np.outer(s_kept, k)), axis=1)
+    p0 = p_axis.points()[0]
+    corr = np.zeros((n_p, grid.n), dtype=complex)
+    corr[keep] = plus * np.conj(minus) * np.exp(-2j * p0 * s_kept / eps)[:, None]
+    values = np.fft.fft(corr, axis=0) * (ds / (math.pi * eps))
+    return np.ascontiguousarray(values.transpose().real)
+
+
+class TestWignerMap:
+    @settings(max_examples=25, deadline=None)
+    @given(wavefields())
+    def test_bitwise_equal_to_two_table_reference(self, field):
+        psi, p_axis = field
+        rho = wigner_transform(psi, p_axis)
+        np.testing.assert_array_equal(rho.values, two_table_reference(psi, p_axis))
+
+    def test_reused_map_equals_fresh_transforms(self):
+        wigner = _WignerMap(CAT_XGRID, EPS, CAT_PGRID)
+        fields = (
+            gaussian_wavefield(CAT_XGRID, 1.0, EPS),
+            gaussian_wavefield(CAT_XGRID, 0.8, EPS, x0=1.5, p0=-0.1),
+            superposition_wavefield(CAT_XGRID, 1.0, 4.0, EPS),
+            superposition_wavefield(CAT_XGRID, 0.7, 2.5, EPS, x0=-1.0, p0=0.2),
+        )
+        for psi in fields:
+            reused = wigner(psi, transforms.MARGINAL_TOL)
+            fresh = wigner_transform(psi, CAT_PGRID)
+            np.testing.assert_array_equal(reused.values, fresh.values)
+            assert (reused.grid, reused.z, reused.kind) == (fresh.grid, fresh.z, fresh.kind)
+
+    def test_reused_map_keeps_the_realness_check(self, monkeypatch):
+        wigner = _WignerMap(XGRID, EPS, PGRID)
+        psi = gaussian_wavefield(XGRID, 1.0, EPS, x0=0.3, p0=0.02)
+        wigner(psi, transforms.MARGINAL_TOL)
+        monkeypatch.setattr(transforms, "REALNESS_TOL", 0.0)
+        with pytest.raises(TransformError, match="imaginary residue"):
+            wigner(psi, transforms.MARGINAL_TOL)
+
+    def test_reused_map_keeps_the_marginal_check(self):
+        # The quarter-box case of TestTransformContract, after a field that passes.
+        wigner = _WignerMap(AxisGrid(256, 12.8), 0.2, AxisGrid(128, 6.4))
+        wigner(gaussian_wavefield(AxisGrid(256, 12.8), 0.3, 0.2), transforms.MARGINAL_TOL)
+        with pytest.raises(TransformError, match="marginal identity defect"):
+            wigner(gaussian_wavefield(AxisGrid(256, 12.8), 0.5, 0.2), transforms.MARGINAL_TOL)
+
+    def test_reused_map_keeps_the_momentum_norm_check(self):
+        # The README example with a K = 1 lens: the beam focuses to a waist
+        # whose momentum spread outgrows AxisGrid(256, 4.0).
+        x_axis = AxisGrid(512, 48.0)
+        psi = gaussian_wavefield(x_axis, sigma=1.0, epsilon=0.1)
+        wigner = _WignerMap(x_axis, 0.1, AxisGrid(256, 4.0))
+        wigner(psi, transforms.MARGINAL_TOL)
+        run = evolve_twm(psi, linear_lens(1.0), StepPlan(dz=0.01, n_steps=1000))
+        with pytest.raises(StateError, match="wavefield norm"):
+            wigner(run.final, transforms.MARGINAL_TOL)
 
 
 class TestMomentumWavefield:
