@@ -7,7 +7,8 @@ Verbs:
   liouville so the cross-engine distances are always recorded.
 * ``validate <scenario>``: parse, validate and echo the resolved config;
   with twm among the engines, also check that the initial field passes the
-  Wigner transform the run compares it through.
+  Wigner transform the run compares it through.  Step-1 phase guards that
+  ``run`` would refuse are printed as ``warning:`` lines.
 * ``info <grid-dump>``: print the header and value statistics of a dump.
 
 Exit codes: 0 success, 2 configuration or validation problem, 1 runtime
@@ -23,7 +24,7 @@ import sys
 
 from .exceptions import BeamPhaseError, ConfigError
 from .outputs import read_grid_dump
-from .runner import RunReport, _preflight_wigner, run_scenario
+from .runner import RunReport, _guard_failures, _preflight_wigner, run_scenario
 from .scenario import ScenarioConfig, load_scenario
 
 __all__ = ["main"]
@@ -94,10 +95,13 @@ def _cmd_run(args) -> int:
 def _cmd_validate(args) -> int:
     config = load_scenario(args.scenario)
     _preflight_wigner(config)
+    failures = _guard_failures(config, config.potential.build())
     if not args.quiet:
         print(f"scenario {args.scenario} is valid")
         for line in _echo_config(config):
             print(line)
+        for failure in failures:
+            print(f"warning: {failure}")
     return 0
 
 

@@ -145,16 +145,21 @@ class _WavefieldMoments:
 
 
 def _ray_moments(x: np.ndarray, p: np.ndarray, z: float) -> BeamMoments:
-    """Moments of position and momentum samples (at least two rays)."""
+    """Moments of position and momentum samples (at least two rays).
+
+    Two scratch arrays hold the deviations, their squares and their product,
+    each formed in place by the same ufunc as ``dx**2`` and ``dx * dp``.
+    """
     if x.size < 2:
         raise StateError("ray moments need at least two rays")
     mean_x = float(x.mean())
     mean_p = float(p.mean())
-    dx = x - mean_x
-    dp = p - mean_p
-    var_x = float((dx**2).mean())
-    var_p = float((dp**2).mean())
-    cov_xp = float((dx * dp).mean())
+    dx = np.subtract(x, mean_x)
+    scratch = np.square(dx)
+    var_x = float(scratch.mean())
+    dp = np.subtract(p, mean_p, out=scratch)
+    cov_xp = float(np.multiply(dx, dp, out=dx).mean())
+    var_p = float(np.square(dp, out=dp).mean())
     return _beam_moments(z, mean_x, mean_p, var_x, var_p, cov_xp)
 
 

@@ -142,11 +142,25 @@ def _step_boundaries(z0: float, plan: StepPlan) -> list[float]:
 
 
 def _static_once(build, spec: PotentialSpec):
-    """``build`` itself, or for a z-independent ``spec`` its one result at every z."""
+    """``build`` itself, or for a z-independent ``spec`` its first result at every z.
+
+    The one build happens at the first call, inside the step loop, so an
+    error it raises names step 1.
+    """
     if not spec.is_static:
         return build
-    built = build(0.0)
-    return lambda z: built
+    built = []
+
+    def once(z: float):
+        if not built:
+            built.append(build(z))
+        return built[0]
+
+    return once
+
+
+def _step_error(step: int, n_steps: int, exc: Exception) -> SolverError:
+    return SolverError(f"step {step}/{n_steps}: {exc}")
 
 
 def _evolve(kernel, initial, values, zs: list[float], snapshot_every: int | None) -> Trajectory:
@@ -172,7 +186,7 @@ def _evolve(kernel, initial, values, zs: list[float], snapshot_every: int | None
             values = kernel.advance(values, zs[step - 1])
             moments.append(kernel.measure(values, zs[step]))
         except (SolverError, StateError) as exc:
-            raise SolverError(f"step {step}/{n_steps}: {exc}") from None
+            raise _step_error(step, n_steps, exc) from None
         if step % snapshot_every == 0 or step == n_steps:
             snapshots.append(kernel.wrap(values, zs[step]))
             snapshot_steps.append(step)
@@ -210,26 +224,15 @@ class _GridKernel:
         )
         self.kick_at = _static_once(self._kick_multiplier, spec)
 
-    def _generator_at(self, z_mid: float):
-        if self.spec.degree < 1:
-            return None
-        if self.plan.generator == "full_moyal":
-            return moyal_generator(self.spec, self.x_col, self.y_row, z_mid, self.epsilon)
-        return moyal_generator_truncated(
-            self.spec, self.x_col, self.y_row, z_mid, self.epsilon, self.plan.max_order
-        )
-
     def _kick_multiplier(self, z_mid: float):
-        g = self._generator_at(z_mid)
+        g = _checked_generator(self.spec, self.x_col, self.y_row, z_mid, self.epsilon, self.plan)
         if g is None:
-            return None, 0.0
-        # G is odd in y, so max |G| over the half spectrum is the whole-box value.
-        guard = float(np.abs(g).max()) * self.plan.dz
+            return None
         angle = self.plan.dz * g
         kick = np.empty(angle.shape, dtype=complex)
         np.cos(angle, out=kick.real)
         np.sin(angle, out=kick.imag)
-        return kick, guard
+        return kick
 
     def _drift(self, rho: np.ndarray) -> tuple[np.ndarray, float]:
         spectrum = np.fft.rfft(rho, axis=0)
@@ -239,12 +242,7 @@ class _GridKernel:
 
     def apply(self, rho: np.ndarray, z: float) -> tuple[np.ndarray, float]:
         """One Strang step of a real array: the new array and its Nyquist residue."""
-        kick, guard = self.kick_at(z + 0.5 * self.plan.dz)
-        if guard >= math.pi:
-            raise SolverError(
-                f"kick phase overflow: max |dz * G| = {guard:.3e} >= pi "
-                "(the complex exponential would alias); reduce dz or the grid extents"
-            )
+        kick = self.kick_at(z + 0.5 * self.plan.dz)
         rho, residue = self._drift(rho)
         if kick is not None:
             n = rho.shape[1]
@@ -267,6 +265,47 @@ class _GridKernel:
 
     def wrap(self, rho: np.ndarray, z: float) -> QuasiDistribution:
         return QuasiDistribution(self.grid, rho, z, self.kind)
+
+
+def _checked_generator(
+    spec: PotentialSpec, x_col, y_row, z_mid: float, epsilon: float, plan: StepPlan
+):
+    """The plan's kick generator on ``x_col`` x ``y_row`` (None without a force).
+
+    Raises when the kick phase ``max |dz G|`` reaches pi.
+    """
+    if spec.degree < 1:
+        return None
+    if plan.generator == "full_moyal":
+        g = moyal_generator(spec, x_col, y_row, z_mid, epsilon)
+    else:
+        g = moyal_generator_truncated(spec, x_col, y_row, z_mid, epsilon, plan.max_order)
+    # G is odd in y, so max |G| over the half spectrum is the whole-box value.
+    guard = float(np.abs(g).max()) * plan.dz
+    if guard >= math.pi:
+        raise SolverError(
+            f"kick phase overflow: max |dz * G| = {guard:.3e} >= pi "
+            "(the complex exponential would alias); reduce dz or the grid extents"
+        )
+    return g
+
+
+def _preflight_kick(
+    grid: PhaseGrid, spec: PotentialSpec, epsilon: float, plan: StepPlan, z0: float
+) -> None:
+    """Raise the kick-guard error that step 1 of a grid run from ``z0`` would raise.
+
+    It needs no state, so a caller can refuse a plan before any engine
+    starts; the step loop still checks every later step.
+    """
+    if plan.n_steps == 0:
+        return
+    x_col = grid.x_axis.points()[:, None]
+    y_row = _half_spectrum(grid.p_axis)[None, :]
+    try:
+        _checked_generator(spec, x_col, y_row, z0 + 0.5 * plan.dz, epsilon, plan)
+    except SolverError as exc:
+        raise _step_error(1, plan.n_steps, exc) from None
 
 
 def _half_spectrum(axis: AxisGrid) -> np.ndarray:
@@ -342,7 +381,11 @@ class _RayKernel:
     """Leapfrog on position and momentum arrays that are updated in place.
 
     ``rays`` selects the rays still advanced and measured: all of them
-    until the first one is lost, then the finite ones.
+    until the first one is lost, then the finite ones.  Kick-drift-kick is
+    first-same-as-last: for a z-independent potential the closing half-kick
+    of one step is the opening half-kick of the next, so it is kept in
+    ``kick`` and each step evaluates the gradient once.  A step that loses
+    rays drops it; the next step recomputes it on the survivors.
     """
 
     def __init__(self, ensemble: RayEnsemble, spec: PotentialSpec, plan: StepPlan):
@@ -351,23 +394,33 @@ class _RayKernel:
         self.dz = plan.dz
         self.rays = slice(None)
         self.lost = 0
+        self.kick = None
+
+    def _half_kick(self, x: np.ndarray, z_mid: float) -> np.ndarray:
+        kick = eval_gradient(self.spec, x, z_mid)
+        kick *= 0.5 * self.dz
+        return kick
 
     def advance(self, values, z: float):
         x, p = values
         rays = self.rays
         z_mid = z + 0.5 * self.dz
-        half = 0.5 * self.dz
         # Diverging anharmonic orbits overflow to inf before being pruned;
         # that is the intended loss mechanism, not an arithmetic error.
         with np.errstate(over="ignore", invalid="ignore"):
-            p[rays] -= half * eval_gradient(self.spec, x[rays], z_mid)
+            kick = self.kick if self.kick is not None else self._half_kick(x[rays], z_mid)
+            p[rays] -= kick
             x[rays] += self.dz * p[rays]
-            p[rays] -= half * eval_gradient(self.spec, x[rays], z_mid)
+            kick = self._half_kick(x[rays], z_mid)
+            p[rays] -= kick
             finite = np.isfinite(x) & np.isfinite(p)
-        if not finite.all():
+        self.kick = kick if self.spec.is_static else None
+        lost = int(finite.size - np.count_nonzero(finite))
+        if lost != self.lost:
             self.rays = finite
-            self.lost = int(finite.size - np.count_nonzero(finite))
-            if self.lost == finite.size:
+            self.lost = lost
+            self.kick = None
+            if lost == finite.size:
                 raise SolverError("all rays diverged to non-finite phase-space values")
         return values
 
@@ -386,10 +439,13 @@ def trace_rays(ensemble: RayEnsemble, spec: PotentialSpec, plan: StepPlan) -> Tr
 
     Each step is kick-drift-kick with the potential coefficients sampled at
     the step midpoint, so the map is symplectic and second-order accurate
-    for z-dependent potentials.  Rays that reach non-finite coordinates
-    (diverging anharmonic orbits) are excluded from the moments and from
-    the final ensemble; ``lost`` reports how many.  The snapshots are the
-    initial and the final ensemble.
+    for z-dependent potentials.  For a z-independent potential the map is
+    first-same-as-last: the closing half-kick of a step is reused as the
+    opening half-kick of the next, so a step evaluates the gradient once,
+    with results bitwise equal to two evaluations.  Rays that reach
+    non-finite coordinates (diverging anharmonic orbits) are excluded from
+    the moments and from the final ensemble; ``lost`` reports how many.  The
+    snapshots are the initial and the final ensemble.
     """
     values = (np.array(ensemble.positions, dtype=float), np.array(ensemble.momenta, dtype=float))
     # Rays advance z by repeated addition of dz (the grids use z0 + k dz); keeping

@@ -157,13 +157,18 @@ def quartic_channel(k_strength: float, lambda4: float) -> PotentialSpec:
 
 
 def _horner(coeffs: np.ndarray, x):
-    """Evaluate sum_k coeffs[k] * x**k by Horner's rule (vectorized in x)."""
-    if len(coeffs) == 0:
-        return np.zeros_like(np.asarray(x, dtype=float))
-    result = np.full_like(np.asarray(x, dtype=float), coeffs[-1])
+    """Evaluate sum_k coeffs[k] * x**k by Horner's rule (vectorized in x).
+
+    Each stage updates one fresh array in place (``r *= x; r += c``): the
+    same floating-point operations as ``r = r * x + c`` without a temporary
+    per stage.  ``x`` is never written to; a scalar ``x`` gives a numpy scalar.
+    """
+    x = np.asarray(x, dtype=float)
+    result = np.full_like(x, coeffs[-1] if len(coeffs) else 0.0)
     for c in coeffs[-2::-1]:
-        result = result * x + c
-    return result
+        result *= x
+        result += c
+    return result[()] if result.ndim == 0 else result
 
 
 def _divided_derivative_coeffs(coeffs: np.ndarray, j: int) -> np.ndarray:

@@ -23,7 +23,7 @@ from .diagnostics import (
     truncation_ratio,
 )
 from .exceptions import ConfigError, SolverError, StateError, TransformError
-from .phasespace import StepPlan, evolve_phase_space, trace_rays
+from .phasespace import StepPlan, _preflight_kick, evolve_phase_space, trace_rays
 from .scenario import ScenarioConfig
 from .states import (
     QuasiDistribution,
@@ -34,7 +34,7 @@ from .states import (
     superposition_wavefield,
 )
 from .transforms import _WignerMap
-from .twm import evolve_twm
+from .twm import _kinetic_phase, evolve_twm
 
 __all__ = [
     "EngineResult",
@@ -162,6 +162,28 @@ def _engine_plan(name: str, config: ScenarioConfig) -> StepPlan:
     return StepPlan(run.dz, run.n_steps, "full_moyal")
 
 
+def _guard_failures(config: ScenarioConfig, spec) -> list[str]:
+    """The step-1 guard errors of the requested engines, in run order, as ``run`` reports them.
+
+    The twm kinetic guard and the grid kick guard depend only on the grid,
+    the potential, dz and epsilon, so ``run_scenario`` refuses the first one
+    before any engine starts and ``validate`` reports each as a warning.
+    Guards at later steps of a z-dependent potential stay in the step loop.
+    """
+    failures = []
+    for name in config.run.engines:
+        plan = _engine_plan(name, config)
+        try:
+            if name == "twm":
+                _kinetic_phase(config.grid.x_axis(), config.epsilon, plan.dz)
+            elif name in GRID_ENGINES:
+                # Initial states start at z = 0 (build_initial_states).
+                _preflight_kick(config.grid.phase_grid(), spec, config.epsilon, plan, 0.0)
+        except SolverError as exc:
+            failures.append(f"engine {name}: {exc}")
+    return failures
+
+
 def _snapshot_diagnostics(snapshots, spec, epsilon):
     volumes = []
     ratios = []
@@ -220,11 +242,15 @@ def run_scenario(config: ScenarioConfig, emit: bool = True) -> RunReport:
 
     Artifacts (CSV series, grid dumps, heatmaps) are written to the
     configured output directory unless ``emit`` is false.  Solver errors
-    carry the engine name and step context.
+    carry the engine name and step context; a step-1 guard error (see
+    ``_guard_failures``) is raised before any engine starts.
     """
     spec = config.potential.build()
     epsilon = config.epsilon
     run = config.run
+    failures = _guard_failures(config, spec)
+    if failures:
+        raise SolverError(failures[0])
     states = build_initial_states(config)
     warnings: list[str] = []
 

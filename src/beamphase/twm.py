@@ -22,6 +22,7 @@ import numpy as np
 
 from .diagnostics import _WavefieldMoments
 from .exceptions import BeamPhaseError, SolverError
+from .grids import AxisGrid
 from .phasespace import StepPlan, Trajectory, _evolve, _static_once, _step_boundaries
 from .potentials import ConstantProfile, PotentialSpec, eval_potential
 from .states import WaveField
@@ -32,6 +33,22 @@ __all__ = [
     "matched_width",
     "free_gaussian_sigma",
 ]
+
+
+def _kinetic_phase(grid: AxisGrid, epsilon: float, dz: float) -> np.ndarray:
+    """``exp(-i eps k^2 dz / 2)`` on the grid's wavenumbers, refused when it would alias.
+
+    The guard depends only on the grid, epsilon and dz, so a caller can
+    check it before any engine starts.
+    """
+    kinetic_angle = 0.5 * epsilon * grid.frequencies() ** 2 * dz
+    guard = float(kinetic_angle.max())
+    if guard >= math.pi:
+        raise SolverError(
+            f"kinetic phase overflow: max |eps k^2 dz / 2| = {guard:.3e} >= pi "
+            "(the complex exponential would alias); reduce dz or refine the grid"
+        )
+    return np.exp(-1j * kinetic_angle)
 
 
 class _TwmKernel:
@@ -45,15 +62,7 @@ class _TwmKernel:
         self.grid = psi.grid
         self.epsilon = psi.epsilon
         self.x = psi.grid.points()
-        k = psi.grid.frequencies()
-        kinetic_angle = 0.5 * self.epsilon * k**2 * plan.dz
-        guard = float(kinetic_angle.max())
-        if guard >= math.pi:
-            raise SolverError(
-                f"kinetic phase overflow: max |eps k^2 dz / 2| = {guard:.3e} >= pi "
-                "(the complex exponential would alias); reduce dz or refine the grid"
-            )
-        self.kinetic_phase = np.exp(-1j * kinetic_angle)
+        self.kinetic_phase = _kinetic_phase(psi.grid, psi.epsilon, plan.dz)
         self.half_at = _static_once(self._half_potential, spec)
         self.measure = _WavefieldMoments(psi.grid, psi.epsilon)
 

@@ -20,6 +20,7 @@ from beamphase import (
     write_grid_dump,
     write_heatmap,
 )
+from beamphase import runner
 from beamphase.cli import main
 from beamphase.outputs import CSV_COLUMNS
 
@@ -271,6 +272,46 @@ class TestVerbs:
         ini = write_ini(tmp_path, text, outdir=tmp_path / "out")
         assert main(["run", str(ini), "--quiet"]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+    def test_run_refuses_a_kick_guard_before_any_engine(self, tmp_path, capsys, monkeypatch):
+        # dz = 2e-3 on the quartic channel trips moyal's kick guard at step
+        # 1; twm runs first and would otherwise evolve all 500 steps for
+        # nothing.
+        entered = []
+        monkeypatch.setattr(runner, "evolve_twm", lambda *args: entered.append("twm"))
+        outdir = tmp_path / "out"
+        text = OUTGROWN_WIGNER_SCENARIO.replace("engines = twm", "engines = twm, moyal")
+        ini = write_ini(tmp_path, text, outdir=outdir)
+        assert main(["run", str(ini), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: engine moyal: step 1/500: kick phase overflow: max |dz * G| = 1.716e+01 >= pi"
+        )
+        assert entered == []
+        assert not outdir.exists()
+
+    def test_run_refuses_a_kinetic_guard_before_any_engine(self, tmp_path, capsys, monkeypatch):
+        entered = []
+        monkeypatch.setattr(runner, "trace_rays", lambda *args: entered.append("rays"))
+        text = FREE_SCENARIO.replace("dz = 0.05", "dz = 0.5").replace(
+            "engines = twm, moyal, liouville, rays", "engines = rays, twm"
+        )
+        ini = write_ini(tmp_path, text, outdir=tmp_path / "out")
+        assert main(["run", str(ini), "--quiet"]) == 1
+        assert capsys.readouterr().err.startswith("error: engine twm: kinetic phase overflow")
+        assert entered == []
+
+    def test_validate_warns_of_step_guards(self, tmp_path, capsys):
+        text = OUTGROWN_WIGNER_SCENARIO.replace("engines = twm", "engines = twm, moyal, liouville")
+        ini = write_ini(tmp_path, text, outdir=tmp_path / "out")
+        assert main(["validate", str(ini)]) == 0
+        warnings = [line for line in capsys.readouterr().out.splitlines() if "warning" in line]
+        assert len(warnings) == 2
+        assert warnings[0].startswith(
+            "warning: engine moyal: step 1/500: kick phase overflow: max |dz * G| = 1.716e+01"
+        )
+        assert warnings[1].startswith("warning: engine liouville: step 1/500: kick phase overflow")
 
 
 class TestFlags:

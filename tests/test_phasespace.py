@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from beamphase import (
     AxisGrid,
@@ -17,6 +18,7 @@ from beamphase import (
     StepPlan,
     evolve_phase_space,
     evolve_twm,
+    eval_gradient,
     free_space,
     gaussian_quasidist,
     gaussian_wavefield,
@@ -30,6 +32,8 @@ from beamphase import (
     superposition_quasidist,
     trace_rays,
 )
+from beamphase import phasespace
+from beamphase.diagnostics import _beam_moments
 from beamphase.phasespace import STEP_REALNESS_TOL, _GridKernel
 
 EPS = 0.1
@@ -345,3 +349,116 @@ class TestTraceRays:
         out = trace_rays(ens, linear_lens(1.0), StepPlan(0.1, 0))
         np.testing.assert_array_equal(out.final.positions, ens.positions)
         assert len(out.moments) == 1
+
+
+def textbook_ray_moments(x, p, z):
+    """Ray moments by the out-of-place formula: one temporary per product."""
+    mean_x = float(x.mean())
+    mean_p = float(p.mean())
+    dx = x - mean_x
+    dp = p - mean_p
+    return _beam_moments(
+        z, mean_x, mean_p, float((dx**2).mean()), float((dp**2).mean()), float((dx * dp).mean())
+    )
+
+
+def two_gradient_leapfrog(ensemble, spec, plan):
+    """Textbook kick-drift-kick with two gradient evaluations per step.
+
+    Returns the moments of every step, the final surviving positions and
+    momenta, and the number of rays lost to non-finite values.
+    """
+    x = np.array(ensemble.positions, dtype=float)
+    p = np.array(ensemble.momenta, dtype=float)
+    alive = np.ones(x.size, dtype=bool)
+    half = 0.5 * plan.dz
+    z = ensemble.z
+    moments = [textbook_ray_moments(x, p, z)]
+    for _ in range(plan.n_steps):
+        z_mid = z + half
+        with np.errstate(over="ignore", invalid="ignore"):
+            p[alive] -= half * eval_gradient(spec, x[alive], z_mid)
+            x[alive] += plan.dz * p[alive]
+            p[alive] -= half * eval_gradient(spec, x[alive], z_mid)
+        alive = np.isfinite(x) & np.isfinite(p)
+        z += plan.dz
+        moments.append(textbook_ray_moments(x[alive], p[alive], z))
+    return moments, x[alive], p[alive], int(alive.size - np.count_nonzero(alive))
+
+
+class TestFirstSameAsLast:
+    """trace_rays reuses the closing gradient of a static step as the next opening kick.
+
+    The reuse must not change a single bit against the two-gradient leapfrog;
+    the gradient call counts pin where the cache is used and where it is not.
+    """
+
+    PLAN = StepPlan(0.01, 40)
+
+    @staticmethod
+    def rays(extra=()):
+        rho = gaussian_quasidist(QUARTIC_GRID, 0.4, 0.25)
+        ens = sample_rays(rho, 2000, seed=11)
+        x = np.concatenate([ens.positions, extra])
+        return RayEnsemble(x, np.concatenate([ens.momenta, np.zeros(len(extra))]), z=0.25)
+
+    def traced(self, ens, spec, monkeypatch):
+        calls = []
+
+        def counting_gradient(*args):
+            calls.append(args[1].size)
+            return eval_gradient(*args)
+
+        monkeypatch.setattr(phasespace, "eval_gradient", counting_gradient)
+        out = trace_rays(ens, spec, self.PLAN)
+        monkeypatch.undo()
+        moments, x, p, lost = two_gradient_leapfrog(ens, spec, self.PLAN)
+        assert out.moments == tuple(moments)
+        assert out.final.positions.tobytes() == x.tobytes()
+        assert out.final.momenta.tobytes() == p.tobytes()
+        assert out.lost == lost
+        return out, calls
+
+    def test_static_quartic_one_gradient_per_step(self, monkeypatch):
+        _, calls = self.traced(self.rays(), quartic_channel(1.0, 0.1), monkeypatch)
+        assert len(calls) == self.PLAN.n_steps + 1
+
+    def test_harmonic_lens_keeps_two_gradients_per_step(self, monkeypatch):
+        spec = PotentialSpec(((2, HarmonicProfile(0.5, 3.0, 0.2)), (4, HarmonicProfile(0.1, 2.0))))
+        _, calls = self.traced(self.rays(), spec, monkeypatch)
+        assert len(calls) == 2 * self.PLAN.n_steps
+
+    def test_loss_drops_the_cached_gradient(self, monkeypatch):
+        # The two far rays diverge at steps 3 and 4; each of those steps
+        # drops the cache, so the next one recomputes it on the survivors.
+        out, calls = self.traced(self.rays([4e3, 2e6]), quartic_channel(1.0, 0.1), monkeypatch)
+        assert out.lost == 2
+        assert len(calls) == self.PLAN.n_steps + 1 + 2
+        assert calls[:6] == [2002, 2002, 2002, 2002, 2001, 2001]
+        assert set(calls[6:]) == {2000}
+
+
+class TestLeapfrogSymplectic:
+    """One leapfrog step is a symplectic map: it preserves phase-space area."""
+
+    def test_linear_lens_step_has_unit_determinant(self):
+        # The map is linear, so the images of the unit vectors are the
+        # columns of its matrix.
+        out = trace_rays(
+            RayEnsemble(np.array([1.0, 0.0]), np.array([0.0, 1.0])),
+            linear_lens(2.5),
+            StepPlan(0.3, 1),
+        )
+        (a, b), (c, d) = out.final.positions, out.final.momenta
+        assert a * d - b * c == pytest.approx(1.0, abs=1e-15)
+        assert a != 1.0  # the step is not the identity
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(0.01, 0.2))
+    def test_quartic_step_preserves_small_triangle_areas(self, x0, p0, dz):
+        h = 1e-7
+        ens = RayEnsemble(np.array([x0, x0 + h, x0]), np.array([p0, p0, p0 + h]))
+        out = trace_rays(ens, quartic_channel(1.0, 0.1), StepPlan(dz, 1))
+        x, p = out.final.positions, out.final.momenta
+        area = (x[1] - x[0]) * (p[2] - p[0]) - (x[2] - x[0]) * (p[1] - p[0])
+        assert area / (h * h) == pytest.approx(1.0, abs=1e-6)

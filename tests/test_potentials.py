@@ -46,6 +46,63 @@ class TestEvaluation:
         np.testing.assert_allclose(eval_potential(spec, x, 0.0), expected, rtol=1e-15)
 
 
+def out_of_place_horner(coeffs, x):
+    """Horner's rule with a fresh array per stage: ``r = r * x + c``."""
+    if len(coeffs) == 0:
+        return np.zeros_like(np.asarray(x, dtype=float))
+    result = np.full_like(np.asarray(x, dtype=float), coeffs[-1])
+    for c in coeffs[-2::-1]:
+        result = result * x + c
+    return result
+
+
+coefficient_lists = st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=7)
+points = st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=16)
+
+
+class TestInPlaceHorner:
+    """The in-place rule does the out-of-place rule's arithmetic, bit for bit."""
+
+    @staticmethod
+    def spec(coeffs):
+        return PotentialSpec(tuple((k, ConstantProfile(c)) for k, c in enumerate(coeffs)))
+
+    @staticmethod
+    def references(coeffs, x):
+        gradient = np.arange(1, len(coeffs)) * np.asarray(coeffs[1:], dtype=float)
+        return out_of_place_horner(np.asarray(coeffs, dtype=float), x), out_of_place_horner(
+            gradient, x
+        )
+
+    @given(coefficient_lists, points)
+    def test_arrays_bitwise_equal_and_input_untouched(self, coeffs, values):
+        x = np.array(values)
+        x.flags.writeable = False
+        spec = self.spec(coeffs)
+        potential, gradient = self.references(coeffs, x.copy())
+        assert eval_potential(spec, x, 0.0).tobytes() == potential.tobytes()
+        assert eval_gradient(spec, x, 0.0).tobytes() == gradient.tobytes()
+        assert x.tobytes() == np.array(values).tobytes()
+
+    @given(coefficient_lists, st.floats(-5.0, 5.0))
+    def test_python_float_gives_numpy_scalar(self, coeffs, x):
+        spec = self.spec(coeffs)
+        for value, reference in zip(
+            (eval_potential(spec, x, 0.0), eval_gradient(spec, x, 0.0)),
+            self.references(coeffs, x),
+        ):
+            assert isinstance(value, np.float64) and not isinstance(value, np.ndarray)
+            assert np.float64(value).tobytes() == np.asarray(reference).tobytes()
+
+    def test_column_broadcasts_like_the_generator_uses_it(self):
+        x_col = np.linspace(-3.0, 3.0, 5)[:, None]
+        spec = quartic_channel(1.0, 0.1)
+        potential, gradient = self.references([0.0, 0.0, 0.5, 0.0, 0.1], x_col)
+        assert eval_potential(spec, x_col, 0.0).shape == (5, 1)
+        assert eval_potential(spec, x_col, 0.0).tobytes() == potential.tobytes()
+        assert eval_gradient(spec, x_col, 0.0).tobytes() == gradient.tobytes()
+
+
 class TestProfiles:
     def test_constant(self):
         assert ConstantProfile(3.5)(17.0) == 3.5
