@@ -19,7 +19,7 @@ import numpy as np
 from .exceptions import StateError
 from .grids import AxisGrid
 from .potentials import PotentialSpec, _shift_series, eval_gradient
-from .states import QuasiDistribution, RayEnsemble, WaveField, _check_norm
+from .states import QuasiDistribution, RayEnsemble, WaveField, _check_norm, _check_positive
 
 __all__ = [
     "BeamMoments",
@@ -82,7 +82,9 @@ class UncertaintyReport:
 def _beam_moments(z, mean_x, mean_p, var_x, var_p, cov_xp) -> BeamMoments:
     # Cauchy-Schwarz keeps the radicand >= 0 for any genuine density; only
     # round-off (bounded by RADICAND_FLOOR in practice) can push it below.
-    radicand = var_x * var_p - cov_xp**2
+    radicand = var_x * var_p - cov_xp * cov_xp
+    if not all(map(math.isfinite, (mean_x, mean_p, var_x, var_p, cov_xp, radicand))):
+        raise StateError("beam moments are not finite: the state holds values too large to measure")
     emittance = 2.0 * math.sqrt(max(radicand, 0.0))
     return BeamMoments(z, mean_x, mean_p, math.sqrt(var_x), math.sqrt(var_p), cov_xp, emittance)
 
@@ -152,14 +154,15 @@ def _ray_moments(x: np.ndarray, p: np.ndarray, z: float) -> BeamMoments:
     """
     if x.size < 2:
         raise StateError("ray moments need at least two rays")
-    mean_x = float(x.mean())
-    mean_p = float(p.mean())
-    dx = np.subtract(x, mean_x)
-    scratch = np.square(dx)
-    var_x = float(scratch.mean())
-    dp = np.subtract(p, mean_p, out=scratch)
-    cov_xp = float(np.multiply(dx, dp, out=dx).mean())
-    var_p = float(np.square(dp, out=dp).mean())
+    with np.errstate(over="ignore", invalid="ignore"):  # _beam_moments reports overflow
+        mean_x = float(x.mean())
+        mean_p = float(p.mean())
+        dx = np.subtract(x, mean_x)
+        scratch = np.square(dx)
+        var_x = float(scratch.mean())
+        dp = np.subtract(p, mean_p, out=scratch)
+        cov_xp = float(np.multiply(dx, dp, out=dx).mean())
+        var_p = float(np.square(dp, out=dp).mean())
     return _beam_moments(z, mean_x, mean_p, var_x, var_p, cov_xp)
 
 
@@ -188,10 +191,8 @@ def emittance_from_thermal(vth_over_c: float, sigma0: float) -> ThermalEmittance
     ``emittance = 2 * vth_over_c * sigma0`` and ``eta = vth_over_c``; the
     paraxial flag warns when ``vth_over_c`` exceeds 0.1.
     """
-    if not (math.isfinite(vth_over_c) and vth_over_c > 0.0):
-        raise StateError(f"vth_over_c must be positive and finite, got {vth_over_c}")
-    if not (math.isfinite(sigma0) and sigma0 > 0.0):
-        raise StateError(f"sigma0 must be positive and finite, got {sigma0}")
+    _check_positive("vth_over_c", vth_over_c)
+    _check_positive("sigma0", sigma0)
     return ThermalEmittance(
         epsilon=2.0 * vth_over_c * sigma0,
         eta=vth_over_c,
@@ -258,6 +259,5 @@ def truncation_ratio(
     # The classical part of the closed-form series is bit-identical to g1,
     # so G - G1 is formed directly as the partial sum from order 3 up; no
     # cancellation noise enters.
-    j_max = spec.degree if spec.degree % 2 == 1 else spec.degree - 1
-    residual = _shift_series(spec, x, y, z, epsilon, j_max, j_min=3)
+    residual = _shift_series(spec, x, y, z, epsilon, min_order=3)
     return _l2_norm(residual * rho_tilde) / denom

@@ -215,10 +215,9 @@ class _GridKernel:
         self.epsilon = epsilon
         self.plan = plan
         self.kind = kind
-        self.x = grid.x_axis.points()
+        self.x_col, self.y_row = _kick_operands(grid)
+        self.x = self.x_col[:, 0]
         self.p = grid.p_axis.points()
-        self.x_col = self.x[:, None]
-        self.y_row = _half_spectrum(grid.p_axis)[None, :]
         self.drift_phase = np.exp(
             -1j * np.outer(_half_spectrum(grid.x_axis), self.p) * (0.5 * plan.dz)
         )
@@ -234,24 +233,15 @@ class _GridKernel:
         np.sin(angle, out=kick.imag)
         return kick
 
-    def _drift(self, rho: np.ndarray) -> tuple[np.ndarray, float]:
-        spectrum = np.fft.rfft(rho, axis=0)
-        spectrum *= self.drift_phase
-        n = rho.shape[0]
-        return np.fft.irfft(spectrum, n=n, axis=0), _nyquist_residue(spectrum[-1], n)
-
     def apply(self, rho: np.ndarray, z: float) -> tuple[np.ndarray, float]:
         """One Strang step of a real array: the new array and its Nyquist residue."""
         kick = self.kick_at(z + 0.5 * self.plan.dz)
-        rho, residue = self._drift(rho)
-        if kick is not None:
-            n = rho.shape[1]
-            spectrum = np.fft.rfft(rho, axis=1)
-            spectrum *= kick
-            residue += _nyquist_residue(spectrum[:, -1], n)
-            rho = np.fft.irfft(spectrum, n=n, axis=1)
-        rho, drift_residue = self._drift(rho)
-        return rho, residue + drift_residue
+        residue = 0.0
+        for multiplier, axis in ((self.drift_phase, 0), (kick, 1), (self.drift_phase, 0)):
+            if multiplier is not None:
+                rho, flow_residue = _spectral_flow(rho, multiplier, axis)
+                residue += flow_residue
+        return rho, residue
 
     def advance(self, rho: np.ndarray, z: float) -> np.ndarray:
         rho, residue = self.apply(rho, z)
@@ -300,10 +290,8 @@ def _preflight_kick(
     """
     if plan.n_steps == 0:
         return
-    x_col = grid.x_axis.points()[:, None]
-    y_row = _half_spectrum(grid.p_axis)[None, :]
     try:
-        _checked_generator(spec, x_col, y_row, z0 + 0.5 * plan.dz, epsilon, plan)
+        _checked_generator(spec, *_kick_operands(grid), z0 + 0.5 * plan.dz, epsilon, plan)
     except SolverError as exc:
         raise _step_error(1, plan.n_steps, exc) from None
 
@@ -313,14 +301,23 @@ def _half_spectrum(axis: AxisGrid) -> np.ndarray:
     return np.abs(axis.frequencies()[: axis.n // 2 + 1])
 
 
-def _nyquist_residue(nyquist: np.ndarray, n: int) -> float:
-    """Imaginary residue a complex inverse FFT of length ``n`` would leave.
+def _kick_operands(grid: PhaseGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The kick generator's arguments: an x column against the half-spectrum y row."""
+    return grid.x_axis.points()[:, None], _half_spectrum(grid.p_axis)[None, :]
+
+
+def _spectral_flow(rho: np.ndarray, multiplier: np.ndarray, axis: int) -> tuple[np.ndarray, float]:
+    """One exact sub-flow along ``axis``: the new real array and its Nyquist residue.
 
     ``irfft`` keeps only the real part of the unpaired Nyquist coefficient;
-    a complex transform would turn its imaginary part into an alternating
-    ``(-1)**j * Im / n`` residue along the transformed axis.
+    the residue is the alternating ``(-1)**j * Im / n`` that a complex
+    inverse FFT of length ``n`` would have left from its imaginary part.
     """
-    return float(np.abs(nyquist.imag).max()) / n
+    n = rho.shape[axis]
+    spectrum = np.fft.rfft(rho, axis=axis)
+    spectrum *= multiplier
+    nyquist = np.take(spectrum, -1, axis=axis)
+    return np.fft.irfft(spectrum, n=n, axis=axis), float(np.abs(nyquist.imag).max()) / n
 
 
 def _check_residue(rho: np.ndarray, residue: float) -> None:
@@ -378,21 +375,20 @@ def evolve_phase_space(
 
 
 class _RayKernel:
-    """Leapfrog on position and momentum arrays that are updated in place.
+    """Leapfrog on the position and momentum arrays of the rays still live.
 
-    ``rays`` selects the rays still advanced and measured: all of them
-    until the first one is lost, then the finite ones.  Kick-drift-kick is
-    first-same-as-last: for a z-independent potential the closing half-kick
-    of one step is the opening half-kick of the next, so it is kept in
-    ``kick`` and each step evaluates the gradient once.  A step that loses
-    rays drops it; the next step recomputes it on the survivors.
+    The arrays are updated in place; a step that loses rays compacts them
+    to the finite ones.  Kick-drift-kick is first-same-as-last: for a
+    z-independent potential the closing half-kick of one step is the
+    opening half-kick of the next, so it is kept in ``kick`` and each step
+    evaluates the gradient once.  A step that loses rays drops it; the next
+    step recomputes it on the survivors.
     """
 
     def __init__(self, ensemble: RayEnsemble, spec: PotentialSpec, plan: StepPlan):
         self.ensemble = ensemble
         self.spec = spec
         self.dz = plan.dz
-        self.rays = slice(None)
         self.lost = 0
         self.kick = None
 
@@ -403,35 +399,31 @@ class _RayKernel:
 
     def advance(self, values, z: float):
         x, p = values
-        rays = self.rays
         z_mid = z + 0.5 * self.dz
         # Diverging anharmonic orbits overflow to inf before being pruned;
         # that is the intended loss mechanism, not an arithmetic error.
         with np.errstate(over="ignore", invalid="ignore"):
-            kick = self.kick if self.kick is not None else self._half_kick(x[rays], z_mid)
-            p[rays] -= kick
-            x[rays] += self.dz * p[rays]
-            kick = self._half_kick(x[rays], z_mid)
-            p[rays] -= kick
+            kick = self.kick if self.kick is not None else self._half_kick(x, z_mid)
+            p -= kick
+            x += self.dz * p
+            kick = self._half_kick(x, z_mid)
+            p -= kick
             finite = np.isfinite(x) & np.isfinite(p)
         self.kick = kick if self.spec.is_static else None
-        lost = int(finite.size - np.count_nonzero(finite))
-        if lost != self.lost:
-            self.rays = finite
-            self.lost = lost
+        if not finite.all():
+            x, p = x[finite], p[finite]
+            self.lost += finite.size - x.size
             self.kick = None
-            if lost == finite.size:
+            if x.size == 0:
                 raise SolverError("all rays diverged to non-finite phase-space values")
-        return values
+        return x, p
 
     def measure(self, values, z: float) -> BeamMoments:
-        x, p = values
-        return _ray_moments(x[self.rays], p[self.rays], z)
+        return _ray_moments(*values, z)
 
     def wrap(self, values, z: float) -> RayEnsemble:
-        x, p = values
         seed, clipped = self.ensemble.seed, self.ensemble.clipped_mass
-        return RayEnsemble(x[self.rays], p[self.rays], z, seed, clipped)
+        return RayEnsemble(*values, z, seed, clipped)
 
 
 def trace_rays(ensemble: RayEnsemble, spec: PotentialSpec, plan: StepPlan) -> Trajectory:

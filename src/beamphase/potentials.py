@@ -174,8 +174,6 @@ def _horner(coeffs: np.ndarray, x):
 def _divided_derivative_coeffs(coeffs: np.ndarray, j: int) -> np.ndarray:
     """Coefficients of U^(j)(x)/j! = sum_k C(k, j) c_k x**(k-j)."""
     k = np.arange(j, len(coeffs))
-    if k.size == 0:
-        return np.zeros(0)
     return np.array([math.comb(int(kk), j) for kk in k]) * coeffs[j:]
 
 
@@ -189,21 +187,27 @@ def eval_gradient(spec: PotentialSpec, x, z: float):
     return _horner(_divided_derivative_coeffs(spec.coefficients(z), 1), x)
 
 
-def _shift_series(spec, x, y, z, epsilon, j_max, j_min=1):
-    """Partial sum over odd j in [j_min, j_max] of the shift expansion."""
+def _shift_series(spec, x, y, z, epsilon, max_order=None, min_order=1):
+    """Sum of the shift expansion over odd orders ``min_order <= j <= max_order``.
+
+    ``max_order = None`` runs to the polynomial degree, where the series
+    ends; a range holding no order of the spec gives zeros.
+    """
+    if not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise BeamPhaseError(f"epsilon must be positive and finite, got {epsilon}")
     coeffs = spec.coefficients(z)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     out = np.zeros(np.broadcast_shapes(x.shape, y.shape))
+    top = spec.degree if max_order is None else min(spec.degree, int(max_order))
     half = 0.5 * epsilon
     y_sq = y * y
     y_pow = y.astype(float)
-    for _ in range(3, j_min, 2):
-        y_pow = y_pow * y_sq
-    for j in range(j_min, j_max + 1, 2):
-        alpha = 2.0 * half**j / epsilon
-        s_j = _horner(_divided_derivative_coeffs(coeffs, j), x)
-        out = out + alpha * s_j * y_pow
+    for j in range(1, top + 1, 2):
+        if j >= min_order:
+            alpha = 2.0 * half**j / epsilon
+            s_j = _horner(_divided_derivative_coeffs(coeffs, j), x)
+            out = out + alpha * s_j * y_pow
         y_pow = y_pow * y_sq
     return out
 
@@ -216,14 +220,7 @@ def moyal_generator(spec: PotentialSpec, x, y, z: float, epsilon: float):
     shift expansion terminates at the polynomial degree, so the value is
     exact up to round-off.
     """
-    if not (math.isfinite(epsilon) and epsilon > 0.0):
-        raise BeamPhaseError(f"epsilon must be positive and finite, got {epsilon}")
-    j_max = spec.degree if spec.degree % 2 == 1 else spec.degree - 1
-    if j_max < 1:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return np.zeros(np.broadcast_shapes(x.shape, y.shape))
-    return _shift_series(spec, x, y, z, epsilon, j_max)
+    return _shift_series(spec, x, y, z, epsilon)
 
 
 def moyal_generator_truncated(
@@ -234,16 +231,8 @@ def moyal_generator_truncated(
     ``max_order = 1`` is the classical Liouville generator and returns
     exactly ``eval_gradient(spec, x, z) * y``.
     """
-    if not (math.isfinite(epsilon) and epsilon > 0.0):
-        raise BeamPhaseError(f"epsilon must be positive and finite, got {epsilon}")
     if isinstance(max_order, bool) or not isinstance(max_order, (int, np.integer)):
         raise BeamPhaseError(f"max_order must be an odd integer >= 1, got {max_order!r}")
     if max_order < 1 or max_order % 2 == 0:
         raise BeamPhaseError(f"max_order must be an odd integer >= 1, got {max_order}")
-    j_max = spec.degree if spec.degree % 2 == 1 else spec.degree - 1
-    j_max = min(j_max, int(max_order))
-    if j_max < 1:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return np.zeros(np.broadcast_shapes(x.shape, y.shape))
-    return _shift_series(spec, x, y, z, epsilon, j_max)
+    return _shift_series(spec, x, y, z, epsilon, max_order)

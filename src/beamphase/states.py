@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -60,6 +61,11 @@ def _check_norm(norm: float, what: str) -> None:
         raise StateError(f"{what} is {norm!r}, expected 1 within {NORM_TOL}")
 
 
+def _check_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise StateError(f"{name} must be positive and finite, got {value}")
+
+
 def _check_classical(values: np.ndarray) -> None:
     floor = -CLASSICAL_FLOOR * max(1.0, float(values.max(initial=0.0)))
     if float(values.min()) < floor:
@@ -93,8 +99,7 @@ class WaveField:
             raise StateError(
                 f"wavefield shape {values.shape} does not match grid ({self.grid.n},)"
             )
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise StateError(f"epsilon must be positive and finite, got {self.epsilon}")
+        _check_positive("epsilon", self.epsilon)
         _check_norm(float(np.sum(np.abs(values) ** 2)) * self.grid.spacing, "wavefield norm")
         _frozen_array(self, "values", values)
 
@@ -148,7 +153,6 @@ class RayEnsemble:
     z: float = 0.0
     seed: int | None = None
     clipped_mass: float = 0.0
-    algorithm: str = RNG_ALGORITHM
 
     def __post_init__(self):
         positions = np.asarray(self.positions, dtype=float).copy()
@@ -166,6 +170,10 @@ class RayEnsemble:
     def count(self) -> int:
         return self.positions.size
 
+    @property
+    def algorithm(self) -> str:
+        return RNG_ALGORITHM
+
 
 def _check_boundary_decay(magnitudes: np.ndarray, what: str):
     peak = float(magnitudes.max())
@@ -177,6 +185,16 @@ def _check_boundary_decay(magnitudes: np.ndarray, what: str):
             f"grid too narrow for {what}: boundary level {edge / peak:.3e} of peak "
             f"exceeds {BOUNDARY_DECAY}"
         )
+
+
+def _coherent_peaks(grid, sigma, epsilon, x0, p0, z, offsets, name) -> WaveField:
+    """Coherent sum of Gaussian envelopes centred at ``x0 + offset``, unit norm on the grid."""
+    dx = grid.points() - x0
+    envelope = reduce(np.add, (np.exp(-((dx - c) ** 2) / (4.0 * sigma**2)) for c in offsets))
+    _check_boundary_decay(envelope, f"{name} wavefield")
+    values = envelope * np.exp(1j * p0 * dx / epsilon)
+    values /= math.sqrt(float(np.sum(np.abs(values) ** 2)) * grid.spacing)
+    return WaveField(grid, values, epsilon, z)
 
 
 def gaussian_wavefield(
@@ -194,16 +212,9 @@ def gaussian_wavefield(
     normalized on the grid.  The implied momentum spread is
     ``epsilon / (2 sigma)``, i.e. the minimum-uncertainty value.
     """
-    if not (math.isfinite(sigma) and sigma > 0.0):
-        raise StateError(f"sigma must be positive and finite, got {sigma}")
-    if not (math.isfinite(epsilon) and epsilon > 0.0):
-        raise StateError(f"epsilon must be positive and finite, got {epsilon}")
-    x = grid.points()
-    envelope = np.exp(-((x - x0) ** 2) / (4.0 * sigma**2))
-    _check_boundary_decay(envelope, "gaussian wavefield")
-    values = envelope * np.exp(1j * p0 * (x - x0) / epsilon)
-    values /= math.sqrt(float(np.sum(np.abs(values) ** 2)) * grid.spacing)
-    return WaveField(grid, values, epsilon, z)
+    _check_positive("sigma", sigma)
+    _check_positive("epsilon", epsilon)
+    return _coherent_peaks(grid, sigma, epsilon, x0, p0, z, (0.0,), "gaussian")
 
 
 def superposition_wavefield(
@@ -216,24 +227,15 @@ def superposition_wavefield(
     z: float = 0.0,
 ) -> WaveField:
     """Coherent superposition of two Gaussians with peak-to-peak separation."""
-    if not (math.isfinite(sigma) and sigma > 0.0):
-        raise StateError(f"sigma must be positive and finite, got {sigma}")
-    if not (math.isfinite(separation) and separation > 0.0):
-        raise StateError(f"separation must be positive and finite, got {separation}")
-    if not (math.isfinite(epsilon) and epsilon > 0.0):
-        raise StateError(f"epsilon must be positive and finite, got {epsilon}")
-    x = grid.points()
+    _check_positive("sigma", sigma)
+    _check_positive("separation", separation)
+    _check_positive("epsilon", epsilon)
     half = 0.5 * separation
-    envelope = np.exp(-((x - x0 - half) ** 2) / (4.0 * sigma**2)) + np.exp(
-        -((x - x0 + half) ** 2) / (4.0 * sigma**2)
-    )
-    _check_boundary_decay(envelope, "superposition wavefield")
-    values = envelope * np.exp(1j * p0 * (x - x0) / epsilon)
-    values /= math.sqrt(float(np.sum(np.abs(values) ** 2)) * grid.spacing)
-    return WaveField(grid, values, epsilon, z)
+    return _coherent_peaks(grid, sigma, epsilon, x0, p0, z, (half, -half), "superposition")
 
 
-def _bivariate_gaussian(grid, sigma_x, sigma_p, sigma_xp, x0, p0):
+def _gaussian_peaks(grid, sigma_x, sigma_p, sigma_xp, centres, p0, z, kind, name):
+    """Sum of bivariate Gaussians centred at ``(c, p0)``, c in ``centres``, at unit mass."""
     det = sigma_x**2 * sigma_p**2 - sigma_xp**2
     if not (det > 0.0 and sigma_x > 0.0 and sigma_p > 0.0):
         raise StateError(
@@ -241,10 +243,18 @@ def _bivariate_gaussian(grid, sigma_x, sigma_p, sigma_xp, x0, p0):
             f"(sigma_x={sigma_x}, sigma_p={sigma_p}, sigma_xp={sigma_xp})"
         )
     x, p = grid.meshes()
-    dx = x - x0
-    dp = p - p0
-    quad = (sigma_p**2 * dx**2 - 2.0 * sigma_xp * dx * dp + sigma_x**2 * dp**2) / det
-    return np.exp(-0.5 * quad)
+
+    def peak(x0):
+        dx = x - x0
+        dp = p - p0
+        quad = (sigma_p**2 * dx**2 - 2.0 * sigma_xp * dx * dp + sigma_x**2 * dp**2) / det
+        return np.exp(-0.5 * quad)
+
+    values = reduce(np.add, map(peak, centres))
+    _check_boundary_decay(values.max(axis=1), f"{name} quasi-distribution (x axis)")
+    _check_boundary_decay(values.max(axis=0), f"{name} quasi-distribution (p axis)")
+    values /= float(np.sum(values)) * grid.cell_area
+    return QuasiDistribution(grid, values, z, kind)
 
 
 def gaussian_quasidist(
@@ -258,11 +268,7 @@ def gaussian_quasidist(
     kind: str = "classical",
 ) -> QuasiDistribution:
     """Bivariate Gaussian density, normalized to unit mass on the grid."""
-    values = _bivariate_gaussian(grid, sigma_x, sigma_p, sigma_xp, x0, p0)
-    _check_boundary_decay(values.max(axis=1), "gaussian quasi-distribution (x axis)")
-    _check_boundary_decay(values.max(axis=0), "gaussian quasi-distribution (p axis)")
-    values /= float(np.sum(values)) * grid.cell_area
-    return QuasiDistribution(grid, values, z, kind)
+    return _gaussian_peaks(grid, sigma_x, sigma_p, sigma_xp, (x0,), p0, z, kind, "gaussian")
 
 
 def superposition_quasidist(
@@ -280,12 +286,9 @@ def superposition_quasidist(
     peak locations, no interference fringes.
     """
     half = 0.5 * separation
-    values = _bivariate_gaussian(grid, sigma_x, sigma_p, 0.0, x0 - half, p0)
-    values = values + _bivariate_gaussian(grid, sigma_x, sigma_p, 0.0, x0 + half, p0)
-    _check_boundary_decay(values.max(axis=1), "superposition quasi-distribution (x axis)")
-    _check_boundary_decay(values.max(axis=0), "superposition quasi-distribution (p axis)")
-    values /= float(np.sum(values)) * grid.cell_area
-    return QuasiDistribution(grid, values, z, "classical")
+    return _gaussian_peaks(
+        grid, sigma_x, sigma_p, 0.0, (x0 - half, x0 + half), p0, z, "classical", "superposition"
+    )
 
 
 def sample_rays(quasidist: QuasiDistribution, count: int, seed: int) -> RayEnsemble:

@@ -23,6 +23,8 @@ from beamphase import (
     gaussian_wavefield,
     linear_lens,
     moments_of,
+    moyal_generator,
+    moyal_generator_truncated,
     negativity,
     quartic_channel,
     sample_rays,
@@ -198,13 +200,33 @@ class TestTruncationRatio:
         for spec in (free_space(), PotentialSpec(((0, ConstantProfile(2.0)),))):
             assert math.isnan(truncation_ratio(mix, spec, EPS))
 
+    @staticmethod
+    def defined_ratio(state, spec, eps):
+        """||(G - G1) rho_tilde||_2 / ||G1 rho_tilde||_2 from the two public generators."""
+        x = state.grid.x_axis.points()[:, None]
+        y = state.grid.p_axis.frequencies()[None, :]
+        rho_tilde = np.fft.fft(state.values, axis=1)
+        g = moyal_generator(spec, x, y, state.z, eps)
+        g1 = moyal_generator_truncated(spec, x, y, state.z, eps, 1)
+        return np.linalg.norm((g - g1) * rho_tilde) / np.linalg.norm(g1 * rho_tilde)
+
     def test_quartic_score_scales_with_epsilon_squared(self):
         mix = superposition_quasidist(self.GRID, 0.4, 0.4, 4.0)
         spec = quartic_channel(1.0, 0.1)
         r1 = truncation_ratio(mix, spec, 0.1)
         r2 = truncation_ratio(mix, spec, 0.05)
-        assert r1 == pytest.approx(3.574687184611e-04, rel=1e-9)
+        assert r1 == pytest.approx(self.defined_ratio(mix, spec, 0.1), rel=1e-9)
         assert r1 / r2 == pytest.approx(4.0, rel=1e-6)
+
+    def test_degree_six_score_matches_definition(self):
+        # Orders 3 and 5 of the shift series both contribute.
+        mix = superposition_quasidist(self.GRID, 0.4, 0.4, 4.0)
+        spec = PotentialSpec(
+            ((2, ConstantProfile(0.5)), (4, ConstantProfile(0.1)), (6, ConstantProfile(0.02)))
+        )
+        for eps in (0.1, 0.05):
+            ratio = truncation_ratio(mix, spec, eps)
+            assert ratio == pytest.approx(self.defined_ratio(mix, spec, eps), rel=1e-9)
 
 
 class TestThermalEmittance:

@@ -338,6 +338,14 @@ class TestTraceRays:
         assert out.lost == 1
         assert out.final.count == 2
 
+    @pytest.mark.parametrize("far", [300.0, 1e3, 1e4])
+    def test_overflowing_moments_name_the_step(self, far):
+        # The far ray stays finite while the squares in its moments overflow;
+        # that is a step error, not a bare OverflowError.
+        ens = RayEnsemble(np.array([0.1, -0.1, 0.2, far]), np.zeros(4))
+        with pytest.raises(SolverError, match=r"^step \d+/30: beam moments are not finite"):
+            trace_rays(ens, quartic_channel(1.0, 0.1), StepPlan(0.01, 30))
+
     def test_total_loss_raises(self):
         spec = quartic_channel(0.0, 1e200)
         ens = RayEnsemble(np.array([1e40, 2e40]), np.array([0.0, 0.0]))
