@@ -112,7 +112,8 @@ class _WavefieldMoments:
 
     The grid points, spectral derivative factor and momenta are built once,
     and one forward FFT serves both the momentum density and the derivative,
-    so repeated calls (one per solver step) cost two FFTs each.
+    so a call costs two FFTs, or one when the caller passes the spectrum
+    ``fft(values)`` it already holds (the free-space solver step does).
     """
 
     def __init__(self, grid: AxisGrid, eps: float):
@@ -126,14 +127,17 @@ class _WavefieldMoments:
         # momentum density up to a constant factor that the moments divide out.
         self.p = eps * k
 
-    def __call__(self, values: np.ndarray, z: float) -> BeamMoments:
+    def __call__(
+        self, values: np.ndarray, z: float, spectrum: np.ndarray | None = None
+    ) -> BeamMoments:
         x = self.x
         density = np.abs(values) ** 2
         norm = float(density.sum())
         _check_norm(norm * self.spacing, "wavefield norm")
         mean_x = float(density @ x) / norm
         var_x = float(density @ (x - mean_x) ** 2) / norm
-        spectrum = np.fft.fft(values)
+        if spectrum is None:
+            spectrum = np.fft.fft(values)
         p = self.p
         p_density = np.abs(spectrum) ** 2
         p_norm = float(p_density.sum())

@@ -153,11 +153,13 @@ def write_heatmap(path, state: QuasiDistribution) -> Path:
     image = scaled.T[::-1, :]
     height, width = image.shape
     sidecar = path.with_suffix(".minmax.txt")
+    target = path
     try:
         path.write_bytes(f"P5\n{width} {height}\n255\n".encode("ascii") + image.tobytes())
+        target = sidecar
         sidecar.write_text(f"min {_fmt(lo)}\nmax {_fmt(hi)}\n", encoding="ascii")
     except OSError as exc:
-        raise BeamPhaseError(f"cannot write {path}: {exc}") from None
+        raise BeamPhaseError(f"cannot write {target}: {exc}") from None
     return path
 
 

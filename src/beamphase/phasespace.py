@@ -30,6 +30,12 @@ content reaches the edge of the spectral axis, so each step sums it over
 its three sub-flows and refuses when the sum exceeds ``STEP_REALNESS_TOL``
 of the state's peak.
 
+A step ends with the ``irfft`` of the closing drift, and the next step
+would open with the ``rfft`` of that array.  The kernel keeps the closing
+drift's spectrum instead and opens the next step from it, with its Nyquist
+row made real, which is what that ``rfft`` gives in exact arithmetic: five
+transforms a step instead of six.
+
 Every engine -- this grid solver, the ray tracer and the wavefield solver
 of :mod:`beamphase.twm` -- runs through one step loop, ``_evolve``, and
 returns a :class:`Trajectory`.  Raw arrays pass between steps; moments and
@@ -41,6 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import accumulate, repeat
 
 import numpy as np
@@ -202,46 +209,54 @@ class _GridKernel:
     for z-independent potentials it is also reused.  ``kind`` tags the
     evolved states; a ``"classical"`` state is checked for negative values
     every step.
+
+    ``held`` pairs the array a step returned with its closing x spectrum; a
+    step handed that very array opens from the spectrum (see the module
+    docstring), multiplies it in place and drops it.
     """
 
     lost = 0
+    held = None
 
     def __init__(
         self, grid: PhaseGrid, spec: PotentialSpec, epsilon: float, plan: StepPlan,
         kind: str = "wigner",
     ):
         self.grid = grid
-        self.spec = spec
-        self.epsilon = epsilon
         self.plan = plan
         self.kind = kind
-        self.x_col, self.y_row = _kick_operands(grid)
-        self.x = self.x_col[:, 0]
+        x_col, y_row = _kick_operands(grid)
+        self.x = x_col[:, 0]
         self.p = grid.p_axis.points()
         self.drift_phase = np.exp(
             -1j * np.outer(_half_spectrum(grid.x_axis), self.p) * (0.5 * plan.dz)
         )
-        self.kick_at = _static_once(self._kick_multiplier, spec)
+        # Not a bound method: a kernel that referred to itself would outlive
+        # its run, held arrays included, until the next garbage collection.
+        self.kick_at = _static_once(
+            partial(_kick_multiplier, spec, x_col, y_row, epsilon, plan), spec
+        )
 
-    def _kick_multiplier(self, z_mid: float):
-        g = _checked_generator(self.spec, self.x_col, self.y_row, z_mid, self.epsilon, self.plan)
-        if g is None:
-            return None
-        angle = self.plan.dz * g
-        kick = np.empty(angle.shape, dtype=complex)
-        np.cos(angle, out=kick.real)
-        np.sin(angle, out=kick.imag)
-        return kick
+    def _x_spectrum(self, rho: np.ndarray) -> np.ndarray:
+        """``rfft(rho, axis=0)``, from the held spectrum when ``rho`` is the array last returned."""
+        held, self.held = self.held, None
+        if held is None or held[0] is not rho:
+            return np.fft.rfft(rho, axis=0)
+        spectrum = held[1]
+        spectrum.imag[-1] = 0.0  # irfft dropped it, so rfft(rho) has none
+        return spectrum
 
     def apply(self, rho: np.ndarray, z: float) -> tuple[np.ndarray, float]:
         """One Strang step of a real array: the new array and its Nyquist residue."""
         kick = self.kick_at(z + 0.5 * self.plan.dz)
-        residue = 0.0
-        for multiplier, axis in ((self.drift_phase, 0), (kick, 1), (self.drift_phase, 0)):
-            if multiplier is not None:
-                rho, flow_residue = _spectral_flow(rho, multiplier, axis)
-                residue += flow_residue
-        return rho, residue
+        rho, residue = _spectral_flow(self._x_spectrum(rho), self.drift_phase, 0)
+        if kick is not None:
+            rho, kick_residue = _spectral_flow(np.fft.rfft(rho, axis=1), kick, 1)
+            residue += kick_residue
+        spectrum = np.fft.rfft(rho, axis=0)
+        rho, drift_residue = _spectral_flow(spectrum, self.drift_phase, 0)
+        self.held = (rho, spectrum)
+        return rho, residue + drift_residue
 
     def advance(self, rho: np.ndarray, z: float) -> np.ndarray:
         rho, residue = self.apply(rho, z)
@@ -255,6 +270,20 @@ class _GridKernel:
 
     def wrap(self, rho: np.ndarray, z: float) -> QuasiDistribution:
         return QuasiDistribution(self.grid, rho, z, self.kind)
+
+
+def _kick_multiplier(
+    spec: PotentialSpec, x_col, y_row, epsilon: float, plan: StepPlan, z_mid: float
+):
+    """``exp(i dz G)`` on ``x_col`` x ``y_row`` as ``cos + i sin`` (None without a force)."""
+    g = _checked_generator(spec, x_col, y_row, z_mid, epsilon, plan)
+    if g is None:
+        return None
+    angle = plan.dz * g
+    kick = np.empty(angle.shape, dtype=complex)
+    np.cos(angle, out=kick.real)
+    np.sin(angle, out=kick.imag)
+    return kick
 
 
 def _checked_generator(
@@ -306,15 +335,18 @@ def _kick_operands(grid: PhaseGrid) -> tuple[np.ndarray, np.ndarray]:
     return grid.x_axis.points()[:, None], _half_spectrum(grid.p_axis)[None, :]
 
 
-def _spectral_flow(rho: np.ndarray, multiplier: np.ndarray, axis: int) -> tuple[np.ndarray, float]:
-    """One exact sub-flow along ``axis``: the new real array and its Nyquist residue.
+def _spectral_flow(
+    spectrum: np.ndarray, multiplier: np.ndarray, axis: int
+) -> tuple[np.ndarray, float]:
+    """One exact sub-flow along ``axis`` from a half spectrum: the new real array and its residue.
 
-    ``irfft`` keeps only the real part of the unpaired Nyquist coefficient;
-    the residue is the alternating ``(-1)**j * Im / n`` that a complex
-    inverse FFT of length ``n`` would have left from its imaginary part.
+    ``spectrum`` (the ``rfft`` along ``axis`` of an even-length real array)
+    is multiplied in place.  ``irfft`` keeps only the real part of the
+    unpaired Nyquist coefficient; the residue is the alternating
+    ``(-1)**j * Im / n`` that a complex inverse FFT of length ``n`` would
+    have left from its imaginary part.
     """
-    n = rho.shape[axis]
-    spectrum = np.fft.rfft(rho, axis=axis)
+    n = 2 * (spectrum.shape[axis] - 1)
     spectrum *= multiplier
     nyquist = np.take(spectrum, -1, axis=axis)
     return np.fft.irfft(spectrum, n=n, axis=axis), float(np.abs(nyquist.imag).max()) / n
@@ -362,8 +394,10 @@ def evolve_phase_space(
     Moments are recorded at every step including the initial state.  Full
     states are kept every ``snapshot_every`` steps plus always the initial
     and final ones (default: only those two).  ``n_steps = 0`` returns the
-    input unchanged.  The result is the exact composition of
-    :func:`step_phase_space` steps.  Every step checks the evolved density
+    input unchanged.  The result equals the composition of
+    :func:`step_phase_space` steps within round-off (a single step
+    transforms its input afresh; later steps of one run open from the
+    spectrum the previous step kept).  Every step checks the evolved density
     for finite values and unit mass (and, when it stays classical, for
     negative values) and raises :class:`SolverError` naming the step.
     """

@@ -316,13 +316,15 @@ def _parse_potential(sec: _Section) -> PotentialSection:
             f"potential.profile: must be one of {', '.join(PROFILES)}, got {profile!r}"
         )
     omega = sec.get_float("omega")
-    phase = sec.get_float("phase", 0.0)
+    phase = sec.get_float("phase")
     if profile == "harmonic":
         omega = _require(sec, "omega", omega)
-    elif omega is not None:
-        raise ConfigError("potential.omega: only meaningful for profile = harmonic")
+        phase = 0.0 if phase is None else phase
     else:
-        omega = 0.0
+        for key, value in (("omega", omega), ("phase", phase)):
+            if value is not None:
+                raise ConfigError(f"potential.{key}: only meaningful for profile = harmonic")
+        omega, phase = 0.0, 0.0
     section = PotentialSection(preset, k, lambda4, profile, omega, phase)
     section.build()  # surfaces coefficient problems at load time
     return section

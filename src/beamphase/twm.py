@@ -6,6 +6,12 @@ variable k conjugate to x, and a second half potential phase.  The scaled
 emittance eps plays the role hbar has in quantum mechanics and is read from
 the wavefield itself, never from configuration.
 
+Without a potential the step is diagonal in k, so the solver keeps the
+spectrum of the field it returns: the per-step moments and the next step
+read it instead of transforming the field again, two FFTs a step instead
+of four.  With a potential the step ends with a half phase in x and takes
+four.
+
 The potential ordering here is the mirror image of the drift ordering in
 the phase-space grid solver; both are second order in dz, so cross-solver
 disagreement is pure splitting error and shrinks by four when dz is halved.
@@ -17,10 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
-from .diagnostics import _WavefieldMoments
+from .diagnostics import BeamMoments, _WavefieldMoments
 from .exceptions import BeamPhaseError, SolverError
 from .grids import AxisGrid
 from .phasespace import StepPlan, Trajectory, _evolve, _static_once, _step_boundaries
@@ -51,35 +58,59 @@ def _kinetic_phase(grid: AxisGrid, epsilon: float, dz: float) -> np.ndarray:
     return np.exp(-1j * kinetic_angle)
 
 
+def _half_phase(spec: PotentialSpec, x: np.ndarray, scale: float, z_mid: float):
+    """``exp(-i U(x, z_mid) scale)``, the half potential phase (None without a potential)."""
+    if spec.degree < 0:
+        return None
+    return np.exp(-1j * eval_potential(spec, x, z_mid) * scale)
+
+
 class _TwmKernel:
-    """Spectral phases and moment constants for repeated steps of one plan on one grid."""
+    """Spectral phases and moment constants for repeated steps of one plan on one grid.
+
+    Without a potential, ``held`` pairs the field a step returned with its
+    spectrum.  The moments of that very array read the spectrum; the next
+    step handed it multiplies the spectrum in place and drops it.
+    """
 
     lost = 0
+    held = None
 
     def __init__(self, psi: WaveField, spec: PotentialSpec, plan: StepPlan):
-        self.spec = spec
         self.plan = plan
         self.grid = psi.grid
         self.epsilon = psi.epsilon
-        self.x = psi.grid.points()
         self.kinetic_phase = _kinetic_phase(psi.grid, psi.epsilon, plan.dz)
-        self.half_at = _static_once(self._half_potential, spec)
-        self.measure = _WavefieldMoments(psi.grid, psi.epsilon)
+        # Not a bound method, so the kernel is freed as soon as its run returns.
+        self.half_at = _static_once(
+            partial(_half_phase, spec, psi.grid.points(), 0.5 * plan.dz / psi.epsilon), spec
+        )
+        self.moments = _WavefieldMoments(psi.grid, psi.epsilon)
 
-    def _half_potential(self, z_mid: float):
-        if self.spec.degree < 0:
-            return None
-        u = eval_potential(self.spec, self.x, z_mid)
-        return np.exp(-1j * u * (0.5 * self.plan.dz / self.epsilon))
+    def _held_spectrum(self, psi: np.ndarray) -> np.ndarray | None:
+        """The spectrum held for ``psi`` if it is the array last returned, else None."""
+        if self.held is not None and self.held[0] is psi:
+            return self.held[1]
+        return None
 
     def advance(self, psi: np.ndarray, z: float) -> np.ndarray:
         half = self.half_at(z + 0.5 * self.plan.dz)
         if half is not None:
             psi = psi * half
-        psi = np.fft.ifft(np.fft.fft(psi) * self.kinetic_phase)
+        spectrum = self._held_spectrum(psi)
+        self.held = None
+        if spectrum is None:
+            spectrum = np.fft.fft(psi)
+        spectrum *= self.kinetic_phase
+        psi = np.fft.ifft(spectrum)
         if half is not None:
-            psi = psi * half
+            psi *= half
+        else:
+            self.held = (psi, spectrum)
         return psi
+
+    def measure(self, psi: np.ndarray, z: float) -> BeamMoments:
+        return self.moments(psi, z, self._held_spectrum(psi))
 
     def wrap(self, psi: np.ndarray, z: float) -> WaveField:
         return WaveField(self.grid, psi, self.epsilon, z)

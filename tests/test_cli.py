@@ -11,6 +11,7 @@ import pytest
 
 from beamphase import (
     AxisGrid,
+    BeamPhaseError,
     ConfigError,
     PhaseGrid,
     gaussian_quasidist,
@@ -199,6 +200,13 @@ class TestGridDumpContract:
         pixels = np.frombuffer(image, dtype=np.uint8).reshape(32, 64)
         i0, j0 = np.unravel_index(np.argmax(rho.values), rho.values.shape)
         assert pixels[32 - 1 - j0, i0] == 255
+
+    def test_heatmap_sidecar_failure_names_the_sidecar(self, tmp_path):
+        grid = PhaseGrid(AxisGrid(16, 12.0), AxisGrid(16, 12.0))
+        rho = gaussian_quasidist(grid, 0.5, 0.5)
+        (tmp_path / "beam.minmax.txt").mkdir()
+        with pytest.raises(BeamPhaseError, match=r"cannot write .*beam\.minmax\.txt: "):
+            write_heatmap(tmp_path / "beam.pgm", rho)
 
 
 class TestVerbs:

@@ -1,10 +1,12 @@
 """Grid solvers for the deformed and classical transport equations, plus rays."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from step_checks import assert_freed_without_gc, assert_moments_close, count_ffts
 
 from beamphase import (
     AxisGrid,
@@ -266,6 +268,108 @@ class TestRealKernel:
         for step in range(plan.n_steps):
             values, residue = kernel.apply(values, step * plan.dz)
             assert residue <= 1e-6 * STEP_REALNESS_TOL * np.abs(values).max()
+
+
+def retransform_reference(state, spec, epsilon, plan):
+    """Real-data Strang steps that take the ``rfft`` of every sub-flow's input.
+
+    This is the grid kernel before it kept the closing drift's spectrum
+    across the step boundary: six transforms a step.  Returns the moments
+    at every step and the final array.
+    """
+    grid, dz = state.grid, plan.dz
+    nx, n_p = grid.x_axis.n, grid.p_axis.n
+    x = grid.x_axis.points()[:, None]
+    y = np.abs(grid.p_axis.frequencies()[: n_p // 2 + 1])[None, :]
+    kx = np.abs(grid.x_axis.frequencies()[: nx // 2 + 1])
+    drift = np.exp(-1j * np.outer(kx, grid.p_axis.points()) * (0.5 * dz))
+    zs = state.z + dz * np.arange(plan.n_steps + 1)
+    rho = state.values
+    moments = [moments_of(state)]
+    for step in range(plan.n_steps):
+        kick = np.exp(1j * dz * moyal_generator(spec, x, y, zs[step] + 0.5 * dz, epsilon))
+        rho = np.fft.irfft(np.fft.rfft(rho, axis=0) * drift, n=nx, axis=0)
+        rho = np.fft.irfft(np.fft.rfft(rho, axis=1) * kick, n=n_p, axis=1)
+        rho = np.fft.irfft(np.fft.rfft(rho, axis=0) * drift, n=nx, axis=0)
+        moments.append(moments_of(QuasiDistribution(grid, rho, zs[step + 1])))
+    return moments, rho
+
+
+class TestHeldSpectrum:
+    # A step opens from the x spectrum its predecessor's closing drift kept,
+    # instead of transforming the array that drift returned.
+    @pytest.mark.parametrize(
+        "spec, per_step",
+        [(HARMONIC_LENS, Counter(rfft=2, irfft=3)), (free_space(), Counter(rfft=1, irfft=2))],
+        ids=["lens", "free"],
+    )
+    def test_ffts_per_step(self, monkeypatch, spec, per_step):
+        rho = gaussian_quasidist(LENS_GRID, 0.3, 0.2)
+        calls = count_ffts(monkeypatch)
+        n = 20
+        evolve_phase_space(rho, spec, EPS, StepPlan(0.01, n))
+        # One rfft opens the first step; after that a step with a force takes
+        # five transforms: the opening drift's irfft, then rfft + irfft for
+        # the kick and for the closing drift.
+        expected = Counter({name: count * n for name, count in per_step.items()})
+        assert calls == expected + Counter(rfft=1)
+
+    def test_lens_run_matches_retransform_reference(self):
+        grid = PhaseGrid(AxisGrid(256, 25.6), AxisGrid(128, 6.4))
+        rho = gaussian_quasidist(grid, 0.4, EPS / 0.8, x0=0.5)
+        plan = StepPlan(2e-3, 300)
+        run = evolve_phase_space(rho, HARMONIC_LENS, EPS, plan)
+        moments, final = retransform_reference(rho, HARMONIC_LENS, EPS, plan)
+        assert_moments_close(run.moments, moments, 1e-11)
+        assert np.abs(run.final.values - final).max() <= 1e-11 * np.abs(final).max()
+
+    def test_held_opening_matches_rfft_with_nyquist_content(self):
+        # sigma_x = 0.08 leaves 1.5e-8 of the peak in the x Nyquist row; the
+        # held spectrum must enter the next step as rfft of the returned array
+        # would, with that row real.
+        rho = gaussian_quasidist(LENS_GRID, 0.08, 0.2)
+        plan = StepPlan(0.01, 2)
+
+        def fresh_kernel():
+            return _GridKernel(LENS_GRID, HARMONIC_LENS, EPS, plan)
+
+        kernel = fresh_kernel()
+        values, _ = kernel.apply(rho.values, 0.0)
+        held, held_residue = kernel.apply(values, plan.dz)
+        values, _ = fresh_kernel().apply(rho.values, 0.0)
+        fresh, fresh_residue = fresh_kernel().apply(values, plan.dz)
+        peak = np.abs(fresh).max()
+        assert fresh_residue > 1e-9 * peak
+        assert np.abs(held - fresh).max() <= 1e-14 * peak
+        assert held_residue == pytest.approx(fresh_residue, rel=1e-6)
+
+    @pytest.mark.parametrize("spec", [HARMONIC_LENS, free_space()], ids=["lens", "free"])
+    def test_copy_of_last_output_steps_as_in_a_fresh_kernel(self, spec):
+        rho = gaussian_quasidist(LENS_GRID, 0.3, 0.12)
+        plan = StepPlan(0.01, 10)
+        kernel = _GridKernel(LENS_GRID, spec, EPS, plan)
+        values = rho.values
+        for step in range(5):
+            values, _ = kernel.apply(values, step * plan.dz)
+        z = 5 * plan.dz
+        copy = values.copy()
+        held, held_residue = kernel.apply(copy, z)
+        fresh, fresh_residue = _GridKernel(LENS_GRID, spec, EPS, plan).apply(copy, z)
+        assert held.tobytes() == fresh.tobytes()
+        assert held_residue == fresh_residue
+
+    @pytest.mark.parametrize(
+        "spec", [HARMONIC_LENS, linear_lens(1.0)], ids=["z_dependent", "static"]
+    )
+    def test_kernel_freed_without_garbage_collection(self, spec):
+        rho = gaussian_quasidist(LENS_GRID, 0.3, 0.2)
+
+        def two_steps():
+            kernel = _GridKernel(LENS_GRID, spec, EPS, StepPlan(0.01, 2))
+            kernel.advance(kernel.advance(rho.values, 0.0), 0.01)
+            return kernel
+
+        assert_freed_without_gc(two_steps)
 
 
 class TestTrajectoryBookkeeping:

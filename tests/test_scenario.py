@@ -1,7 +1,9 @@
 """Scenario file parsing, defaulting, and load-time validation."""
 
 import math
+import re
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -169,6 +171,11 @@ class TestPotential:
         with pytest.raises(ConfigError, match="potential.omega"):
             load_text(tmp_path, text)
 
+    def test_phase_only_for_harmonic_profile(self, tmp_path):
+        text = MINIMAL + "\n[potential]\npreset = linear_lens\nk = 1.0\nphase = 0.5\n"
+        with pytest.raises(ConfigError, match="potential.phase: only meaningful for profile"):
+            load_text(tmp_path, text)
+
     def test_harmonic_profile_requires_omega(self, tmp_path):
         text = MINIMAL + "\n[potential]\npreset = linear_lens\nk = 1.0\nprofile = harmonic\n"
         with pytest.raises(ConfigError, match="potential.omega: required key is missing"):
@@ -282,3 +289,14 @@ class TestOverrideHelpers:
         config = load_text(tmp_path, MINIMAL)
         with pytest.raises(ConfigError, match="unknown engine"):
             config.with_engines(("wkb",))
+
+
+class TestReadmeExample:
+    def test_readme_scenario_block_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+        config = load_text(tmp_path, block)
+        assert config.beam.kind == "gaussian"
+        assert config.potential.preset == "quartic_channel"
+        assert config.potential.profile == "constant"
+        assert config.run.engines == ("twm", "moyal")

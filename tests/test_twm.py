@@ -1,9 +1,11 @@
 """Split-step wavefield solver and the thermal wave model helper formulas."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from step_checks import assert_freed_without_gc, assert_moments_close, count_ffts
 
 from beamphase import (
     AxisGrid,
@@ -25,6 +27,8 @@ from beamphase import (
     step_twm,
     wigner_transform,
 )
+from beamphase.states import WaveField
+from beamphase.twm import _TwmKernel
 
 EPS = 0.1
 
@@ -178,3 +182,88 @@ class TestTrajectoryBookkeeping:
         assert out.snapshot_steps == (0, 3, 6, 9, 10)
         assert len(out.moments) == 11
         assert out.final.z == pytest.approx(0.2)
+
+
+def retransform_reference(psi, spec, plan):
+    """Strang steps that transform every field afresh, for its moments too.
+
+    This is the step before the solver kept the spectrum across the step
+    boundary: ``ifft(fft(psi) * kinetic)`` between half potential phases,
+    and moments from :func:`moments_of`, which takes the FFT again.  Returns
+    the moments at every step and the final field.
+    """
+    grid, eps, dz = psi.grid, psi.epsilon, plan.dz
+    kinetic = np.exp(-1j * (0.5 * eps * dz) * grid.frequencies() ** 2)
+    zs = psi.z + dz * np.arange(plan.n_steps + 1)
+    values = psi.values
+    moments = [moments_of(psi)]
+    for step in range(plan.n_steps):
+        u = eval_potential(spec, grid.points(), zs[step] + 0.5 * dz)
+        half = np.exp(-1j * u * (0.5 * dz / eps))
+        values = np.fft.ifft(np.fft.fft(values * half) * kinetic) * half
+        moments.append(moments_of(WaveField(grid, values, eps, zs[step + 1])))
+    return moments, values
+
+
+class TestHeldSpectrum:
+    # The free-space step keeps the spectrum of the field it returns: the
+    # moments and the next step reuse it instead of transforming again.
+    def test_free_space_step_takes_two_ffts(self, monkeypatch):
+        psi = gaussian_wavefield(AxisGrid(512, 48.0), 1.0, EPS)
+        calls = count_ffts(monkeypatch)
+        n = 20
+        evolve_twm(psi, free_space(), StepPlan(4e-3, n))
+        # Initial moments take fft + ifft, the first step one fft; then each
+        # step takes an ifft to the field and one to the moments' derivative.
+        assert calls == Counter(fft=2, ifft=2 * n + 1)
+
+    def test_potential_step_keeps_four_ffts(self, monkeypatch):
+        psi = gaussian_wavefield(AxisGrid(256, 12.8), 0.4, EPS)
+        calls = count_ffts(monkeypatch)
+        n = 20
+        evolve_twm(psi, quartic_channel(1.0, 0.1), StepPlan(2e-3, n))
+        assert calls == Counter(fft=2 * n + 1, ifft=2 * n + 1)
+
+    @pytest.mark.parametrize(
+        "grid, sigma, spec, plan",
+        [
+            (AxisGrid(512, 48.0), 1.0, free_space(), StepPlan(4e-3, 5000)),
+            (AxisGrid(256, 12.8), 0.4, quartic_channel(1.0, 0.1), StepPlan(2e-3, 500)),
+        ],
+        ids=["free", "quartic"],
+    )
+    def test_matches_retransform_reference(self, grid, sigma, spec, plan):
+        psi = gaussian_wavefield(grid, sigma, EPS)
+        run = evolve_twm(psi, spec, plan)
+        moments, final = retransform_reference(psi, spec, plan)
+        assert_moments_close(run.moments, moments, 1e-11)
+        assert np.abs(run.final.values - final).max() <= 1e-11 * np.abs(final).max()
+
+    @pytest.mark.parametrize(
+        "spec", [free_space(), quartic_channel(1.0, 0.1)], ids=["free", "quartic"]
+    )
+    def test_copy_of_last_output_steps_as_in_a_fresh_kernel(self, spec):
+        psi = gaussian_wavefield(AxisGrid(256, 12.8), 0.4, EPS)
+        plan = StepPlan(2e-3, 10)
+        kernel = _TwmKernel(psi, spec, plan)
+        values = psi.values
+        for step in range(5):
+            values = kernel.advance(values, step * plan.dz)
+        z = 5 * plan.dz
+        copy = values.copy()
+        fresh = _TwmKernel(psi, spec, plan)
+        assert kernel.measure(copy, z) == fresh.measure(copy, z)
+        assert kernel.advance(copy, z).tobytes() == fresh.advance(copy, z).tobytes()
+
+    @pytest.mark.parametrize(
+        "spec", [free_space(), quartic_channel(1.0, 0.1)], ids=["free", "quartic"]
+    )
+    def test_kernel_freed_without_garbage_collection(self, spec):
+        psi = gaussian_wavefield(AxisGrid(256, 12.8), 0.4, EPS)
+
+        def two_steps():
+            kernel = _TwmKernel(psi, spec, StepPlan(2e-3, 2))
+            kernel.advance(kernel.advance(psi.values, 0.0), 2e-3)
+            return kernel
+
+        assert_freed_without_gc(two_steps)
