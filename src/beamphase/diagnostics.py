@@ -33,9 +33,6 @@ __all__ = [
     "truncation_ratio",
 ]
 
-# Most negative emittance radicand attributed to round-off before clamping.
-RADICAND_FLOOR = -1e-14
-
 
 @dataclass(frozen=True)
 class BeamMoments:
@@ -81,7 +78,8 @@ class UncertaintyReport:
 
 def _beam_moments(z, mean_x, mean_p, var_x, var_p, cov_xp) -> BeamMoments:
     # Cauchy-Schwarz keeps the radicand >= 0 for any genuine density; only
-    # round-off (bounded by RADICAND_FLOOR in practice) can push it below.
+    # round-off (about -1e-14 at worst in practice) can push it below, so
+    # every negative radicand is clamped to 0.
     radicand = var_x * var_p - cov_xp * cov_xp
     if not all(map(math.isfinite, (mean_x, mean_p, var_x, var_p, cov_xp, radicand))):
         raise StateError("beam moments are not finite: the state holds values too large to measure")

@@ -163,13 +163,14 @@ def write_heatmap(path, state: QuasiDistribution) -> Path:
     return path
 
 
-def emit_outputs(report, states, config) -> tuple[Path, ...]:
-    """Write the configured artifact set; returns the paths written.
+def emit_outputs(report, states) -> tuple[Path, ...]:
+    """Write the artifact set that ``report.config`` asks for; returns the paths written.
 
     ``states`` maps engine name to its final grid-representable state (the
     wavefield engine contributes its Wigner transform); engines without one
-    get CSV series only.
+    get CSV series only.  Files go to ``report.config.output.directory``.
     """
+    config = report.config
     directory = Path(config.output.directory)
     try:
         directory.mkdir(parents=True, exist_ok=True)

@@ -314,11 +314,9 @@ def _preflight_kick(
 ) -> None:
     """Raise the kick-guard error that step 1 of a grid run from ``z0`` would raise.
 
-    It needs no state, so a caller can refuse a plan before any engine
-    starts; the step loop still checks every later step.
+    It needs no state, so a caller can refuse a plan with steps before any
+    engine starts; the step loop still checks every later step.
     """
-    if plan.n_steps == 0:
-        return
     try:
         _checked_generator(spec, *_kick_operands(grid), z0 + 0.5 * plan.dz, epsilon, plan)
     except SolverError as exc:

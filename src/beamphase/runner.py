@@ -26,7 +26,6 @@ from .exceptions import ConfigError, SolverError, StateError, TransformError
 from .phasespace import StepPlan, _preflight_kick, evolve_phase_space, trace_rays
 from .scenario import ScenarioConfig
 from .states import (
-    QuasiDistribution,
     gaussian_quasidist,
     gaussian_wavefield,
     sample_rays,
@@ -169,8 +168,11 @@ def _guard_failures(config: ScenarioConfig, spec) -> list[str]:
     the potential, dz and epsilon, so ``run_scenario`` refuses the first one
     before any engine starts and ``validate`` reports each as a warning.
     Guards at later steps of a z-dependent potential stay in the step loop.
+    A run without steps takes none, so it checks no guard.
     """
     failures = []
+    if config.run.n_steps == 0:
+        return failures
     for name in config.run.engines:
         plan = _engine_plan(name, config)
         try:
@@ -182,15 +184,6 @@ def _guard_failures(config: ScenarioConfig, spec) -> list[str]:
         except SolverError as exc:
             failures.append(f"engine {name}: {exc}")
     return failures
-
-
-def _snapshot_diagnostics(snapshots, spec, epsilon):
-    volumes = []
-    ratios = []
-    for state in snapshots:
-        volumes.append(negativity(state).negativity_volume)
-        ratios.append(truncation_ratio(state, spec, epsilon))
-    return tuple(volumes), tuple(ratios)
 
 
 def _linf(a: np.ndarray, b: np.ndarray) -> float:
@@ -263,8 +256,9 @@ def run_scenario(config: ScenarioConfig, emit: bool = True) -> RunReport:
             )
 
     results: list[EngineResult] = []
-    snapshots: dict[str, tuple] = {}
-    final_grid_states: dict[str, QuasiDistribution] = {}
+    # name -> (snapshot steps, phase-space densities, final NegativityReport)
+    # for every engine with a phase-space representation.
+    phase_space: dict[str, tuple] = {}
 
     for name in run.engines:
         started = time.perf_counter()
@@ -274,41 +268,35 @@ def run_scenario(config: ScenarioConfig, emit: bool = True) -> RunReport:
             raise SolverError(f"engine {name}: {exc}") from None
         seconds = time.perf_counter() - started
         densities = _phase_space_snapshots(name, traj, config, warnings)
-        steps, vols, ratios = (), (), ()
+        reports, ratios = [], []
+        for state in densities:
+            reports.append(negativity(state))
+            ratios.append(truncation_ratio(state, spec, epsilon))
+        steps = traj.snapshot_steps if densities else ()
         if densities:
-            snapshots[name] = densities
-            final_grid_states[name] = densities[-1]
-            steps = traj.snapshot_steps
-            vols, ratios = _snapshot_diagnostics(densities, spec, epsilon)
-        results.append(EngineResult(name, traj.moments, steps, vols, ratios, seconds, traj.lost))
+            phase_space[name] = (steps, densities, reports[-1])
+        volumes = tuple(report.negativity_volume for report in reports)
+        results.append(
+            EngineResult(name, traj.moments, steps, volumes, tuple(ratios), seconds, traj.lost)
+        )
         if traj.lost:
             warnings.append(f"rays: {traj.lost} rays left the representable range")
 
-    if states["rays"] is not None and states["rays"].clipped_mass > 0.0:
-        warnings.append(
-            f"rays: clipped negative mass fraction {states['rays'].clipped_mass:.3e} "
-            "before sampling"
-        )
-
     distances = []
-    for pair in (("moyal", "liouville"), ("twm", "moyal"), ("twm", "liouville")):
-        a, b = pair
-        if a in snapshots and b in snapshots:
-            steps = next(r.snapshot_steps for r in results if r.name == a)
-            linf = tuple(
-                _linf(sa.values, sb.values) for sa, sb in zip(snapshots[a], snapshots[b])
-            )
+    for a, b in (("moyal", "liouville"), ("twm", "moyal"), ("twm", "liouville")):
+        if a in phase_space and b in phase_space:
+            (steps, states_a, _), (_, states_b, _) = phase_space[a], phase_space[b]
+            linf = tuple(_linf(sa.values, sb.values) for sa, sb in zip(states_a, states_b))
             distances.append(PairDistances(a, b, steps, linf))
 
-    final_negativity = None
-    for name in ("moyal", "liouville", "twm"):
-        if name in final_grid_states:
-            final_negativity = negativity(final_grid_states[name])
-            break
-
+    final_negativity = next(
+        (phase_space[name][2] for name in ("moyal", "liouville", "twm") if name in phase_space),
+        None,
+    )
     report = RunReport(config, tuple(results), tuple(distances), final_negativity, tuple(warnings))
     if emit:
         from .outputs import emit_outputs
 
-        emit_outputs(report, final_grid_states, config)
+        final_states = {name: densities[-1] for name, (_, densities, _) in phase_space.items()}
+        emit_outputs(report, final_states)
     return report

@@ -156,7 +156,10 @@ class ScenarioConfig:
         return replace(self, run=replace(self.run, seed=seed))
 
     def with_engines(self, engines: tuple[str, ...]) -> "ScenarioConfig":
-        return replace(self, run=replace(self.run, engines=_canonical_engines(engines)))
+        """This config with other engines, checked again: the x clearance depends on twm."""
+        config = replace(self, run=replace(self.run, engines=_canonical_engines(engines)))
+        _cross_validate(config)
+        return config
 
 
 class _Section:

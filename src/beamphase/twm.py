@@ -80,7 +80,9 @@ class _TwmKernel:
         self.plan = plan
         self.grid = psi.grid
         self.epsilon = psi.epsilon
-        self.kinetic_phase = _kinetic_phase(psi.grid, psi.epsilon, plan.dz)
+        # A plan without steps applies no kinetic phase, so it is neither built nor guarded.
+        if plan.n_steps:
+            self.kinetic_phase = _kinetic_phase(psi.grid, psi.epsilon, plan.dz)
         # Not a bound method, so the kernel is freed as soon as its run returns.
         self.half_at = _static_once(
             partial(_half_phase, spec, psi.grid.points(), 0.5 * plan.dz / psi.epsilon), spec

@@ -1,5 +1,6 @@
 """Command-line driver, artifact emission, and the comparison runner."""
 
+import dataclasses
 import math
 import shutil
 import struct
@@ -14,6 +15,7 @@ from beamphase import (
     BeamPhaseError,
     ConfigError,
     PhaseGrid,
+    SolverError,
     gaussian_quasidist,
     load_scenario,
     read_grid_dump,
@@ -321,6 +323,35 @@ class TestVerbs:
         )
         assert warnings[1].startswith("warning: engine liouville: step 1/500: kick phase overflow")
 
+    def test_zero_steps_check_no_step_guard(self, tmp_path, capsys):
+        # dz = 0.5 trips twm's kinetic guard (see above); without steps no
+        # engine takes one, so neither run nor validate checks it.
+        outdir = tmp_path / "out"
+        text = FREE_SCENARIO.replace("dz = 0.05\nn_steps = 4", "dz = 0.5\nn_steps = 0")
+        ini = write_ini(tmp_path, text, outdir=outdir)
+        assert main(["validate", str(ini)]) == 0
+        assert "warning" not in capsys.readouterr().out
+        assert main(["run", str(ini), "--quiet"]) == 0
+        rows = (outdir / "moments_twm.csv").read_text().splitlines()
+        assert len(rows) == 1 + 1
+
+    def test_compare_checks_the_box_for_the_engines_it_forces(self, tmp_path, capsys):
+        # x_length = 18 clears a moyal-only density but not the twm envelope
+        # that compare adds, so compare refuses it the way run refuses the
+        # same file with twm listed.
+        text = (
+            FREE_SCENARIO.replace("nx = 128\nnp = 64\nx_length = 32.0\np_length = 0.8",
+                                  "nx = 256\nnp = 64\nx_length = 18.0\np_length = 1.6")
+            .replace("dz = 0.05", "dz = 0.01")
+            .replace("engines = twm, moyal, liouville, rays\nray_count = 2000\n",
+                     "engines = moyal\n")
+        )
+        ini = write_ini(tmp_path, text, outdir=tmp_path / "out")
+        assert main(["run", str(ini), "--quiet"]) == 0
+        capsys.readouterr()
+        assert main(["compare", str(ini), "--quiet"]) == 2
+        assert capsys.readouterr().err.startswith("error: grid.x_length: beam does not decay")
+
 
 class TestFlags:
     def test_output_dir_flag_beats_config(self, tmp_path):
@@ -417,6 +448,44 @@ class TestRunnerReport:
         assert any("paraxial" in w for w in report.warnings)
         assert main(["run", str(ini)]) == 0
         assert "warning: physics" in capsys.readouterr().out
+
+    def test_superposition_beam_reaches_grid_and_ray_engines(self, tmp_path):
+        # The grid and ray engines start from the positive two-peak mixture:
+        # each peak keeps sigma0 and the peaks sit at +-separation / 2.
+        text = FREE_SCENARIO.replace(
+            "sigma0 = 1.0", "kind = superposition\nsigma0 = 1.0\nseparation = 2.0"
+        ).replace("engines = twm, moyal, liouville, rays", "engines = moyal, liouville, rays")
+        report = run_scenario(load_scenario(write_ini(tmp_path, text, outdir=tmp_path / "out")))
+        mixture_sigma_x = math.sqrt(1.0**2 + (2.0 / 2) ** 2)
+        for name in ("moyal", "liouville"):
+            initial = report.engine(name).moments[0]
+            assert initial.sigma_x == pytest.approx(mixture_sigma_x, rel=1e-9)
+            assert initial.mean_x == pytest.approx(0.0, abs=1e-12)
+        assert report.engine("rays").moments[0].sigma_x == pytest.approx(mixture_sigma_x, rel=0.05)
+        assert report.final_negativity.negativity_volume <= 1e-12
+
+    def test_engine_solver_error_names_the_engine(self, tmp_path, capsys, monkeypatch):
+        def failing(*args):
+            raise SolverError("step 3/4: density mass drifted")
+
+        monkeypatch.setattr(runner, "evolve_phase_space", failing)
+        ini = write_ini(tmp_path, FREE_SCENARIO, outdir=tmp_path / "out")
+        assert main(["run", str(ini), "--quiet"]) == 1
+        assert capsys.readouterr().err == "error: engine moyal: step 3/4: density mass drifted\n"
+
+    def test_lost_rays_reach_report_and_stdout(self, tmp_path, capsys, monkeypatch):
+        trace_rays = runner.trace_rays
+        monkeypatch.setattr(
+            runner, "trace_rays", lambda *args: dataclasses.replace(trace_rays(*args), lost=7)
+        )
+        text = FREE_SCENARIO.replace("engines = twm, moyal, liouville, rays", "engines = rays")
+        ini = write_ini(tmp_path, text, outdir=tmp_path / "out")
+        assert main(["run", str(ini)]) == 0
+        out = capsys.readouterr().out
+        assert "warning: rays: 7 rays left the representable range" in out
+        assert [line for line in out.splitlines() if line.startswith("engine rays:")][0].endswith(
+            " s, 7 rays lost"
+        )
 
 
 class TestConsoleScript:

@@ -118,6 +118,15 @@ class TestGaussianQuasidist:
         with pytest.raises(StateError):
             QuasiDistribution(grid, dented, kind="classical")
 
+    def test_classical_rejection_names_the_minimum(self):
+        grid = PhaseGrid(AxisGrid(64, 16.0), AxisGrid(64, 0.8))
+        dented = gaussian_quasidist(grid, 1.0, 0.05).values.copy()
+        dented[32, 32] += dented[3, 5] + 0.25  # keeps the mass
+        dented[3, 5] = -0.25
+        with pytest.raises(StateError, match=r"classical density has negative values .*-0\.25"):
+            QuasiDistribution(grid, dented, kind="classical")
+        assert QuasiDistribution(grid, dented, kind="wigner").values[3, 5] == -0.25
+
     def test_invalid_kind(self):
         grid = PhaseGrid(AxisGrid(256, 16.0), AxisGrid(256, 0.8))
         rho = gaussian_quasidist(grid, 1.0, 0.05)

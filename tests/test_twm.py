@@ -174,6 +174,14 @@ class TestGuards:
         with pytest.raises(SolverError, match="kinetic phase overflow"):
             evolve_twm(psi, free_space(), StepPlan(1.0, 3))
 
+    def test_zero_steps_check_no_guard(self):
+        # dz = 1 aliases on this grid (see above), but a plan without steps
+        # never applies the kinetic phase.
+        psi = gaussian_wavefield(AxisGrid(512, 12.8), 0.4, EPS)
+        out = evolve_twm(psi, free_space(), StepPlan(1.0, 0))
+        assert out.snapshot_steps == (0,)
+        np.testing.assert_array_equal(out.final.values, psi.values)
+
 
 class TestTrajectoryBookkeeping:
     def test_snapshot_cadence(self):
