@@ -256,7 +256,7 @@ def truncation_ratio(
     denom = _l2_norm(g1 * rho_tilde)
     if denom == 0.0:
         return float("nan")
-    if spec.degree <= 2:
+    if spec.kick_is_classical:
         return 0.0
     # The classical part of the closed-form series is bit-identical to g1,
     # so G - G1 is formed directly as the partial sum from order 3 up; no

@@ -121,6 +121,19 @@ class PotentialSpec:
         return all(isinstance(profile, ConstantProfile) for _, profile in self.terms)
 
     @property
+    def kick_is_classical(self) -> bool:
+        """True when the Moyal kick equals the classical (Liouville) kick bit for bit.
+
+        The shift series of the generator holds odd orders up to the degree,
+        so for a degree of at most 2 it holds only the order-1 term:
+        ``moyal_generator`` is then ``moyal_generator_truncated(..., 1)``
+        bit for bit, and the deformed and classical transport of a density
+        are the same map.  This covers all of linear beam optics (drifts,
+        quadrupole lenses, FODO cells).
+        """
+        return self.degree <= 2
+
+    @property
     def degree(self) -> int:
         """Highest power with a term; -1 for the empty (free-space) spec."""
         return self.terms[-1][0] if self.terms else -1

@@ -11,7 +11,7 @@ fixed config and seed.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .diagnostics import (
     negativity,
     truncation_ratio,
 )
-from .exceptions import ConfigError, SolverError, StateError, TransformError
+from .exceptions import BeamPhaseError, ConfigError, SolverError, StateError, TransformError
 from .phasespace import StepPlan, _preflight_kick, evolve_phase_space, trace_rays
 from .scenario import ScenarioConfig
 from .states import (
@@ -190,13 +190,38 @@ def _linf(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(a - b).max())
 
 
-def _evolve_engine(name: str, states: dict, spec, config: ScenarioConfig):
+def _evolve_engine(name: str, states: dict, spec, config: ScenarioConfig, shared: dict):
+    """One engine's trajectory.
+
+    When moyal and liouville are both requested and the potential's kick is
+    classical (``PotentialSpec.kick_is_classical``), the two engines are the
+    same map: moyal's turn evolves the grid once under liouville's plan, so
+    liouville's per-step non-negativity check still runs, keeps that
+    trajectory in ``shared`` for liouville's turn, and returns it with the
+    evolved snapshots tagged ``"wigner"``.  If that pass raises, moyal runs
+    alone and liouville later runs alone, so each raises what its own pass
+    raises.
+    """
     plan = _engine_plan(name, config)
+    every = config.run.snapshot_every
     if name == "twm":
-        return evolve_twm(states["psi"], spec, plan, config.run.snapshot_every)
+        return evolve_twm(states["psi"], spec, plan, every)
     if name == "rays":
         return trace_rays(states["rays"], spec, plan)
-    return evolve_phase_space(states["rho"], spec, config.epsilon, plan, config.run.snapshot_every)
+    if name in shared:
+        return shared.pop(name)
+    rho = states["rho"]
+    if name == "moyal" and "liouville" in config.run.engines and spec.kick_is_classical:
+        classical = _engine_plan("liouville", config)
+        try:
+            traj = evolve_phase_space(rho, spec, config.epsilon, classical, every)
+        except BeamPhaseError:
+            pass  # each engine's own pass below raises it again under its own name
+        else:
+            shared["liouville"] = traj
+            evolved = tuple(replace(state, kind="wigner") for state in traj.snapshots[1:])
+            return replace(traj, snapshots=traj.snapshots[:1] + evolved)
+    return evolve_phase_space(rho, spec, config.epsilon, plan, every)
 
 
 def _phase_space_snapshots(name: str, traj, config: ScenarioConfig, warnings: list[str]) -> tuple:
@@ -237,6 +262,11 @@ def run_scenario(config: ScenarioConfig, emit: bool = True) -> RunReport:
     configured output directory unless ``emit`` is false.  Solver errors
     carry the engine name and step context; a step-1 guard error (see
     ``_guard_failures``) is raised before any engine starts.
+
+    moyal and liouville coincide for a potential of degree <= 2, so a run
+    with both evolves the grid once (see ``_evolve_engine``): moyal's
+    ``seconds`` then holds that pass and liouville's only its own share.
+    Results and artifacts are those of two separate passes, bit for bit.
     """
     spec = config.potential.build()
     epsilon = config.epsilon
@@ -259,11 +289,12 @@ def run_scenario(config: ScenarioConfig, emit: bool = True) -> RunReport:
     # name -> (snapshot steps, phase-space densities, final NegativityReport)
     # for every engine with a phase-space representation.
     phase_space: dict[str, tuple] = {}
+    shared: dict = {}  # a trajectory one engine's pass made for a later engine
 
     for name in run.engines:
         started = time.perf_counter()
         try:
-            traj = _evolve_engine(name, states, spec, config)
+            traj = _evolve_engine(name, states, spec, config, shared)
         except SolverError as exc:
             raise SolverError(f"engine {name}: {exc}") from None
         seconds = time.perf_counter() - started

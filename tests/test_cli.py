@@ -14,16 +14,22 @@ from beamphase import (
     AxisGrid,
     BeamPhaseError,
     ConfigError,
+    HarmonicProfile,
     PhaseGrid,
+    PotentialSpec,
     SolverError,
+    StepPlan,
+    evolve_phase_space,
     gaussian_quasidist,
     load_scenario,
+    negativity,
     read_grid_dump,
     run_scenario,
+    truncation_ratio,
     write_grid_dump,
     write_heatmap,
 )
-from beamphase import runner
+from beamphase import phasespace, runner, scenario
 from beamphase.cli import main
 from beamphase.outputs import CSV_COLUMNS
 
@@ -86,6 +92,80 @@ engines = twm
 directory = {outdir}
 formats = csv, grid-dump
 """
+
+
+# lens_harmonic's grid, beam and step, cut to 40 steps; {potential} is a
+# [potential] section or empty (free space).
+LENS_SCENARIO = """
+[grid]
+nx = 256
+np = 128
+x_length = 25.6
+p_length = 6.4
+
+[beam]
+sigma0 = 0.4
+x0 = 0.5
+
+[physics]
+epsilon = 0.1
+{potential}
+[run]
+dz = 2e-3
+n_steps = 40
+snapshot_every = 20
+engines = {engines}
+
+[output]
+directory = {outdir}
+formats = csv
+"""
+
+HARMONIC_LENS = "[potential]\npreset = linear_lens\nk = 1.0\nprofile = harmonic\nomega = 3.0\n"
+CONSTANT_LENS = "[potential]\npreset = linear_lens\nk = 1.0\n"
+QUARTIC = "[potential]\npreset = quartic_channel\nk = 1.0\nlambda4 = 0.1\n"
+
+
+def lens_ini(tmp_path, potential=HARMONIC_LENS, engines="moyal, liouville"):
+    text = LENS_SCENARIO
+    if potential == QUARTIC:
+        # quartic_mixed's box and step keep the quartic kick below its guard.
+        text = text.replace("x_length = 25.6", "x_length = 12.8").replace("2e-3", "2e-4")
+    return write_ini(
+        tmp_path, text, potential=potential, engines=engines, outdir=tmp_path / "out"
+    )
+
+
+def count_grid_passes(monkeypatch) -> list:
+    """Record the plan of every ``evolve_phase_space`` call the runner makes."""
+    plans = []
+    evolve = runner.evolve_phase_space
+
+    def counting(*args):
+        plans.append(args[3])
+        return evolve(*args)
+
+    monkeypatch.setattr(runner, "evolve_phase_space", counting)
+    return plans
+
+
+def fail_classical_check_at(monkeypatch, step: int) -> list:
+    """Make every grid pass's per-step non-negativity check fail at ``step``.
+
+    The check sees the negated density at that step, so the real check
+    raises its own message.  Returns the plans of the grid passes.
+    """
+    plans = count_grid_passes(monkeypatch)
+    passes_checked = []  # the pass number of every check call
+    check = phasespace._check_classical
+
+    def failing(values):
+        passes_checked.append(len(plans))
+        at_step = passes_checked.count(len(plans)) - 1  # a pass checks step 0 first
+        check(-values if at_step == step else values)
+
+    monkeypatch.setattr(phasespace, "_check_classical", failing)
+    return plans
 
 
 def write_ini(tmp_path, text, name="scenario.ini", **fmt):
@@ -486,6 +566,111 @@ class TestRunnerReport:
         assert [line for line in out.splitlines() if line.startswith("engine rays:")][0].endswith(
             " s, 7 rays lost"
         )
+
+
+class TestSharedGridPass:
+    """moyal and liouville evolve the grid once when the kick is classical."""
+
+    @pytest.mark.parametrize(
+        "potential, engines, passes",
+        [
+            (HARMONIC_LENS, "moyal, liouville", 1),
+            (CONSTANT_LENS, "moyal, liouville", 1),
+            ("", "moyal, liouville", 1),
+            (QUARTIC, "moyal, liouville", 2),
+            (HARMONIC_LENS, "moyal", 1),
+            (HARMONIC_LENS, "liouville", 1),
+        ],
+        ids=["harmonic", "constant", "free", "quartic", "moyal-only", "liouville-only"],
+    )
+    def test_grid_passes(self, tmp_path, monkeypatch, potential, engines, passes):
+        plans = count_grid_passes(monkeypatch)
+        run_scenario(load_scenario(lens_ini(tmp_path, potential, engines)), emit=False)
+        assert len(plans) == passes
+        if engines == "moyal, liouville" and passes == 1:
+            assert plans[0].is_classical  # liouville's per-step check runs
+
+    @pytest.mark.parametrize(
+        "potential", [HARMONIC_LENS, CONSTANT_LENS, ""], ids=["harmonic", "constant", "free"]
+    )
+    def test_matches_two_separate_passes(self, tmp_path, monkeypatch, potential):
+        config = load_scenario(lens_ini(tmp_path, potential))
+        spec, eps, run = config.potential.build(), config.epsilon, config.run
+        rho = runner.build_initial_states(config)["rho"]
+        separate = {
+            "moyal": evolve_phase_space(rho, spec, eps, StepPlan(run.dz, run.n_steps), 20),
+            "liouville": evolve_phase_space(
+                rho, spec, eps, StepPlan(run.dz, run.n_steps, "truncated", 1), 20
+            ),
+        }
+        diagnosed = []  # every snapshot the run diagnoses, moyal's first
+        diagnose = runner.negativity
+
+        def recording(state):
+            diagnosed.append(state)
+            return diagnose(state)
+
+        monkeypatch.setattr(runner, "negativity", recording)
+        report = run_scenario(config, emit=False)
+
+        expected = separate["moyal"].snapshots + separate["liouville"].snapshots
+        assert [s.kind for s in diagnosed] == [s.kind for s in expected]
+        assert [s.kind for s in diagnosed] == ["classical", "wigner", "wigner"] + ["classical"] * 3
+        for got, want in zip(diagnosed, expected, strict=True):
+            assert got.values.tobytes() == want.values.tobytes()
+            assert got.z == want.z
+        for name, traj in separate.items():
+            result = report.engine(name)
+            assert result.moments == traj.moments
+            assert result.snapshot_steps == traj.snapshot_steps == (0, 20, 40)
+            volumes = [negativity(s).negativity_volume for s in traj.snapshots]
+            ratios = [truncation_ratio(s, spec, eps) for s in traj.snapshots]
+            assert np.array(result.snapshot_negativity).tobytes() == np.array(volumes).tobytes()
+            assert np.array(result.snapshot_r3).tobytes() == np.array(ratios).tobytes()
+        (pair,) = report.distances
+        moyal, liouville = separate["moyal"].snapshots, separate["liouville"].snapshots
+        assert pair.linf == tuple(
+            float(np.abs(a.values - b.values).max()) for a, b in zip(moyal, liouville)
+        )
+
+    def test_failed_shared_pass_runs_each_engine_alone(self, tmp_path, monkeypatch):
+        plans = fail_classical_check_at(monkeypatch, 3)
+        assert main(["run", str(lens_ini(tmp_path)), "--quiet"]) == 1
+        assert [plan.is_classical for plan in plans] == [True, False, True]
+
+
+class TestGridErrorParity:
+    """A run with both grid engines fails as two separate passes would."""
+
+    def test_liouville_check_names_liouville_and_the_step(self, tmp_path, capsys, monkeypatch):
+        fail_classical_check_at(monkeypatch, 3)
+        outdir = tmp_path / "out"
+        assert main(["run", str(lens_ini(tmp_path)), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: engine liouville: step 3/40: classical density has negative values"
+        )
+        assert err.count("\n") == 1
+        assert not outdir.exists()
+
+    def test_failure_of_both_engines_names_moyal(self, tmp_path, capsys, monkeypatch):
+        # A NaN coefficient passes the kick guard (nan >= pi is false); the
+        # per-step finiteness check of either engine catches it.
+        nan_lens = PotentialSpec(((2, HarmonicProfile(math.nan, 3.0)),))
+        monkeypatch.setattr(scenario.PotentialSection, "build", lambda self: nan_lens)
+        assert main(["run", str(lens_ini(tmp_path)), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: engine moyal: step 1/40: ")
+        assert "non-finite" in err
+
+    def test_validate_warns_once_per_grid_engine(self, tmp_path, capsys):
+        # dz = 5e-3 takes the harmonic lens's step-1 kick phase past pi.
+        ini = lens_ini(tmp_path)
+        ini.write_text(ini.read_text().replace("dz = 2e-3", "dz = 5e-3"))
+        assert main(["validate", str(ini)]) == 0
+        warnings = [line for line in capsys.readouterr().out.splitlines() if "warning" in line]
+        assert [w.split(":")[1] for w in warnings] == [" engine moyal", " engine liouville"]
+        assert all("step 1/40: kick phase overflow" in w for w in warnings)
 
 
 class TestConsoleScript:

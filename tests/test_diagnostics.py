@@ -229,6 +229,32 @@ class TestTruncationRatio:
             assert ratio == pytest.approx(self.defined_ratio(mix, spec, eps), rel=1e-9)
 
 
+    @pytest.mark.parametrize(
+        "terms, expected",
+        [
+            (((0, 2.0),), "nan"),
+            (((1, 0.3),), "zero"),
+            (((0, 1.0), (2, 0.5)), "zero"),
+            (((2, 0.5), (3, 0.05)), "defined"),
+            (((2, 0.5), (4, 0.1)), "defined"),
+        ],
+        ids=["degree-0", "degree-1", "degree-2", "degree-3", "degree-4"],
+    )
+    def test_classical_kick_scores_zero(self, terms, expected):
+        # Degree <= 2 (PotentialSpec.kick_is_classical) leaves no deformation.
+        mix = superposition_quasidist(self.GRID, 0.4, 0.4, 4.0)
+        spec = PotentialSpec(tuple((power, ConstantProfile(c)) for power, c in terms))
+        ratio = truncation_ratio(mix, spec, EPS)
+        if expected == "nan":
+            assert math.isnan(ratio)
+        elif expected == "zero":
+            assert spec.kick_is_classical and ratio == 0.0
+        else:
+            assert not spec.kick_is_classical
+            assert ratio == pytest.approx(self.defined_ratio(mix, spec, EPS), rel=1e-9)
+            assert ratio > 0.0
+
+
 class TestThermalEmittance:
     def test_reference_mapping(self):
         t = emittance_from_thermal(0.01, 1.0)

@@ -405,6 +405,27 @@ class TestNonFiniteStep:
                 evolve_phase_space(rho, self.NAN_LENS, EPS, plan)
 
 
+class TestClassicalCheckPerStep:
+    def test_negative_values_name_the_step(self, monkeypatch):
+        # The check sees the negated density at step 3 (its 4th call), so the
+        # real check raises its own message from inside the step loop.
+        calls = []
+        check = phasespace._check_classical
+
+        def failing(values):
+            calls.append(None)
+            check(-values if len(calls) == 4 else values)
+
+        monkeypatch.setattr(phasespace, "_check_classical", failing)
+        rho = gaussian_quasidist(LENS_GRID, 0.3, 0.12)
+        evolve_phase_space(rho, HARMONIC_LENS, EPS, StepPlan(0.01, 5))
+        assert calls == []  # a deformed (wigner) density may go negative
+        with pytest.raises(
+            SolverError, match=r"^step 3/5: classical density has negative values beyond round-off"
+        ):
+            evolve_phase_space(rho, HARMONIC_LENS, EPS, StepPlan(0.01, 5, "truncated", 1))
+
+
 class TestTraceRays:
     def test_free_single_ray_exact(self):
         ens = RayEnsemble(np.array([0.0, 0.0]), np.array([0.1, 0.1]))

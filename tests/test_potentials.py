@@ -256,6 +256,33 @@ class TestTruncatedGenerator:
             moyal_generator_truncated(spec, 1.0, 1.0, 0.0, 0.1, max_order=2)
 
 
+class TestKickIsClassical:
+    SPECS = {
+        -1: free_space(),
+        0: PotentialSpec(((0, ConstantProfile(2.0)),)),
+        1: PotentialSpec(((1, HarmonicProfile(0.3, 2.0)),)),
+        2: PotentialSpec(((0, ConstantProfile(1.0)), (2, HarmonicProfile(0.5, 3.0)))),
+        3: PotentialSpec(((2, ConstantProfile(0.5)), (3, ConstantProfile(0.05)))),
+        4: quartic_channel(1.0, 0.1),
+    }
+
+    @pytest.mark.parametrize("degree", sorted(SPECS))
+    def test_holds_exactly_when_the_generators_agree_bitwise(self, degree):
+        spec = self.SPECS[degree]
+        assert spec.degree == degree
+        assert spec.kick_is_classical == (degree <= 2)
+        rng = np.random.default_rng(7)
+        x = rng.uniform(-3, 3, (200, 1))
+        y = rng.uniform(-10, 10, (1, 64))
+        full = moyal_generator(spec, x, y, 0.37, 0.2)
+        order_one = moyal_generator_truncated(spec, x, y, 0.37, 0.2, max_order=1)
+        assert (full.tobytes() == order_one.tobytes()) == spec.kick_is_classical
+
+    def test_presets(self):
+        assert linear_lens(1.0).kick_is_classical
+        assert not quartic_channel(1.0, 0.0).kick_is_classical  # the x**4 term is kept
+
+
 class TestPresets:
     def test_lens_contract(self):
         with pytest.raises(BeamPhaseError):

@@ -114,8 +114,10 @@ class TestGaussianQuasidist:
         grid = PhaseGrid(AxisGrid(256, 16.0), AxisGrid(256, 0.8))
         rho = gaussian_quasidist(grid, 1.0, 0.05)
         dented = rho.values.copy()
-        dented[10, 10] = -0.1 * dented.max()
-        with pytest.raises(StateError):
+        dent = 0.1 * dented.max()
+        dented[128, 128] += dented[10, 10] + dent  # keeps the mass, so only the sign check fails
+        dented[10, 10] = -dent
+        with pytest.raises(StateError, match="classical density has negative values"):
             QuasiDistribution(grid, dented, kind="classical")
 
     def test_classical_rejection_names_the_minimum(self):
