@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import StateError
+from .exceptions import StateError, check_positive
 from .grids import AxisGrid
 from .potentials import PotentialSpec, _shift_series, eval_gradient
-from .states import QuasiDistribution, RayEnsemble, WaveField, _check_norm, _check_positive
+from .states import QuasiDistribution, RayEnsemble, WaveField, _check_norm
 
 __all__ = [
     "BeamMoments",
@@ -193,8 +193,8 @@ def emittance_from_thermal(vth_over_c: float, sigma0: float) -> ThermalEmittance
     ``emittance = 2 * vth_over_c * sigma0`` and ``eta = vth_over_c``; the
     paraxial flag warns when ``vth_over_c`` exceeds 0.1.
     """
-    _check_positive("vth_over_c", vth_over_c)
-    _check_positive("sigma0", sigma0)
+    check_positive("vth_over_c", vth_over_c, StateError)
+    check_positive("sigma0", sigma0, StateError)
     return ThermalEmittance(
         epsilon=2.0 * vth_over_c * sigma0,
         eta=vth_over_c,

@@ -1,9 +1,16 @@
-"""Exception taxonomy for beamphase.
+"""Exception taxonomy for beamphase, and the two input rules every module shares.
 
 Configuration problems (bad scenario files, bad CLI input) raise
 :class:`ConfigError`, which the CLI maps to exit code 2.  Everything else
 derives from :class:`BeamPhaseError` and maps to exit code 1.
+
+:func:`check_positive` and :func:`check_count` validate library inputs at
+the boundary; each raises the error type its caller names, so a grid
+refuses with :class:`GridError` and a step plan with :class:`SolverError`.
 """
+
+import math
+from numbers import Integral, Real
 
 
 class BeamPhaseError(Exception):
@@ -32,3 +39,19 @@ class TransformError(BeamPhaseError, ValueError):
 
 class ConfigError(BeamPhaseError, ValueError):
     """Scenario file or CLI input failed validation."""
+
+
+def check_positive(name: str, value, error: type[BeamPhaseError]) -> float:
+    """``value`` as a float; raises ``error`` unless it is a positive, finite real number."""
+    if not (isinstance(value, Real) and math.isfinite(value) and value > 0.0):
+        raise error(f"{name} must be positive and finite, got {value!r}")
+    return float(value)
+
+
+def check_count(value, name: str, minimum: int, error: type[BeamPhaseError]) -> int:
+    """``value`` as an int; raises ``error`` unless it is an integer (not a bool) >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise error(f"{name} must be >= {minimum}, got {value}")
+    return int(value)

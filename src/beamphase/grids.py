@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import GridError
+from .exceptions import GridError, check_count, check_positive
 
 __all__ = ["AxisGrid", "PhaseGrid"]
 
@@ -41,18 +41,15 @@ class AxisGrid:
     center: float = 0.0
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
-            raise GridError(f"axis point count must be an integer, got {self.n!r}")
-        if self.n < 8 or not _is_power_of_two(int(self.n)):
-            raise GridError(
-                f"axis point count must be a power of two >= 8, got {self.n}"
-            )
-        if not (math.isfinite(self.length) and self.length > 0.0):
-            raise GridError(f"axis length must be positive and finite, got {self.length}")
+        # No lower bound here: every integer that is not a power of two >= 8 gets one message.
+        n = check_count(self.n, "axis point count", -math.inf, GridError)
+        if n < 8 or not _is_power_of_two(n):
+            raise GridError(f"axis point count must be a power of two >= 8, got {n}")
+        length = check_positive("axis length", self.length, GridError)
         if not math.isfinite(self.center):
             raise GridError(f"axis center must be finite, got {self.center}")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "length", float(self.length))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "length", length)
         object.__setattr__(self, "center", float(self.center))
 
     @property

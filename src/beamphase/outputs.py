@@ -53,6 +53,14 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
+def _write(path: Path, data: bytes) -> Path:
+    try:
+        path.write_bytes(data)
+    except OSError as exc:
+        raise BeamPhaseError(f"cannot write {path}: {exc}") from None
+    return path
+
+
 def write_moments_csv(path, result) -> Path:
     """Write one engine's per-step series.
 
@@ -78,11 +86,7 @@ def write_moments_csv(path, result) -> Path:
             r3,
         )
         lines.append(",".join(_fmt(cell) for cell in cells))
-    try:
-        path.write_text("\n".join(lines) + "\n", encoding="ascii")
-    except OSError as exc:
-        raise BeamPhaseError(f"cannot write {path}: {exc}") from None
-    return path
+    return _write(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
 def write_grid_dump(path, state: QuasiDistribution, epsilon: float) -> Path:
@@ -101,11 +105,7 @@ def write_grid_dump(path, state: QuasiDistribution, epsilon: float) -> Path:
         epsilon,
     )
     payload = np.ascontiguousarray(state.values, dtype="<f8").tobytes()
-    try:
-        path.write_bytes(header + payload)
-    except OSError as exc:
-        raise BeamPhaseError(f"cannot write {path}: {exc}") from None
-    return path
+    return _write(path, header + payload)
 
 
 def read_grid_dump(path) -> tuple[QuasiDistribution, float]:
@@ -152,14 +152,8 @@ def write_heatmap(path, state: QuasiDistribution) -> Path:
         scaled = np.rint((values - lo) * (255.0 / (hi - lo))).astype(np.uint8)
     image = scaled.T[::-1, :]
     height, width = image.shape
-    sidecar = path.with_suffix(".minmax.txt")
-    target = path
-    try:
-        path.write_bytes(f"P5\n{width} {height}\n255\n".encode("ascii") + image.tobytes())
-        target = sidecar
-        sidecar.write_text(f"min {_fmt(lo)}\nmax {_fmt(hi)}\n", encoding="ascii")
-    except OSError as exc:
-        raise BeamPhaseError(f"cannot write {target}: {exc}") from None
+    _write(path, f"P5\n{width} {height}\n255\n".encode("ascii") + image.tobytes())
+    _write(path.with_suffix(".minmax.txt"), f"min {_fmt(lo)}\nmax {_fmt(hi)}\n".encode("ascii"))
     return path
 
 

@@ -53,7 +53,7 @@ from itertools import accumulate, repeat
 import numpy as np
 
 from .diagnostics import BeamMoments, _grid_moments, _ray_moments
-from .exceptions import SolverError, StateError
+from .exceptions import SolverError, StateError, check_count, check_positive
 from .grids import AxisGrid, PhaseGrid
 from .potentials import (
     PotentialSpec,
@@ -77,14 +77,6 @@ STEP_REALNESS_TOL = 1e-8
 GENERATOR_MODES = ("full_moyal", "truncated")
 
 
-def _as_count(value, name: str, minimum: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise SolverError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise SolverError(f"{name} must be >= {minimum}, got {value}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class StepPlan:
     """How to advance a state: step size, count, generator flavour.
@@ -100,16 +92,15 @@ class StepPlan:
     max_order: int | None = None
 
     def __post_init__(self):
-        if not (isinstance(self.dz, (int, float, np.floating)) and math.isfinite(self.dz) and self.dz > 0.0):
-            raise SolverError(f"dz must be positive and finite, got {self.dz!r}")
-        object.__setattr__(self, "dz", float(self.dz))
-        object.__setattr__(self, "n_steps", _as_count(self.n_steps, "n_steps", 0))
+        object.__setattr__(self, "dz", check_positive("dz", self.dz, SolverError))
+        object.__setattr__(self, "n_steps", check_count(self.n_steps, "n_steps", 0, SolverError))
         if self.generator not in GENERATOR_MODES:
             raise SolverError(
                 f"generator must be one of {GENERATOR_MODES}, got {self.generator!r}"
             )
         if self.generator == "truncated":
-            order = 1 if self.max_order is None else _as_count(self.max_order, "max_order", 1)
+            order = self.max_order
+            order = 1 if order is None else check_count(order, "max_order", 1, SolverError)
             if order % 2 == 0:
                 raise SolverError(f"max_order must be odd, got {order}")
             object.__setattr__(self, "max_order", order)
@@ -184,7 +175,7 @@ def _evolve(kernel, initial, values, zs: list[float], snapshot_every: int | None
     n_steps = len(zs) - 1
     if snapshot_every is None:
         snapshot_every = max(n_steps, 1)
-    snapshot_every = _as_count(snapshot_every, "snapshot_every", 1)
+    snapshot_every = check_count(snapshot_every, "snapshot_every", 1, SolverError)
     snapshots = [initial]
     snapshot_steps = [0]
     moments = [kernel.measure(values, zs[0])]
@@ -275,21 +266,7 @@ class _GridKernel:
 def _kick_multiplier(
     spec: PotentialSpec, x_col, y_row, epsilon: float, plan: StepPlan, z_mid: float
 ):
-    """``exp(i dz G)`` on ``x_col`` x ``y_row`` as ``cos + i sin`` (None without a force)."""
-    g = _checked_generator(spec, x_col, y_row, z_mid, epsilon, plan)
-    if g is None:
-        return None
-    angle = plan.dz * g
-    kick = np.empty(angle.shape, dtype=complex)
-    np.cos(angle, out=kick.real)
-    np.sin(angle, out=kick.imag)
-    return kick
-
-
-def _checked_generator(
-    spec: PotentialSpec, x_col, y_row, z_mid: float, epsilon: float, plan: StepPlan
-):
-    """The plan's kick generator on ``x_col`` x ``y_row`` (None without a force).
+    """``exp(i dz G)`` on ``x_col`` x ``y_row`` as ``cos + i sin`` (None without a force).
 
     Raises when the kick phase ``max |dz G|`` reaches pi.
     """
@@ -306,7 +283,11 @@ def _checked_generator(
             f"kick phase overflow: max |dz * G| = {guard:.3e} >= pi "
             "(the complex exponential would alias); reduce dz or the grid extents"
         )
-    return g
+    angle = plan.dz * g
+    kick = np.empty(angle.shape, dtype=complex)
+    np.cos(angle, out=kick.real)
+    np.sin(angle, out=kick.imag)
+    return kick
 
 
 def _preflight_kick(
@@ -318,7 +299,7 @@ def _preflight_kick(
     engine starts; the step loop still checks every later step.
     """
     try:
-        _checked_generator(spec, *_kick_operands(grid), z0 + 0.5 * plan.dz, epsilon, plan)
+        _kick_multiplier(spec, *_kick_operands(grid), epsilon, plan, z0 + 0.5 * plan.dz)
     except SolverError as exc:
         raise _step_error(1, plan.n_steps, exc) from None
 
@@ -359,12 +340,6 @@ def _check_residue(rho: np.ndarray, residue: float) -> None:
         )
 
 
-def _check_epsilon(epsilon: float) -> float:
-    if not (isinstance(epsilon, (int, float, np.floating)) and math.isfinite(epsilon) and epsilon > 0.0):
-        raise SolverError(f"epsilon must be positive and finite, got {epsilon!r}")
-    return float(epsilon)
-
-
 def step_phase_space(
     state: QuasiDistribution, spec: PotentialSpec, epsilon: float, plan: StepPlan
 ) -> QuasiDistribution:
@@ -399,7 +374,7 @@ def evolve_phase_space(
     for finite values and unit mass (and, when it stays classical, for
     negative values) and raises :class:`SolverError` naming the step.
     """
-    epsilon = _check_epsilon(epsilon)
+    epsilon = check_positive("epsilon", epsilon, SolverError)
     # Classical transport preserves positivity; deformed transport does not.
     kind = state.kind if plan.is_classical else "wigner"
     kernel = _GridKernel(state.grid, spec, epsilon, plan, kind)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import BeamPhaseError
+from .exceptions import BeamPhaseError, check_count, check_positive
 
 __all__ = [
     "ConstantProfile",
@@ -101,11 +101,7 @@ class PotentialSpec:
         cleaned = []
         seen = set()
         for power, profile in self.terms:
-            if isinstance(power, bool) or not isinstance(power, (int, np.integer)):
-                raise BeamPhaseError(f"potential power must be an integer, got {power!r}")
-            power = int(power)
-            if power < 0:
-                raise BeamPhaseError(f"potential power must be >= 0, got {power}")
+            power = check_count(power, "potential power", 0, BeamPhaseError)
             if power in seen:
                 raise BeamPhaseError(f"duplicate potential power {power}")
             if not callable(profile):
@@ -206,13 +202,12 @@ def _shift_series(spec, x, y, z, epsilon, max_order=None, min_order=1):
     ``max_order = None`` runs to the polynomial degree, where the series
     ends; a range holding no order of the spec gives zeros.
     """
-    if not (math.isfinite(epsilon) and epsilon > 0.0):
-        raise BeamPhaseError(f"epsilon must be positive and finite, got {epsilon}")
+    epsilon = check_positive("epsilon", epsilon, BeamPhaseError)
     coeffs = spec.coefficients(z)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     out = np.zeros(np.broadcast_shapes(x.shape, y.shape))
-    top = spec.degree if max_order is None else min(spec.degree, int(max_order))
+    top = spec.degree if max_order is None else min(spec.degree, max_order)
     half = 0.5 * epsilon
     y_sq = y * y
     y_pow = y.astype(float)
@@ -244,8 +239,7 @@ def moyal_generator_truncated(
     ``max_order = 1`` is the classical Liouville generator and returns
     exactly ``eval_gradient(spec, x, z) * y``.
     """
-    if isinstance(max_order, bool) or not isinstance(max_order, (int, np.integer)):
-        raise BeamPhaseError(f"max_order must be an odd integer >= 1, got {max_order!r}")
-    if max_order < 1 or max_order % 2 == 0:
-        raise BeamPhaseError(f"max_order must be an odd integer >= 1, got {max_order}")
+    max_order = check_count(max_order, "max_order", 1, BeamPhaseError)
+    if max_order % 2 == 0:
+        raise BeamPhaseError(f"max_order must be odd, got {max_order}")
     return _shift_series(spec, x, y, z, epsilon, max_order)

@@ -228,10 +228,10 @@ def _phase_space_snapshots(name: str, traj, config: ScenarioConfig, warnings: li
     """An engine's snapshots as phase-space densities; empty when it has none.
 
     Wavefield snapshots go through the Wigner transform.  When an evolved
-    snapshot fails its marginal check, the engine is recorded without any
-    (its moments stay valid) and a warning names the snapshot.  A failure on
-    the initial field is raised: the configured momentum axis cannot hold
-    the beam at all, which no evolution caused.
+    snapshot fails its marginal or momentum-norm check, the engine is
+    recorded without any (its moments stay valid) and a warning names the
+    snapshot.  A failure on the initial field is raised: the configured
+    momentum axis cannot hold the beam at all, which no evolution caused.
     """
     if name in GRID_ENGINES:
         return traj.snapshots
@@ -243,7 +243,7 @@ def _phase_space_snapshots(name: str, traj, config: ScenarioConfig, warnings: li
     for step, field in zip(traj.snapshot_steps, traj.snapshots):
         try:
             wigners.append(wigner(field, COMPARISON_MARGINAL_TOL))
-        except TransformError as exc:
+        except (TransformError, StateError) as exc:
             if step == 0:
                 message = f"engine twm: Wigner transform of the initial field: {exc}"
                 raise TransformError(message) from None

@@ -22,7 +22,7 @@ from functools import reduce
 
 import numpy as np
 
-from .exceptions import GridError, SamplingError, StateError
+from .exceptions import GridError, SamplingError, StateError, check_count, check_positive
 from .grids import AxisGrid, PhaseGrid
 
 __all__ = [
@@ -61,11 +61,6 @@ def _check_norm(norm: float, what: str) -> None:
         raise StateError(f"{what} is {norm!r}, expected 1 within {NORM_TOL}")
 
 
-def _check_positive(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0.0):
-        raise StateError(f"{name} must be positive and finite, got {value}")
-
-
 def _check_classical(values: np.ndarray) -> None:
     floor = -CLASSICAL_FLOOR * max(1.0, float(values.max(initial=0.0)))
     if float(values.min()) < floor:
@@ -99,7 +94,7 @@ class WaveField:
             raise StateError(
                 f"wavefield shape {values.shape} does not match grid ({self.grid.n},)"
             )
-        _check_positive("epsilon", self.epsilon)
+        check_positive("epsilon", self.epsilon, StateError)
         _check_norm(float(np.sum(np.abs(values) ** 2)) * self.grid.spacing, "wavefield norm")
         _frozen_array(self, "values", values)
 
@@ -212,8 +207,8 @@ def gaussian_wavefield(
     normalized on the grid.  The implied momentum spread is
     ``epsilon / (2 sigma)``, i.e. the minimum-uncertainty value.
     """
-    _check_positive("sigma", sigma)
-    _check_positive("epsilon", epsilon)
+    check_positive("sigma", sigma, StateError)
+    check_positive("epsilon", epsilon, StateError)
     return _coherent_peaks(grid, sigma, epsilon, x0, p0, z, (0.0,), "gaussian")
 
 
@@ -227,9 +222,9 @@ def superposition_wavefield(
     z: float = 0.0,
 ) -> WaveField:
     """Coherent superposition of two Gaussians with peak-to-peak separation."""
-    _check_positive("sigma", sigma)
-    _check_positive("separation", separation)
-    _check_positive("epsilon", epsilon)
+    check_positive("sigma", sigma, StateError)
+    check_positive("separation", separation, StateError)
+    check_positive("epsilon", epsilon, StateError)
     half = 0.5 * separation
     return _coherent_peaks(grid, sigma, epsilon, x0, p0, z, (half, -half), "superposition")
 
@@ -300,8 +295,7 @@ def sample_rays(quasidist: QuasiDistribution, count: int, seed: int) -> RayEnsem
     Sampling is exact for the piecewise-constant grid density: inverse CDF
     over cell masses, then a uniform jitter inside the selected cell.
     """
-    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
-        raise SamplingError(f"ray count must be a positive integer, got {count!r}")
+    count = check_count(count, "ray count", 1, SamplingError)
     if quasidist.kind != "classical":
         raise SamplingError(
             "refusing to sample a wigner-kind quasi-distribution; "
@@ -320,12 +314,12 @@ def sample_rays(quasidist: QuasiDistribution, count: int, seed: int) -> RayEnsem
     masses = (clipped / clipped.sum()).ravel()
     cdf = np.cumsum(masses)
     cdf[-1] = 1.0
-    flat = np.searchsorted(cdf, rng.random(int(count)), side="right")
+    flat = np.searchsorted(cdf, rng.random(count), side="right")
     ix, ip = np.unravel_index(flat, values.shape)
     x_axis = quasidist.grid.x_axis
     p_axis = quasidist.grid.p_axis
-    x = x_axis.points()[ix] + (rng.random(int(count)) - 0.5) * x_axis.spacing
-    p = p_axis.points()[ip] + (rng.random(int(count)) - 0.5) * p_axis.spacing
+    x = x_axis.points()[ix] + (rng.random(count) - 0.5) * x_axis.spacing
+    p = p_axis.points()[ip] + (rng.random(count) - 0.5) * p_axis.spacing
     return RayEnsemble(
         positions=x,
         momenta=p,

@@ -28,7 +28,7 @@ from functools import partial
 import numpy as np
 
 from .diagnostics import BeamMoments, _WavefieldMoments
-from .exceptions import BeamPhaseError, SolverError
+from .exceptions import BeamPhaseError, SolverError, check_positive
 from .grids import AxisGrid
 from .phasespace import StepPlan, Trajectory, _evolve, _static_once, _step_boundaries
 from .potentials import ConstantProfile, PotentialSpec, eval_potential
@@ -152,8 +152,7 @@ def matched_width(spec: PotentialSpec, epsilon: float) -> float:
     Requires a z-independent focusing term: the x^2 coefficient must be a
     positive constant and no higher power may be present.
     """
-    if not (math.isfinite(epsilon) and epsilon > 0.0):
-        raise BeamPhaseError(f"epsilon must be positive and finite, got {epsilon!r}")
+    epsilon = check_positive("epsilon", epsilon, BeamPhaseError)
     if spec.degree > 2:
         raise BeamPhaseError("matched width is defined only for a linear lens (degree 2)")
     term = {power: profile for power, profile in spec.terms}.get(2)
@@ -167,7 +166,6 @@ def matched_width(spec: PotentialSpec, epsilon: float) -> float:
 
 def free_gaussian_sigma(sigma0: float, epsilon: float, z: float) -> float:
     """Width of a free coherent Gaussian: sigma0 sqrt(1 + (eps z / 2 sigma0^2)^2)."""
-    if not (math.isfinite(sigma0) and sigma0 > 0.0):
-        raise BeamPhaseError(f"sigma0 must be positive and finite, got {sigma0!r}")
+    sigma0 = check_positive("sigma0", sigma0, BeamPhaseError)
     spread = epsilon * z / (2.0 * sigma0**2)
     return sigma0 * math.sqrt(1.0 + spread * spread)

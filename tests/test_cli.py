@@ -31,7 +31,7 @@ from beamphase import (
 )
 from beamphase import phasespace, runner, scenario
 from beamphase.cli import main
-from beamphase.outputs import CSV_COLUMNS
+from beamphase.outputs import CSV_COLUMNS, write_moments_csv
 
 FREE_SCENARIO = """
 [grid]
@@ -91,6 +91,37 @@ engines = twm
 [output]
 directory = {outdir}
 formats = csv, grid-dump
+"""
+
+
+# A mismatched beam focused by a constant lens: the evolved twm field passes
+# its step checks, but its momentum density on the 256-point axis misses unit
+# norm, so the step-1000 Wigner transform fails the WaveField norm check.
+MOMENTUM_NORM_SCENARIO = """
+[grid]
+nx = 512
+np = 256
+x_length = 48.0
+p_length = 4.0
+
+[beam]
+sigma0 = 1.0
+
+[physics]
+epsilon = 0.1
+
+[potential]
+preset = linear_lens
+k = 1.0
+
+[run]
+dz = 0.01
+n_steps = 1000
+engines = twm, rays
+
+[output]
+directory = {outdir}
+formats = csv
 """
 
 
@@ -289,6 +320,20 @@ class TestGridDumpContract:
         (tmp_path / "beam.minmax.txt").mkdir()
         with pytest.raises(BeamPhaseError, match=r"cannot write .*beam\.minmax\.txt: "):
             write_heatmap(tmp_path / "beam.pgm", rho)
+
+    @pytest.mark.parametrize("name", ["beam.pgm", "beam.mbgd", "moments.csv"])
+    def test_write_failure_names_the_file(self, tmp_path, name):
+        grid = PhaseGrid(AxisGrid(16, 12.0), AxisGrid(16, 12.0))
+        rho = gaussian_quasidist(grid, 0.5, 0.5)
+        result = runner.EngineResult("moyal", (), (), (), (), 0.0)
+        writers = {
+            "beam.pgm": lambda path: write_heatmap(path, rho),
+            "beam.mbgd": lambda path: write_grid_dump(path, rho, 0.1),
+            "moments.csv": lambda path: write_moments_csv(path, result),
+        }
+        (tmp_path / name).mkdir()
+        with pytest.raises(BeamPhaseError, match=rf"^cannot write .*{name}: "):
+            writers[name](tmp_path / name)
 
 
 class TestVerbs:
@@ -518,6 +563,18 @@ class TestRunnerReport:
         rows = (outdir / "moments_twm.csv").read_text().splitlines()
         assert len(rows) == 1 + 501
         assert sorted(p.name for p in outdir.iterdir()) == ["moments_twm.csv"]
+
+    def test_evolved_momentum_norm_failure_is_a_warning(self, tmp_path, capsys):
+        outdir = tmp_path / "out"
+        ini = write_ini(tmp_path, MOMENTUM_NORM_SCENARIO, outdir=outdir)
+        assert main(["run", str(ini)]) == 0
+        out = capsys.readouterr().out
+        assert (
+            "warning: twm: Wigner transform of the step 1000 snapshot failed (wavefield norm"
+            in out
+        )
+        assert sorted(p.name for p in outdir.iterdir()) == ["moments_rays.csv", "moments_twm.csv"]
+        assert len((outdir / "moments_twm.csv").read_text().splitlines()) == 1 + 1001
 
     def test_paraxial_warning_reaches_report_and_stdout(self, tmp_path, capsys):
         text = FREE_SCENARIO.replace(

@@ -1,0 +1,98 @@
+"""The shared input rules: each entry point refuses a bad scalar with its own error type."""
+
+import math
+
+import numpy as np
+import pytest
+
+from beamphase import (
+    AxisGrid,
+    BeamPhaseError,
+    GridError,
+    PhaseGrid,
+    SamplingError,
+    SolverError,
+    StateError,
+    StepPlan,
+    emittance_from_thermal,
+    free_gaussian_sigma,
+    gaussian_quasidist,
+    gaussian_wavefield,
+    linear_lens,
+    matched_width,
+    moyal_generator,
+    moyal_generator_truncated,
+    sample_rays,
+)
+
+GRID = PhaseGrid(AxisGrid(64, 16.0), AxisGrid(64, 8.0))
+
+ENTRY_POINTS = {
+    "AxisGrid": (lambda bad: AxisGrid(8, bad), GridError),
+    "StepPlan": (lambda bad: StepPlan(bad, 10), SolverError),
+    "gaussian_wavefield": (lambda bad: gaussian_wavefield(GRID.x_axis, bad, 0.1), StateError),
+    "moyal_generator": (
+        lambda bad: moyal_generator(linear_lens(1.0), 0.5, 1.0, 0.0, bad),
+        BeamPhaseError,
+    ),
+    "matched_width": (lambda bad: matched_width(linear_lens(1.0), bad), BeamPhaseError),
+    "free_gaussian_sigma": (lambda bad: free_gaussian_sigma(bad, 0.1, 1.0), BeamPhaseError),
+    "emittance_from_thermal": (lambda bad: emittance_from_thermal(bad, 1.0), StateError),
+    "sample_rays": (
+        lambda bad: sample_rays(gaussian_quasidist(GRID, 1.0, 0.5), bad, 0),
+        SamplingError,
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", ["1", math.nan], ids=["string", "nan"])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_bad_scalar_raises_the_entry_points_own_error(entry, bad):
+    call, error = ENTRY_POINTS[entry]
+    with pytest.raises(BeamPhaseError) as info:
+        call(bad)
+    assert info.type is error
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: AxisGrid(8, "1"), "axis length must be positive and finite, got '1'"),
+        (lambda: AxisGrid(-8, 1.0), "axis point count must be a power of two >= 8, got -8"),
+        (lambda: AxisGrid(8.0, 1.0), "axis point count must be an integer, got 8.0"),
+        (lambda: StepPlan(0.1, 10, "truncated", 2), "max_order must be odd, got 2"),
+        (
+            lambda: moyal_generator_truncated(linear_lens(1.0), 0.5, 1.0, 0.0, 0.1, 2),
+            "max_order must be odd, got 2",
+        ),
+        (
+            lambda: sample_rays(gaussian_quasidist(GRID, 1.0, 0.5), 0, 0),
+            "ray count must be >= 1, got 0",
+        ),
+        (
+            lambda: sample_rays(gaussian_quasidist(GRID, 1.0, 0.5), np.int64(0), 0),
+            "ray count must be >= 1, got 0",
+        ),
+    ],
+    ids=[
+        "axis-length-string",
+        "axis-count-negative",
+        "axis-count-float",
+        "plan-even-order",
+        "truncated-even-order",
+        "ray-count-zero",
+        "ray-count-numpy-zero",
+    ],
+)
+def test_messages(call, message):
+    with pytest.raises(BeamPhaseError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_cleaned_values_are_plain_numbers():
+    grid = AxisGrid(np.int64(16), np.float32(2.0))
+    assert type(grid.n) is int and type(grid.length) is float
+    plan = StepPlan(np.float64(0.1), np.int32(5), "truncated", np.int64(3))
+    assert (type(plan.dz), type(plan.n_steps), type(plan.max_order)) == (float, int, int)
+    assert sample_rays(gaussian_quasidist(GRID, 1.0, 0.5), np.int64(5), 0).count == 5
