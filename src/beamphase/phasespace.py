@@ -18,9 +18,15 @@ rho is real, so the state stays a real array between steps and every
 sub-flow uses real-data transforms: the drifts ``rfft``/``irfft`` along x,
 the kick along p.  Both multipliers are Hermitian (the drift phase is odd
 in kx, and G is odd in y), so each is built only on the non-negative half
-spectrum; the kick, rebuilt every step for z-dependent potentials, costs
-half the generator evaluations and forms ``exp(i dz G)`` as
-``cos(dz G) + i sin(dz G)`` of a real angle.
+spectrum.  The kick, rebuilt every step for z-dependent potentials, forms
+``exp(i dz G)`` as ``cos(dz G) + i sin(dz G)`` of a real angle.  For a
+potential of degree at most 2 (all of linear optics) ``G = U'(x) y`` has
+rank one in y, so the kick is built from the gradient alone: with
+``y_j = j dy`` and ``j = w q + r``, ``exp(i dz U'_i y_j)`` is the product of
+``exp(i dz dy U'_i w q)`` and ``exp(i dz dy U'_i r)``, which takes cos and
+sin of about ``2 sqrt(np/2)`` columns instead of ``np/2 + 1``.  A potential
+of higher degree builds its generator on the whole ``nx x (np/2 + 1)``
+half spectrum.
 
 The one place a half spectrum loses information is the unpaired Nyquist
 row (column): ``irfft`` drops the imaginary part that the multiplier
@@ -268,26 +274,60 @@ def _kick_multiplier(
 ):
     """``exp(i dz G)`` on ``x_col`` x ``y_row`` as ``cos + i sin`` (None without a force).
 
-    Raises when the kick phase ``max |dz G|`` reaches pi.
+    When ``spec.kick_is_classical`` the generator is ``U'(x) y`` bit for bit
+    under either plan (the order-1 shift coefficient ``2 (eps/2) / eps`` is
+    1.0), so the kick has rank one in y and is built from the gradient
+    alone by :func:`_rank_one_kick`; otherwise the generator is built on the
+    whole grid.  Raises when the kick phase ``max |dz G|`` reaches pi; both
+    builds give that phase the same value.
     """
     if spec.degree < 1:
         return None
+    if spec.kick_is_classical:
+        slope = eval_gradient(spec, x_col[:, 0], z_mid)
+        # Rounding is monotone, so max_ij |U'_i y_j| = max_j (max_i |U'_i|) y_j
+        # (a non-finite U' gives nan, as the 0 * inf of the y = 0 column does).
+        _check_kick_phase(float(np.max(np.abs(slope).max() * y_row)) * plan.dz)
+        return _rank_one_kick(slope, y_row[0], plan.dz)
     if plan.generator == "full_moyal":
         g = moyal_generator(spec, x_col, y_row, z_mid, epsilon)
     else:
         g = moyal_generator_truncated(spec, x_col, y_row, z_mid, epsilon, plan.max_order)
     # G is odd in y, so max |G| over the half spectrum is the whole-box value.
-    guard = float(np.abs(g).max()) * plan.dz
+    _check_kick_phase(float(np.abs(g).max()) * plan.dz)
+    return _unit_phase(plan.dz * g)
+
+
+def _check_kick_phase(guard: float) -> None:
     if guard >= math.pi:
         raise SolverError(
             f"kick phase overflow: max |dz * G| = {guard:.3e} >= pi "
             "(the complex exponential would alias); reduce dz or the grid extents"
         )
-    angle = plan.dz * g
-    kick = np.empty(angle.shape, dtype=complex)
-    np.cos(angle, out=kick.real)
-    np.sin(angle, out=kick.imag)
-    return kick
+
+
+def _unit_phase(angle: np.ndarray) -> np.ndarray:
+    """``exp(i angle)`` of a real array, as ``cos + i sin``."""
+    out = np.empty(angle.shape, dtype=complex)
+    np.cos(angle, out=out.real)
+    np.sin(angle, out=out.imag)
+    return out
+
+
+def _rank_one_kick(slope: np.ndarray, y: np.ndarray, dz: float) -> np.ndarray:
+    """``exp(i dz slope_i y_j)`` on the half-spectrum row ``y_j = j dy`` from few cos and sin.
+
+    With ``theta_i = dz dy slope_i``, each ``j = w q + r`` (``w = ceil(sqrt(n))``
+    for the row's n entries) gives ``exp(i theta_i j) = exp(i theta_i w q)
+    exp(i theta_i r)``: cos and sin of ``n/w + w`` columns instead of n.
+    Returns a view of the first n columns of the product.
+    """
+    n = len(y)
+    width = math.ceil(math.sqrt(n))
+    theta = (dz * y[1]) * slope
+    coarse = _unit_phase(np.multiply.outer(theta, np.arange(0, n, width)))
+    fine = _unit_phase(np.multiply.outer(theta, np.arange(width)))
+    return (coarse[:, :, None] * fine[:, None, :]).reshape(len(slope), -1)[:, :n]
 
 
 def _preflight_kick(

@@ -125,7 +125,9 @@ class PotentialSpec:
         ``moyal_generator`` is then ``moyal_generator_truncated(..., 1)``
         bit for bit, and the deformed and classical transport of a density
         are the same map.  This covers all of linear beam optics (drifts,
-        quadrupole lenses, FODO cells).
+        quadrupole lenses, FODO cells).  The generator is then
+        ``U'(x) y``, so the kick ``exp(i dz G)`` has rank one in y: the
+        grid solver builds it from the gradient alone.
         """
         return self.degree <= 2
 

@@ -36,12 +36,19 @@ from beamphase import (
 )
 from beamphase import phasespace
 from beamphase.diagnostics import _beam_moments
-from beamphase.phasespace import STEP_REALNESS_TOL, _GridKernel
+from beamphase.phasespace import (
+    STEP_REALNESS_TOL,
+    _GridKernel,
+    _kick_multiplier,
+    _kick_operands,
+)
 
 EPS = 0.1
 FREE_GRID = PhaseGrid(AxisGrid(256, 24.0), AxisGrid(64, 0.8))
 LENS_GRID = PhaseGrid(AxisGrid(128, 6.4), AxisGrid(64, 3.84))
 QUARTIC_GRID = PhaseGrid(AxisGrid(128, 12.8), AxisGrid(64, 6.4))
+HARMONIC_LENS = PotentialSpec(((2, HarmonicProfile(0.5, 3.0)),))
+LENS_WITH_X1 = PotentialSpec(((1, HarmonicProfile(0.3, 2.0)), (2, ConstantProfile(0.5))))
 
 
 class TestStepPlan:
@@ -178,6 +185,46 @@ class TestQuartic:
             evolve_phase_space(rho, quartic_channel(1.0, 0.1), EPS, StepPlan(1e-3, 100))
 
 
+class TestMoyalCorrection:
+    # The Moyal generator exceeds the Liouville one first by eps^2 U''' y^3 / 24,
+    # so one kick of the same state moves only the third and higher momentum
+    # moments: <p^3>_moyal - <p^3>_liouville = dz eps^2 <U'''> / 4, with
+    # <U'''> taken on the state the kick sees, after the first half drift.
+    GRID = PhaseGrid(AxisGrid(256, 12.8), AxisGrid(128, 6.4))
+    DZ = 2e-4
+
+    def one_step_momentum_moments(self, spec, epsilon):
+        rho = gaussian_quasidist(self.GRID, 0.4, epsilon / 0.8, x0=0.5)
+        p = self.GRID.p_axis.points()
+        moments = {}
+        for name, plan in (
+            ("moyal", StepPlan(self.DZ, 1)), ("liouville", StepPlan(self.DZ, 1, "truncated", 1))
+        ):
+            w_p = step_phase_space(rho, spec, epsilon, plan).values.sum(axis=0)
+            moments[name] = [float(w_p @ p**k) * self.GRID.cell_area for k in (1, 2, 3)]
+        return rho, moments
+
+    @pytest.mark.parametrize("epsilon", [0.1, 0.2])
+    def test_third_momentum_moment_gains_the_deformation_term(self, epsilon):
+        lam = 0.1
+        rho, moments = self.one_step_momentum_moments(quartic_channel(1.0, lam), epsilon)
+        x, p = self.GRID.meshes()
+        # U''' = 24 lam x, averaged after the half drift x <- x + p dz / 2.
+        u3 = 24.0 * lam * (x + 0.5 * self.DZ * p)
+        mean_u3 = float((rho.values * u3).sum()) * self.GRID.cell_area
+        (p1_m, p2_m, p3_m), (p1_l, p2_l, p3_l) = moments["moyal"], moments["liouville"]
+        assert p1_m == pytest.approx(p1_l, rel=1e-12, abs=1e-15)
+        assert p2_m == pytest.approx(p2_l, rel=1e-12)
+        assert p3_m - p3_l == pytest.approx(self.DZ * epsilon**2 * mean_u3 / 4.0, rel=1e-8)
+
+    @pytest.mark.parametrize(
+        "spec", [linear_lens(1.0), LENS_WITH_X1], ids=["lens", "lens_with_x1"]
+    )
+    def test_no_difference_for_degree_two(self, spec):
+        _, moments = self.one_step_momentum_moments(spec, 0.1)
+        assert moments["moyal"] == moments["liouville"]
+
+
 def complex_reference(state, spec, epsilon, plan):
     """Complex-FFT Strang steps on the full spectrum, carried as a complex array.
 
@@ -203,9 +250,6 @@ def complex_reference(state, spec, epsilon, plan):
             rho = np.fft.ifft(np.fft.fft(rho, axis=1) * np.exp(1j * plan.dz * g), axis=1)
         rho = np.fft.ifft(np.fft.fft(rho, axis=0) * drift, axis=0)
     return rho
-
-
-HARMONIC_LENS = PotentialSpec(((2, HarmonicProfile(0.5, 3.0)),))
 
 
 class TestRealKernel:
@@ -268,6 +312,108 @@ class TestRealKernel:
         for step in range(plan.n_steps):
             values, residue = kernel.apply(values, step * plan.dz)
             assert residue <= 1e-6 * STEP_REALNESS_TOL * np.abs(values).max()
+
+
+def dense_kick(spec, x_col, y_row, epsilon, plan, z_mid):
+    """``exp(i dz G)`` from the generator built on the whole grid, as ``cos + i sin``."""
+    if plan.generator == "full_moyal":
+        g = moyal_generator(spec, x_col, y_row, z_mid, epsilon)
+    else:
+        g = moyal_generator_truncated(spec, x_col, y_row, z_mid, epsilon, plan.max_order)
+    angle = plan.dz * g
+    kick = np.empty(angle.shape, dtype=complex)
+    np.cos(angle, out=kick.real)
+    np.sin(angle, out=kick.imag)
+    return kick
+
+
+class TestRankOneKick:
+    # For degree <= 2 the kick exp(i dz U'(x) y) is built from the gradient
+    # and a few columns of cos and sin; the dense generator build is its
+    # reference, with the kick phase near the guard's pi.
+    LENSES = {
+        "linear_lens": linear_lens(1.0),
+        "harmonic_lens": HARMONIC_LENS,
+        "lens_with_x1": LENS_WITH_X1,
+    }
+    Z_MID = 0.37
+
+    @staticmethod
+    def operands(n_p):
+        return _kick_operands(PhaseGrid(AxisGrid(256, 25.6), AxisGrid(n_p, 6.4)))
+
+    def max_generator(self, spec, x, y):
+        return float(np.abs(moyal_generator(spec, x, y, self.Z_MID, EPS)).max())
+
+    @pytest.mark.parametrize("n_p", [64, 128, 512])
+    @pytest.mark.parametrize("lens", sorted(LENSES))
+    @pytest.mark.parametrize("generator", ["full_moyal", "truncated"])
+    def test_matches_dense_build_near_the_guard(self, lens, n_p, generator):
+        spec = self.LENSES[lens]
+        x, y = self.operands(n_p)
+        plan = StepPlan(3.1 / self.max_generator(spec, x, y), 1, generator)
+        kick = _kick_multiplier(spec, x, y, EPS, plan, self.Z_MID)
+        assert kick.shape == (x.shape[0], y.shape[1])
+        reference = dense_kick(spec, x, y, EPS, plan, self.Z_MID)
+        assert np.abs(kick - reference).max() <= 3e-15
+
+    @pytest.mark.parametrize("lens", sorted(LENSES))
+    def test_guard_value_and_message_as_the_dense_build(self, monkeypatch, lens):
+        spec = self.LENSES[lens]
+        x, y = self.operands(128)
+        peak = self.max_generator(spec, x, y)
+        guards = []
+        check = phasespace._check_kick_phase
+
+        def recording(guard):
+            guards.append(guard)
+            check(guard)
+
+        monkeypatch.setattr(phasespace, "_check_kick_phase", recording)
+        at_pi = math.pi / peak
+        for dz in (0.5 * at_pi, math.nextafter(at_pi, 0.0), at_pi, math.nextafter(at_pi, 1.0), 2 * at_pi):
+            guard = peak * dz  # the dense build's max |dz G|
+            plan = StepPlan(dz, 1)
+            if guard >= math.pi:
+                message = (
+                    f"kick phase overflow: max |dz * G| = {guard:.3e} >= pi "
+                    "(the complex exponential would alias); reduce dz or the grid extents"
+                )
+                with pytest.raises(SolverError) as caught:
+                    _kick_multiplier(spec, x, y, EPS, plan, self.Z_MID)
+                assert str(caught.value) == message
+            else:
+                _kick_multiplier(spec, x, y, EPS, plan, self.Z_MID)
+            assert guards.pop() == guard
+
+    def test_lens_run_builds_no_generator(self, monkeypatch):
+        calls = Counter()
+        for name in ("moyal_generator", "moyal_generator_truncated"):
+            original = getattr(phasespace, name)
+
+            def counted(*args, __name=name, __original=original):
+                calls[__name] += 1
+                return __original(*args)
+
+            monkeypatch.setattr(phasespace, name, counted)
+        rho = gaussian_quasidist(LENS_GRID, 0.3, 0.2)
+        for plan in (StepPlan(0.01, 20), StepPlan(0.01, 20, "truncated", 1)):
+            evolve_phase_space(rho, HARMONIC_LENS, EPS, plan)
+        assert calls == Counter()
+        # The counter does see the quartic channel's one static build per plan.
+        rho = gaussian_quasidist(QUARTIC_GRID, 0.4, 0.25)
+        evolve_phase_space(rho, quartic_channel(1.0, 0.1), EPS, StepPlan(5e-4, 3))
+        evolve_phase_space(rho, quartic_channel(1.0, 0.1), EPS, StepPlan(5e-4, 3, "truncated", 1))
+        assert calls == Counter(moyal_generator=1, moyal_generator_truncated=1)
+
+    @pytest.mark.parametrize(
+        "plan", [StepPlan(5e-4, 1), StepPlan(5e-4, 1, "truncated", 1)], ids=["full", "order1"]
+    )
+    def test_quartic_kick_is_the_dense_build_bitwise(self, plan):
+        spec = PotentialSpec(((2, HarmonicProfile(0.5, 3.0)), (4, ConstantProfile(0.1))))
+        x, y = _kick_operands(QUARTIC_GRID)
+        kick = _kick_multiplier(spec, x, y, EPS, plan, self.Z_MID)
+        assert kick.tobytes() == dense_kick(spec, x, y, EPS, plan, self.Z_MID).tobytes()
 
 
 def retransform_reference(state, spec, epsilon, plan):
