@@ -105,13 +105,24 @@ def _grid_moments(
     return _beam_moments(z, mean_x, mean_p, var_x, var_p, cov_xp)
 
 
+def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row of ``a`` with ``b`` (one vector, or one per row).
+
+    Stacked ``(B, 1, n) @ (n, 1)`` products equal each row's 1-D ``@`` bit
+    for bit; the matrix-vector BLAS call of ``a @ b`` does not.
+    """
+    return (a[:, None, :] @ b[..., None])[:, 0, 0]
+
+
 class _WavefieldMoments:
     """Moments of wavefield arrays on one grid at one epsilon; checks the norm.
 
-    The grid points, spectral derivative factor and momenta are built once,
-    and one forward FFT serves both the momentum density and the derivative,
-    so a call costs two FFTs, or one when the caller passes the spectrum
-    ``fft(values)`` it already holds (the free-space solver step does).
+    The grid points, spectral derivative factor and momenta are built once.
+    ``rows`` measures a block of fields at once from their spectra, with one
+    batched inverse FFT for the derivative; ``finish`` checks one row's norm
+    and builds its moments, so a caller that measures step by step still
+    fails at the step whose field is bad.  Every row equals what the field
+    alone gives, bit for bit.  A single field is a block of one.
     """
 
     def __init__(self, grid: AxisGrid, eps: float):
@@ -125,27 +136,42 @@ class _WavefieldMoments:
         # momentum density up to a constant factor that the moments divide out.
         self.p = eps * k
 
-    def __call__(
-        self, values: np.ndarray, z: float, spectrum: np.ndarray | None = None
-    ) -> BeamMoments:
-        x = self.x
-        density = np.abs(values) ** 2
-        norm = float(density.sum())
+    def __call__(self, values: np.ndarray, z: float) -> BeamMoments:
+        (row,) = self.rows(values[None], np.fft.fft(values)[None])
+        return self.finish(row, z)
+
+    def rows(self, values: np.ndarray, spectra: np.ndarray) -> list[tuple[float, ...]]:
+        """``(norm, mean_x, mean_p, var_x, var_p, cov_xp)`` of each row of ``values``.
+
+        ``spectra`` holds ``fft(values, axis=1)``.  Nothing is checked here:
+        a non-finite row gives non-finite entries, which ``finish`` refuses.
+        """
+        x, p = self.x, self.p
+        # A bad row must not warn before its own step is measured.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            density = np.abs(values) ** 2
+            norm = density.sum(axis=1)
+            mean_x = _dot_rows(density, x) / norm
+            var_x = _dot_rows(density, (x - mean_x[:, None]) ** 2) / norm
+            del density
+            p_density = np.abs(spectra) ** 2
+            p_norm = p_density.sum(axis=1)
+            mean_p = _dot_rows(p_density, p) / p_norm
+            var_p = _dot_rows(p_density, (p - mean_p[:, None]) ** 2) / p_norm
+            del p_density
+            # <xp + px>/2 via the eps-scaled probability current J = eps*Im(Psi* Psi').
+            derivative = np.fft.ifft(self.ik * spectra, axis=1)
+            current = self.eps * np.multiply(np.conj(values), derivative, out=derivative).imag
+            del derivative
+            cov_xp = _dot_rows(current, x) / norm - mean_x * mean_p
+        columns = (norm, mean_x, mean_p, var_x, var_p, cov_xp)
+        return list(zip(*(column.tolist() for column in columns)))
+
+    def finish(self, row: tuple[float, ...], z: float) -> BeamMoments:
+        """The moments at ``z`` of one entry of ``rows``, after its norm check."""
+        norm, *moments = row
         _check_norm(norm * self.spacing, "wavefield norm")
-        mean_x = float(density @ x) / norm
-        var_x = float(density @ (x - mean_x) ** 2) / norm
-        if spectrum is None:
-            spectrum = np.fft.fft(values)
-        p = self.p
-        p_density = np.abs(spectrum) ** 2
-        p_norm = float(p_density.sum())
-        mean_p = float(p_density @ p) / p_norm
-        var_p = float(p_density @ (p - mean_p) ** 2) / p_norm
-        # <xp + px>/2 via the eps-scaled probability current J = eps*Im(Psi* Psi').
-        derivative = np.fft.ifft(self.ik * spectrum)
-        current = self.eps * np.imag(np.conj(values) * derivative)
-        cov_xp = float(current @ x) / norm - mean_x * mean_p
-        return _beam_moments(z, mean_x, mean_p, var_x, var_p, cov_xp)
+        return _beam_moments(z, *moments)
 
 
 def _ray_moments(x: np.ndarray, p: np.ndarray, z: float) -> BeamMoments:

@@ -44,6 +44,10 @@ CSV_COLUMNS = (
     "r3",
 )
 
+# One row of the moments CSV: "%.17g" writes each float as ``_fmt`` does,
+# in one formatting call per row.
+CSV_ROW = ",".join(["%.17g"] * len(CSV_COLUMNS))
+
 MBGD_MAGIC = b"MBGD"
 MBGD_VERSION = 1
 MBGD_HEADER = struct.Struct("<4s3I6d")
@@ -85,7 +89,7 @@ def write_moments_csv(path, result) -> Path:
             volume,
             r3,
         )
-        lines.append(",".join(_fmt(cell) for cell in cells))
+        lines.append(CSV_ROW % cells)
     return _write(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 

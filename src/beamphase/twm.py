@@ -6,11 +6,16 @@ variable k conjugate to x, and a second half potential phase.  The scaled
 emittance eps plays the role hbar has in quantum mechanics and is read from
 the wavefield itself, never from configuration.
 
-Without a potential the step is diagonal in k, so the solver keeps the
-spectrum of the field it returns: the per-step moments and the next step
-read it instead of transforming the field again, two FFTs a step instead
-of four.  With a potential the step ends with a half phase in x and takes
-four.
+Without a potential the step is diagonal in k, so the solver advances a
+block of steps at once.  Each spectrum of the block is the previous one
+times the kinetic phase, one batched inverse FFT gives the block's fields,
+and one batched pass gives their moments, with a second batched inverse
+FFT for the derivative.  No field is transformed forward again: two 1-D
+transforms a step instead of four, run as a few large calls instead of
+many small ones.  The steps are still handed out and checked one at a
+time, so a failing check names its own step.  With a potential the step
+ends with a half phase in x and takes four transforms; it runs step by
+step, so that an error from the potential also names its own step.
 
 The potential ordering here is the mirror image of the drift ordering in
 the phase-space grid solver; both are second order in dz, so cross-solver
@@ -65,21 +70,36 @@ def _half_phase(spec: PotentialSpec, x: np.ndarray, scale: float, z_mid: float):
     return np.exp(-1j * eval_potential(spec, x, z_mid) * scale)
 
 
+# Complex values in one array of a free-space block (64 KiB): the block holds
+# BLOCK_ELEMENTS // nx steps, so its memory does not grow with the grid.
+# Eight 512-point rows already share the per-call overhead of numpy's FFT
+# as well as 128 do, and arrays this small stay below glibc's default mmap
+# threshold: 1 MiB blocks raised it and cost twm_free 12 MB of peak RSS.
+BLOCK_ELEMENTS = 1 << 12
+
+
 class _TwmKernel:
     """Spectral phases and moment constants for repeated steps of one plan on one grid.
 
-    Without a potential, ``held`` pairs the field a step returned with its
-    spectrum.  The moments of that very array read the spectrum; the next
-    step handed it multiplies the spectrum in place and drops it.
+    Without a potential, ``advance`` handed a field it did not return (or
+    the last field of a block) computes the next block of up to
+    ``BLOCK_ELEMENTS // nx`` steps, capped by the steps the plan has left:
+    the spectra row by row, the fields by one batched inverse FFT, and
+    their norms and moments by ``_WavefieldMoments.rows``.  Each call then
+    returns the block's next field, and ``measure`` of that very array
+    only checks its norm and builds its moments.  The spectrum of the
+    block's last field is kept to open the next block.
     """
 
     lost = 0
-    held = None
+    _handed = None  # the field last returned from a block
 
     def __init__(self, psi: WaveField, spec: PotentialSpec, plan: StepPlan):
         self.plan = plan
         self.grid = psi.grid
         self.epsilon = psi.epsilon
+        self.steps_taken = 0
+        self.block_steps = max(1, BLOCK_ELEMENTS // psi.grid.n)
         # A plan without steps applies no kinetic phase, so it is neither built nor guarded.
         if plan.n_steps:
             self.kinetic_phase = _kinetic_phase(psi.grid, psi.epsilon, plan.dz)
@@ -89,30 +109,42 @@ class _TwmKernel:
         )
         self.moments = _WavefieldMoments(psi.grid, psi.epsilon)
 
-    def _held_spectrum(self, psi: np.ndarray) -> np.ndarray | None:
-        """The spectrum held for ``psi`` if it is the array last returned, else None."""
-        if self.held is not None and self.held[0] is psi:
-            return self.held[1]
-        return None
+    def _start_block(self, spectrum: np.ndarray) -> None:
+        count = min(self.block_steps, max(1, self.plan.n_steps - self.steps_taken))
+        spectra = np.empty((count, spectrum.size), dtype=complex)
+        # A bad field must not warn before its own step is measured.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for row in spectra:
+                spectrum = np.multiply(spectrum, self.kinetic_phase, out=row)
+            self.fields = np.fft.ifft(spectra, axis=1)
+        self.rows = self.moments.rows(self.fields, spectra)
+        self.spectrum = spectrum.copy()
+        self.next_row = 0
+
+    def _free_step(self, psi: np.ndarray) -> np.ndarray:
+        if psi is not self._handed:
+            self._start_block(np.fft.fft(psi))
+        elif self.next_row == len(self.rows):
+            self._start_block(self.spectrum)
+        self._handed = psi = self.fields[self.next_row]
+        self.next_row += 1
+        self.steps_taken += 1
+        return psi
 
     def advance(self, psi: np.ndarray, z: float) -> np.ndarray:
         half = self.half_at(z + 0.5 * self.plan.dz)
-        if half is not None:
-            psi = psi * half
-        spectrum = self._held_spectrum(psi)
-        self.held = None
-        if spectrum is None:
-            spectrum = np.fft.fft(psi)
+        if half is None:
+            return self._free_step(psi)
+        spectrum = np.fft.fft(psi * half)
         spectrum *= self.kinetic_phase
         psi = np.fft.ifft(spectrum)
-        if half is not None:
-            psi *= half
-        else:
-            self.held = (psi, spectrum)
+        psi *= half
         return psi
 
     def measure(self, psi: np.ndarray, z: float) -> BeamMoments:
-        return self.moments(psi, z, self._held_spectrum(psi))
+        if psi is self._handed:
+            return self.moments.finish(self.rows[self.next_row - 1], z)
+        return self.moments(psi, z)
 
     def wrap(self, psi: np.ndarray, z: float) -> WaveField:
         return WaveField(self.grid, psi, self.epsilon, z)

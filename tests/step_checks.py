@@ -9,15 +9,20 @@ import numpy as np
 FFT_NAMES = ("fft", "ifft", "rfft", "irfft")
 
 
-def count_ffts(monkeypatch) -> Counter:
-    """Patch ``np.fft``'s 1-D transforms to count their calls by name; returns the counter."""
+def count_ffts(monkeypatch, rows: bool = False) -> Counter:
+    """Patch ``np.fft``'s 1-D transforms to count them by name; returns the counter.
+
+    Counts calls, or with ``rows`` the 1-D transforms they take: a call on
+    a ``(B, n)`` array along its last axis counts B.
+    """
     calls = Counter()
     for name in FFT_NAMES:
         original = getattr(np.fft, name)
 
-        def counted(*args, __name=name, __original=original, **kwargs):
-            calls[__name] += 1
-            return __original(*args, **kwargs)
+        def counted(a, *args, __name=name, __original=original, **kwargs):
+            a = np.asarray(a)
+            calls[__name] += a.size // a.shape[kwargs.get("axis", -1)] if rows else 1
+            return __original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
     return calls

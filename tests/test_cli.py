@@ -12,6 +12,7 @@ import pytest
 
 from beamphase import (
     AxisGrid,
+    BeamMoments,
     BeamPhaseError,
     ConfigError,
     HarmonicProfile,
@@ -242,6 +243,23 @@ class TestRunArtifacts:
         volumes = [float(r[volume_col]) for r in rows]
         assert not any(math.isnan(volumes[k]) for k in (0, 2, 4))
         assert all(math.isnan(volumes[k]) for k in (1, 3))
+
+    def test_csv_cells_of_special_values(self, tmp_path):
+        # Each cell is format(value, ".17g"), also for nan, infinities,
+        # signed zeros and subnormals.
+        rows = [
+            (0.0, -0.0, 1e-320, float("inf"), 0.1, -float("inf"), 1.0 / 3.0),
+            (2.5e-17, float("nan"), -5e-324, 1.7976931348623157e308, 1.0, -0.0, 3.0),
+        ]
+        moments = tuple(BeamMoments(*row) for row in rows)
+        result = runner.EngineResult("twm", moments, (1,), (-0.0,), (float("nan"),), 0.0)
+        text = write_moments_csv(tmp_path / "m.csv", result).read_bytes().decode("ascii")
+        expected = [",".join(CSV_COLUMNS)]
+        for step, m in enumerate(moments):
+            volume, r3 = (-0.0, float("nan")) if step == 1 else (float("nan"),) * 2
+            cells = (*dataclasses.astuple(m), m.uncertainty_product, volume, r3)
+            expected.append(",".join(format(cell, ".17g") for cell in cells))
+        assert text == "\n".join(expected) + "\n"
 
     def test_ray_series_has_no_grid_diagnostics(self, free_run):
         lines = (free_run / "moments_rays.csv").read_text().splitlines()

@@ -224,6 +224,22 @@ class TestMoyalCorrection:
         _, moments = self.one_step_momentum_moments(spec, 0.1)
         assert moments["moyal"] == moments["liouville"]
 
+    def test_many_step_distance_scales_as_eps_squared(self):
+        # Same grid, same initial density and plan; only the eps passed to the
+        # solver changes, from the p spacing 0.05 up.  The ratio bound was
+        # fixed at 4 +- 10% before measuring.
+        rho = gaussian_quasidist(self.GRID, 0.4, 0.125, x0=0.5)
+        spec = quartic_channel(1.0, 0.1)
+        distance = {}
+        for epsilon in (0.05, 0.1, 0.2):
+            moyal, liouville = (
+                evolve_phase_space(rho, spec, epsilon, plan).final.values
+                for plan in (StepPlan(self.DZ, 100), StepPlan(self.DZ, 100, "truncated", 1))
+            )
+            distance[epsilon] = np.abs(moyal - liouville).max()
+        assert 3.6 <= distance[0.1] / distance[0.05] <= 4.4
+        assert 3.6 <= distance[0.2] / distance[0.1] <= 4.4
+
 
 def complex_reference(state, spec, epsilon, plan):
     """Complex-FFT Strang steps on the full spectrum, carried as a complex array.

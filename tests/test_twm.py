@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -27,8 +28,11 @@ from beamphase import (
     step_twm,
     wigner_transform,
 )
-from beamphase.states import WaveField
-from beamphase.twm import _TwmKernel
+from beamphase import twm
+from beamphase.diagnostics import _beam_moments
+from beamphase.phasespace import _step_boundaries
+from beamphase.states import NORM_TOL, WaveField
+from beamphase.twm import _kinetic_phase, _TwmKernel
 
 EPS = 0.1
 
@@ -214,15 +218,16 @@ def retransform_reference(psi, spec, plan):
 
 
 class TestHeldSpectrum:
-    # The free-space step keeps the spectrum of the field it returns: the
+    # The free-space step keeps the spectrum of the fields it returns: the
     # moments and the next step reuse it instead of transforming again.
     def test_free_space_step_takes_two_ffts(self, monkeypatch):
         psi = gaussian_wavefield(AxisGrid(512, 48.0), 1.0, EPS)
-        calls = count_ffts(monkeypatch)
-        n = 20
+        calls = count_ffts(monkeypatch, rows=True)
+        n = 2 * twm.BLOCK_ELEMENTS // 512 + 3  # not a multiple of the block
         evolve_twm(psi, free_space(), StepPlan(4e-3, n))
-        # Initial moments take fft + ifft, the first step one fft; then each
-        # step takes an ifft to the field and one to the moments' derivative.
+        # Counted in 1-D transforms, however the blocks batch them.  Initial
+        # moments take fft + ifft, the first step one fft; then each step
+        # takes an ifft to the field and one to the moments' derivative.
         assert calls == Counter(fft=2, ifft=2 * n + 1)
 
     def test_potential_step_keeps_four_ffts(self, monkeypatch):
@@ -275,3 +280,122 @@ class TestHeldSpectrum:
             return kernel
 
         assert_freed_without_gc(two_steps)
+
+
+def held_spectrum_steps(psi, plan):
+    """Free-space steps one at a time, each field measured on its own.
+
+    The first step transforms the field; then every step multiplies the
+    spectrum in place by the kinetic phase and inverts it, and the moments
+    read that spectrum with 1-D reductions.  Returns the moments and the
+    field of every step, step 0 included.
+    """
+    grid, eps = psi.grid, psi.epsilon
+    kinetic = _kinetic_phase(grid, eps, plan.dz) if plan.n_steps else None
+    x, k = grid.points(), grid.frequencies()
+    p = eps * k
+
+    def measure(values, spectrum, z):
+        density = np.abs(values) ** 2
+        norm = float(density.sum())
+        mean_x = float(density @ x) / norm
+        var_x = float(density @ (x - mean_x) ** 2) / norm
+        p_density = np.abs(spectrum) ** 2
+        p_norm = float(p_density.sum())
+        mean_p = float(p_density @ p) / p_norm
+        var_p = float(p_density @ (p - mean_p) ** 2) / p_norm
+        derivative = np.fft.ifft(1j * k * spectrum)
+        current = eps * np.imag(np.conj(values) * derivative)
+        cov_xp = float(current @ x) / norm - mean_x * mean_p
+        return _beam_moments(z, mean_x, mean_p, var_x, var_p, cov_xp)
+
+    zs = _step_boundaries(psi.z, plan)
+    values = psi.values
+    spectrum = np.fft.fft(values)
+    moments, fields = [measure(values, spectrum, zs[0])], [values]
+    for z in zs[1:]:
+        spectrum *= kinetic
+        values = np.fft.ifft(spectrum)
+        moments.append(measure(values, spectrum, z))
+        fields.append(values)
+    return moments, fields
+
+
+def moment_bytes(moments):
+    return np.array([astuple(m) for m in moments]).tobytes()
+
+
+class TestFreeSpaceBlocks:
+    # A free-space run steps in blocks of BLOCK steps; the results must be
+    # those of taking the steps one at a time, bit for bit, and a failing
+    # check must still name its own step.
+    GRID = AxisGrid(512, 48.0)
+    BLOCK = twm.BLOCK_ELEMENTS // 512
+    DZ = 4e-3
+
+    @pytest.mark.parametrize(
+        "n_steps, every",
+        [(2 * BLOCK + 3, 7), (BLOCK, BLOCK), (BLOCK + 1, 5), (3, None)],
+        ids=["uneven", "one_block", "block_plus_one", "short"],
+    )
+    def test_matches_steps_taken_one_at_a_time(self, n_steps, every):
+        psi = gaussian_wavefield(self.GRID, 1.0, EPS, x0=0.5, p0=0.05)
+        plan = StepPlan(self.DZ, n_steps)
+        run = evolve_twm(psi, free_space(), plan, snapshot_every=every)
+        moments, fields = held_spectrum_steps(psi, plan)
+        assert moment_bytes(run.moments) == moment_bytes(moments)
+        assert run.snapshot_steps[-1] == n_steps
+        for step, snap in zip(run.snapshot_steps, run.snapshots):
+            assert snap.values.tobytes() == fields[step].tobytes()
+
+    def test_zero_steps(self):
+        psi = gaussian_wavefield(self.GRID, 1.0, EPS)
+        run = evolve_twm(psi, free_space(), StepPlan(self.DZ, 0))
+        moments, _ = held_spectrum_steps(psi, StepPlan(self.DZ, 0))
+        assert moment_bytes(run.moments) == moment_bytes(moments)
+        assert run.final is psi
+
+    def test_step_twm(self):
+        psi = gaussian_wavefield(self.GRID, 1.0, EPS, x0=0.5)
+        plan = StepPlan(self.DZ, 1)
+        _, fields = held_spectrum_steps(psi, plan)
+        assert step_twm(psi, free_space(), plan).values.tobytes() == fields[1].tobytes()
+
+    def plant_growth(self, monkeypatch, per_step_norm):
+        """Scale the kinetic phase so that each step multiplies the norm by ``per_step_norm``."""
+        original = twm._kinetic_phase
+        scale = math.sqrt(per_step_norm)
+        monkeypatch.setattr(
+            twm, "_kinetic_phase", lambda *args: scale * original(*args)
+        )
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "failing", [1, BLOCK // 2 + 3, BLOCK, BLOCK + 1], ids=["first", "mid", "last", "next"]
+    )
+    def test_norm_failure_names_its_step(self, monkeypatch, failing):
+        psi = gaussian_wavefield(self.GRID, 1.0, EPS)
+        norm0 = float(np.sum(psi.density())) * self.GRID.spacing
+        # The norm crosses 1 + NORM_TOL half a step before step `failing`.
+        self.plant_growth(monkeypatch, ((1.0 + NORM_TOL) / norm0) ** (1.0 / (failing - 0.5)))
+        n = 2 * self.BLOCK + 3
+        with pytest.raises(SolverError, match=rf"^step {failing}/{n}: wavefield norm is "):
+            evolve_twm(psi, free_space(), StepPlan(self.DZ, n))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_later_in_the_block_does_not_warn(self, monkeypatch):
+        # The block's later fields overflow to inf and nan while it is built;
+        # the run must still fail at step 1, on its norm, without a warning.
+        psi = gaussian_wavefield(self.GRID, 1.0, EPS)
+        self.plant_growth(monkeypatch, 1e200)
+        n = self.BLOCK
+        assert n >= 4  # the spectra overflow from the fourth row on
+        with pytest.raises(SolverError, match=rf"^step 1/{n}: wavefield norm is [0-9.]+e\+(199|200),"):
+            evolve_twm(psi, free_space(), StepPlan(self.DZ, n))
+
+    @pytest.mark.parametrize("nx, length", [(64, 48.0), (512, 48.0), (1 << 17, 12288.0)])
+    def test_block_memory_does_not_grow_with_the_grid(self, nx, length):
+        psi = gaussian_wavefield(AxisGrid(nx, length), 1.0, EPS)
+        kernel = _TwmKernel(psi, free_space(), StepPlan(self.DZ, 5000))
+        kernel.advance(psi.values, 0.0)
+        assert kernel.fields.shape == (max(1, twm.BLOCK_ELEMENTS // nx), nx)
