@@ -224,35 +224,52 @@ def _evolve_engine(name: str, states: dict, spec, config: ScenarioConfig, shared
     return evolve_phase_space(rho, spec, config.epsilon, plan, every)
 
 
-def _phase_space_snapshots(name: str, traj, config: ScenarioConfig, warnings: list[str]) -> tuple:
-    """An engine's snapshots as phase-space densities; empty when it has none.
+def _phase_space_snapshots(name: str, traj, spec, config: ScenarioConfig, warnings: list[str]):
+    """An engine's snapshot diagnostics and the phase-space densities the run keeps.
 
-    Wavefield snapshots go through the Wigner transform.  When an evolved
-    snapshot fails its marginal or momentum-norm check, the engine is
-    recorded without any (its moments stay valid) and a warning names the
+    Returns ``(steps, densities, reports, ratios)``: the snapshot steps, the
+    densities, and each snapshot's :class:`NegativityReport` and truncation
+    ratio.  All four are empty for an engine without a phase-space
+    representation.
+
+    Wavefield snapshots go through one reused Wigner map, one at a time: each
+    density is taken for its diagnostics and then dropped, unless a grid
+    engine in the run needs them all for the distances.  Otherwise only the
+    final one is kept, for the artifacts and the final negativity, so a
+    twm-only run holds one density however many snapshots it takes.  When an
+    evolved snapshot fails its marginal or momentum-norm check, the engine
+    is recorded without any (its moments stay valid) and a warning names the
     snapshot.  A failure on the initial field is raised: the configured
     momentum axis cannot hold the beam at all, which no evolution caused.
     """
-    if name in GRID_ENGINES:
-        return traj.snapshots
-    if name != "twm":
-        return ()
-    first = traj.snapshots[0]
-    wigner = _WignerMap(first.grid, first.epsilon, config.grid.p_axis())
-    wigners = []
-    for step, field in zip(traj.snapshot_steps, traj.snapshots):
-        try:
-            wigners.append(wigner(field, COMPARISON_MARGINAL_TOL))
-        except (TransformError, StateError) as exc:
-            if step == 0:
-                message = f"engine twm: Wigner transform of the initial field: {exc}"
-                raise TransformError(message) from None
-            warnings.append(
-                f"twm: Wigner transform of the step {step} snapshot failed ({exc}); "
-                "twm is left out of the distances, the final negativity and the grid artifacts"
-            )
-            return ()
-    return tuple(wigners)
+    if name not in GRID_ENGINES and name != "twm":
+        return (), (), (), ()
+    keep_all = any(engine in GRID_ENGINES for engine in config.run.engines)
+    if name == "twm":
+        first = traj.snapshots[0]
+        wigner = _WignerMap(first.grid, first.epsilon, config.grid.p_axis())
+    densities, reports, ratios = [], [], []
+    for step, state in zip(traj.snapshot_steps, traj.snapshots):
+        if name == "twm":
+            try:
+                state = wigner(state, COMPARISON_MARGINAL_TOL)
+            except (TransformError, StateError) as exc:
+                if step == 0:
+                    message = f"engine twm: Wigner transform of the initial field: {exc}"
+                    raise TransformError(message) from None
+                warnings.append(
+                    f"twm: Wigner transform of the step {step} snapshot failed ({exc}); "
+                    "twm is left out of the distances, the final negativity and the grid "
+                    "artifacts"
+                )
+                return (), (), (), ()
+        reports.append(negativity(state))
+        ratios.append(truncation_ratio(state, spec, config.epsilon))
+        if keep_all:
+            densities.append(state)
+    if not keep_all:
+        densities.append(state)
+    return traj.snapshot_steps, tuple(densities), reports, ratios
 
 
 def run_scenario(config: ScenarioConfig, emit: bool = True) -> RunReport:
@@ -269,7 +286,6 @@ def run_scenario(config: ScenarioConfig, emit: bool = True) -> RunReport:
     Results and artifacts are those of two separate passes, bit for bit.
     """
     spec = config.potential.build()
-    epsilon = config.epsilon
     run = config.run
     failures = _guard_failures(config, spec)
     if failures:
@@ -287,7 +303,8 @@ def run_scenario(config: ScenarioConfig, emit: bool = True) -> RunReport:
 
     results: list[EngineResult] = []
     # name -> (snapshot steps, phase-space densities, final NegativityReport)
-    # for every engine with a phase-space representation.
+    # for every engine with a phase-space representation; twm keeps only its
+    # final density unless a grid engine needs them all for the distances.
     phase_space: dict[str, tuple] = {}
     shared: dict = {}  # a trajectory one engine's pass made for a later engine
 
@@ -298,12 +315,9 @@ def run_scenario(config: ScenarioConfig, emit: bool = True) -> RunReport:
         except SolverError as exc:
             raise SolverError(f"engine {name}: {exc}") from None
         seconds = time.perf_counter() - started
-        densities = _phase_space_snapshots(name, traj, config, warnings)
-        reports, ratios = [], []
-        for state in densities:
-            reports.append(negativity(state))
-            ratios.append(truncation_ratio(state, spec, epsilon))
-        steps = traj.snapshot_steps if densities else ()
+        steps, densities, reports, ratios = _phase_space_snapshots(
+            name, traj, spec, config, warnings
+        )
         if densities:
             phase_space[name] = (steps, densities, reports[-1])
         volumes = tuple(report.negativity_volume for report in reports)

@@ -15,11 +15,11 @@ p-integrated marginal identity hold to round-off by construction; the
 x-integrated identity then holds whenever the momentum axis actually
 resolves and covers the state, and is checked.
 
-Everything but the field itself (kept shift rows, shift table, ramps and the
-momentum map of that check) depends only on the position grid, epsilon and
-momentum axis, so it is built once per such triple in ``_WignerMap``; a run
-that transforms many snapshots reuses one map, and :func:`wigner_transform`
-builds a map for a single call.
+Everything but the field itself (kept shift rows, shift table, ramps, the
+momentum map of that check and the work arrays) depends only on the
+position grid, epsilon and momentum axis, so it is built once per such
+triple in ``_WignerMap``; a run that transforms many snapshots reuses one
+map, and :func:`wigner_transform` builds a map for a single call.
 """
 
 from __future__ import annotations
@@ -99,7 +99,21 @@ class _WignerMap:
     The kept shift rows, their spectral shift table, the first-point ramp and
     the momentum map behind the marginal check depend only on those, so they
     are built once; a call costs one FFT of the field, one inverse FFT per
-    kept shift and one FFT per x column.
+    kept shift and one FFT per x column.  Two work arrays are built once as
+    well and overwritten by every call: the shifted fields (kept rows by x,
+    inverse FFT in place) and the correlation (``np`` by x, FFT along s in
+    place, dropped rows zeroed again each call).  A call writes all of both
+    before it reads them, so one that raises leaves nothing the next reads.
+
+    Each correlation row is formed as ``conj(Psi(x - s)) * Psi(x + s)``, in
+    that operand order: complex multiplication is not bitwise commutative
+    here (``a * b != b * a`` in about a third of entries with numpy 2.4 on
+    AVX-512).  It is the order numpy took when the product was written as
+    ``plus * conj(minus)`` on arrays of 256 KiB or more, because it reuses
+    the temporary on the right as the output and so swaps the operands.
+    Every map of that size is bitwise equal to the old one-expression
+    transform; smaller ones, where numpy kept the written order, differ
+    from it in the last bit of some entries.
     """
 
     def __init__(self, grid: AxisGrid, eps: float, p_axis: AxisGrid):
@@ -108,8 +122,7 @@ class _WignerMap:
         ds = math.pi * eps / p_axis.length
         self.scale = ds / (math.pi * eps)
         # Shift samples in FFT index order: m = 0, 1, ..., -1 times ds.
-        m = np.fft.fftfreq(n_p, d=1.0 / n_p)
-        s = m * ds
+        s = np.fft.fftfreq(n_p, d=1.0 / n_p) * ds
         # On the periodic box the correlation Psi(x+s) Psi*(x-s) is genuine only
         # while the shifted copies stay clear of their periodic images; beyond
         # |s| = L/4 a state wider than half the box would fold onto itself, so
@@ -119,24 +132,38 @@ class _WignerMap:
         # s = 0 row is always kept, so the p-marginal identity stays exact.
         keep = np.abs(s) <= 0.25 * grid.length
         keep[n_p // 2] = False
-        self.keep = keep
         s_kept = s[keep]
+        # The kept shifts are m ds for m = 0, ..., M, -M, ..., -1: rows 0..M and
+        # np-M..np-1 of the correlation.
+        self.half = s_kept.size // 2
         # Spectral shift theorem: row i of the inverse FFT is Psi(x + s_i).
         self.shift = np.exp(1j * np.outer(s_kept, grid.frequencies()))
-        # The kept shifts are 0, ..., M, -M, ..., -1, so Psi(x - s_i) is the
-        # row of -s_i, index -i mod count.
-        self.mirror = -np.arange(s_kept.size) % s_kept.size
         # exp(-2 i p s / eps) split into the first-point ramp and a pure DFT.
         self.ramp = np.exp(-2j * p_axis.points()[0] * s_kept / eps)[:, None]
         self.momentum = _MomentumMap(grid, eps, p_axis)
+        self.fields = np.empty(self.shift.shape, dtype=complex)
+        self.corr = np.zeros((n_p, grid.n), dtype=complex)
 
     def __call__(self, psi: WaveField, marginal_tol: float) -> QuasiDistribution:
         grid = self.phase_grid.x_axis
-        plus = np.fft.ifft(np.fft.fft(psi.values)[None, :] * self.shift, axis=1)
-        corr = np.zeros((self.phase_grid.p_axis.n, grid.n), dtype=complex)
-        corr[self.keep] = plus * np.conj(plus[self.mirror]) * self.ramp
-        values = np.fft.fft(corr, axis=0) * self.scale
-        values = values.transpose()
+        half, fields, corr = self.half, self.fields, self.corr
+        np.multiply(np.fft.fft(psi.values), self.shift, out=fields)
+        np.fft.ifft(fields, axis=1, out=fields)
+        # Psi(x - s_i) is the fields row of -s_i: row 0 for i = 0, else row
+        # count - i.  So correlation rows 1..M read fields rows count-1..M+1,
+        # and rows np-M..np-1 read fields rows M..1.
+        upper, lower = corr[: half + 1], corr[corr.shape[0] - half :]
+        np.conj(fields[0], out=upper[0])
+        np.conj(fields[:half:-1], out=upper[1:])
+        np.conj(fields[half:0:-1], out=lower)
+        np.multiply(upper, fields[: half + 1], out=upper)
+        np.multiply(lower, fields[half + 1 :], out=lower)
+        upper *= self.ramp[: half + 1]
+        lower *= self.ramp[half + 1 :]
+        corr[half + 1 : corr.shape[0] - half] = 0.0
+        np.fft.fft(corr, axis=0, out=corr)
+        corr *= self.scale
+        values = corr.transpose()
         peak = float(np.abs(values.real).max())
         residue = float(np.abs(values.imag).max())
         if residue > REALNESS_TOL * peak:

@@ -6,6 +6,7 @@ import shutil
 import struct
 import subprocess
 import textwrap
+import weakref
 
 import numpy as np
 import pytest
@@ -746,6 +747,89 @@ class TestGridErrorParity:
         warnings = [line for line in capsys.readouterr().out.splitlines() if "warning" in line]
         assert [w.split(":")[1] for w in warnings] == [" engine moyal", " engine liouville"]
         assert all("step 1/40: kick phase overflow" in w for w in warnings)
+
+
+class TestWignerSnapshotStream:
+    """twm snapshots are transformed one at a time; only the densities a run needs stay alive."""
+
+    @pytest.fixture
+    def tracked_maps(self, monkeypatch):
+        """The Wigner maps the runner builds; each counts its live results at every call."""
+        maps = []
+
+        class TrackedWignerMap(runner._WignerMap):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.results, self.alive_at_call = [], []
+                maps.append(self)
+
+            def __call__(self, psi, marginal_tol):
+                self.alive_at_call.append(sum(ref() is not None for ref in self.results))
+                state = super().__call__(psi, marginal_tol)
+                self.results.append(weakref.ref(state))
+                return state
+
+        monkeypatch.setattr(runner, "_WignerMap", TrackedWignerMap)
+        return maps
+
+    def stream_ini(self, tmp_path, engines):
+        text = FREE_SCENARIO.replace(
+            "engines = twm, moyal, liouville, rays\nray_count = 2000\n", f"engines = {engines}\n"
+        ).replace("n_steps = 4\nsnapshot_every = 2", "n_steps = 40\nsnapshot_every = 2")
+        return write_ini(tmp_path, text, outdir=tmp_path / "out")
+
+    def test_twm_only_run_holds_at_most_two_densities(self, tmp_path, tracked_maps):
+        report = run_scenario(load_scenario(self.stream_ini(tmp_path, "twm")), emit=False)
+        (wigner,) = tracked_maps
+        assert len(wigner.alive_at_call) == 21
+        assert max(wigner.alive_at_call) <= 2
+        result = report.engine("twm")
+        assert result.snapshot_steps == tuple(range(0, 41, 2))
+        assert len(result.snapshot_negativity) == len(result.snapshot_r3) == 21
+        assert report.final_negativity is not None
+
+    def test_grid_engine_in_the_run_keeps_every_density(self, tmp_path, tracked_maps):
+        report = run_scenario(
+            load_scenario(self.stream_ini(tmp_path, "twm, liouville")), emit=False
+        )
+        (wigner,) = tracked_maps
+        assert wigner.alive_at_call == list(range(21))
+        (pair,) = report.distances
+        assert (pair.engine_a, pair.engine_b) == ("twm", "liouville")
+        assert pair.snapshot_steps == tuple(range(0, 41, 2))
+        assert len(pair.linf) == 21
+
+    @pytest.mark.parametrize(
+        "every, failing_step, error",
+        [(18, 36, "momentum axis too coarse"), (25, 50, "wavefield norm")],
+        ids=["marginal", "momentum-norm"],
+    )
+    def test_failed_snapshot_after_passing_ones_leaves_no_partial_report(
+        self, tmp_path, tracked_maps, every, failing_step, error
+    ):
+        # Snapshots of MOMENTUM_NORM_SCENARIO pass up to step 31, fail the
+        # marginal check from step 32 and the momentum norm from step 42.
+        outdir = tmp_path / "out"
+        text = MOMENTUM_NORM_SCENARIO.replace("engines = twm, rays", "engines = twm").replace(
+            "n_steps = 1000\n", f"n_steps = 1000\nsnapshot_every = {every}\n"
+        ).replace("formats = csv", "formats = csv, grid-dump, heatmap")
+        report = run_scenario(load_scenario(write_ini(tmp_path, text, outdir=outdir)))
+        (wigner,) = tracked_maps
+        assert len(wigner.alive_at_call) == 3  # two passing snapshots, then the failing one
+        (warning,) = report.warnings
+        assert warning.startswith(
+            f"twm: Wigner transform of the step {failing_step} snapshot failed ({error}"
+        )
+        result = report.engine("twm")
+        assert result.snapshot_steps == ()
+        assert result.snapshot_negativity == result.snapshot_r3 == ()
+        assert report.final_negativity is None
+        assert report.distances == ()
+        assert sorted(p.name for p in outdir.iterdir()) == ["moments_twm.csv"]
+        rows = (outdir / "moments_twm.csv").read_text().splitlines()
+        assert len(rows) == 1 + 1001
+        for row in rows[1:]:
+            assert row.split(",")[-2:] == ["nan", "nan"]
 
 
 class TestConsoleScript:

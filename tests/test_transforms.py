@@ -198,6 +198,19 @@ class TestWignerMap:
         with pytest.raises(TransformError, match="marginal identity defect"):
             wigner(gaussian_wavefield(AxisGrid(256, 12.8), 0.5, 0.2), transforms.MARGINAL_TOL)
 
+    def test_reused_map_after_a_failed_call_equals_fresh_transform(self):
+        # The failing call fills both work arrays before its marginal check
+        # raises; the next call must read none of what it left, including the
+        # dropped correlation rows that its in-place FFT overwrote.
+        x_axis, p_axis = AxisGrid(256, 12.8), AxisGrid(128, 6.4)
+        wigner = _WignerMap(x_axis, 0.2, p_axis)
+        assert 2 * wigner.half + 1 < p_axis.n - 1  # rows beyond |s| = L/4 are dropped
+        with pytest.raises(TransformError, match="marginal identity defect"):
+            wigner(gaussian_wavefield(x_axis, 0.5, 0.2), transforms.MARGINAL_TOL)
+        psi = gaussian_wavefield(x_axis, 0.3, 0.2, x0=0.4, p0=0.3)
+        reused = wigner(psi, transforms.MARGINAL_TOL)
+        np.testing.assert_array_equal(reused.values, wigner_transform(psi, p_axis).values)
+
     def test_reused_map_keeps_the_momentum_norm_check(self):
         # The README example with a K = 1 lens: the beam focuses to a waist
         # whose momentum spread outgrows AxisGrid(256, 4.0).
