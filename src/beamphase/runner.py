@@ -331,7 +331,9 @@ def run_scenario(config: ScenarioConfig, emit: bool = True) -> RunReport:
     for a, b in (("moyal", "liouville"), ("twm", "moyal"), ("twm", "liouville")):
         if a in phase_space and b in phase_space:
             (steps, states_a, _), (_, states_b, _) = phase_space[a], phase_space[b]
-            linf = tuple(_linf(sa.values, sb.values) for sa, sb in zip(states_a, states_b))
+            # strict: a twm entry holds every density only when a grid engine runs.
+            pairs = zip(steps, states_a, states_b, strict=True)
+            linf = tuple(_linf(sa.values, sb.values) for _, sa, sb in pairs)
             distances.append(PairDistances(a, b, steps, linf))
 
     final_negativity = next(

@@ -48,6 +48,18 @@ REALNESS_TOL = 1e-10
 
 MARGINAL_TOL = 1e-10
 
+# numpy.fft takes ``out=`` from numpy 2.0 on; before that an in-place
+# transform writes its result back through one temporary.
+_FFT_TAKES_OUT = np.lib.NumpyVersion(np.__version__) >= "2.0.0"
+
+
+def _fft_in_place(transform, array: np.ndarray, axis: int) -> None:
+    """``array[...] = transform(array, axis=axis)``, without a temporary where numpy allows."""
+    if _FFT_TAKES_OUT:
+        transform(array, axis=axis, out=array)
+    else:
+        array[...] = transform(array, axis=axis)
+
 
 class _MomentumMap:
     """``Psi(x) -> Phi(p)`` for one position grid, epsilon and momentum axis.
@@ -105,15 +117,10 @@ class _WignerMap:
     place, dropped rows zeroed again each call).  A call writes all of both
     before it reads them, so one that raises leaves nothing the next reads.
 
-    Each correlation row is formed as ``conj(Psi(x - s)) * Psi(x + s)``, in
-    that operand order: complex multiplication is not bitwise commutative
-    here (``a * b != b * a`` in about a third of entries with numpy 2.4 on
-    AVX-512).  It is the order numpy took when the product was written as
-    ``plus * conj(minus)`` on arrays of 256 KiB or more, because it reuses
-    the temporary on the right as the output and so swaps the operands.
-    Every map of that size is bitwise equal to the old one-expression
-    transform; smaller ones, where numpy kept the written order, differ
-    from it in the last bit of some entries.
+    Each correlation row is formed as ``conj(Psi(x - s)) * Psi(x + s)`` in
+    that fixed operand order, because complex multiplication is not bitwise
+    commutative (``a * b != b * a`` in about a third of entries with numpy
+    2.4 on AVX-512).
     """
 
     def __init__(self, grid: AxisGrid, eps: float, p_axis: AxisGrid):
@@ -148,7 +155,7 @@ class _WignerMap:
         grid = self.phase_grid.x_axis
         half, fields, corr = self.half, self.fields, self.corr
         np.multiply(np.fft.fft(psi.values), self.shift, out=fields)
-        np.fft.ifft(fields, axis=1, out=fields)
+        _fft_in_place(np.fft.ifft, fields, axis=1)
         # Psi(x - s_i) is the fields row of -s_i: row 0 for i = 0, else row
         # count - i.  So correlation rows 1..M read fields rows count-1..M+1,
         # and rows np-M..np-1 read fields rows M..1.
@@ -161,7 +168,7 @@ class _WignerMap:
         upper *= self.ramp[: half + 1]
         lower *= self.ramp[half + 1 :]
         corr[half + 1 : corr.shape[0] - half] = 0.0
-        np.fft.fft(corr, axis=0, out=corr)
+        _fft_in_place(np.fft.fft, corr, axis=0)
         corr *= self.scale
         values = corr.transpose()
         peak = float(np.abs(values.real).max())
