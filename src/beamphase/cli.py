@@ -56,7 +56,7 @@ def _describe_run(report: RunReport) -> list[str]:
             + (f", {result.lost_rays} rays lost" if result.lost_rays else "")
         )
     for pair in report.distances:
-        worst = max(pair.linf) if pair.linf else 0.0
+        worst = max(pair.linf)  # every pair holds step 0, so linf is never empty
         lines.append(f"distance {pair.engine_a} vs {pair.engine_b}: max L_inf = {worst:.6e}")
     if report.final_negativity is not None:
         neg = report.final_negativity

@@ -17,8 +17,9 @@ from .exceptions import GridError, check_count, check_positive
 __all__ = ["AxisGrid", "PhaseGrid"]
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
+def _is_point_count(n: int) -> bool:
+    """Whether ``n`` is a power of two, at least 8: the axis sizes every solver takes."""
+    return n >= 8 and (n & (n - 1)) == 0
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,7 @@ class AxisGrid:
     def __post_init__(self):
         # No lower bound here: every integer that is not a power of two >= 8 gets one message.
         n = check_count(self.n, "axis point count", -math.inf, GridError)
-        if n < 8 or not _is_power_of_two(n):
+        if not _is_point_count(n):
             raise GridError(f"axis point count must be a power of two >= 8, got {n}")
         length = check_positive("axis length", self.length, GridError)
         if not math.isfinite(self.center):

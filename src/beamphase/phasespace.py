@@ -330,16 +330,14 @@ def _rank_one_kick(slope: np.ndarray, y: np.ndarray, dz: float) -> np.ndarray:
     return (coarse[:, :, None] * fine[:, None, :]).reshape(len(slope), -1)[:, :n]
 
 
-def _preflight_kick(
-    grid: PhaseGrid, spec: PotentialSpec, epsilon: float, plan: StepPlan, z0: float
-) -> None:
-    """Raise the kick-guard error that step 1 of a grid run from ``z0`` would raise.
+def _preflight_kick(grid: PhaseGrid, spec: PotentialSpec, epsilon: float, plan: StepPlan) -> None:
+    """Raise the kick-guard error that step 1 of a grid run from z = 0 would raise.
 
     It needs no state, so a caller can refuse a plan with steps before any
     engine starts; the step loop still checks every later step.
     """
     try:
-        _kick_multiplier(spec, *_kick_operands(grid), epsilon, plan, z0 + 0.5 * plan.dz)
+        _kick_multiplier(spec, *_kick_operands(grid), epsilon, plan, 0.5 * plan.dz)
     except SolverError as exc:
         raise _step_error(1, plan.n_steps, exc) from None
 
@@ -469,8 +467,7 @@ class _RayKernel:
         return _ray_moments(*values, z)
 
     def wrap(self, values, z: float) -> RayEnsemble:
-        seed, clipped = self.ensemble.seed, self.ensemble.clipped_mass
-        return RayEnsemble(*values, z, seed, clipped)
+        return RayEnsemble(*values, z, self.ensemble.seed)
 
 
 def trace_rays(ensemble: RayEnsemble, spec: PotentialSpec, plan: StepPlan) -> Trajectory:

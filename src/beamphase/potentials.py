@@ -95,7 +95,7 @@ class HarmonicProfile:
 class PotentialSpec:
     """Polynomial potential: tuple of (power, coefficient profile) terms."""
 
-    terms: tuple[tuple[int, object], ...] = ()
+    terms: tuple[tuple[int, object], ...]
 
     def __post_init__(self):
         cleaned = []

@@ -179,8 +179,7 @@ def _guard_failures(config: ScenarioConfig, spec) -> list[str]:
             if name == "twm":
                 _kinetic_phase(config.grid.x_axis(), config.epsilon, plan.dz)
             elif name in GRID_ENGINES:
-                # Initial states start at z = 0 (build_initial_states).
-                _preflight_kick(config.grid.phase_grid(), spec, config.epsilon, plan, 0.0)
+                _preflight_kick(config.grid.phase_grid(), spec, config.epsilon, plan)
         except SolverError as exc:
             failures.append(f"engine {name}: {exc}")
     return failures

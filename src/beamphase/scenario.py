@@ -16,8 +16,9 @@ import math
 import os
 from dataclasses import dataclass, replace
 
+from .diagnostics import emittance_from_thermal
 from .exceptions import ConfigError
-from .grids import AxisGrid, PhaseGrid
+from .grids import AxisGrid, PhaseGrid, _is_point_count
 from .potentials import (
     ConstantProfile,
     HarmonicProfile,
@@ -26,6 +27,7 @@ from .potentials import (
     linear_lens,
     quartic_channel,
 )
+from .states import BOUNDARY_DECAY
 
 __all__ = [
     "GridSection",
@@ -53,14 +55,22 @@ DEFAULT_RAY_COUNT = 10_000
 DEFAULT_SEED = 0
 
 
+# Edge clearance, in sigma, at which a density exp(-x^2 / 2 sigma^2) (c = 2) and
+# a wavefield envelope exp(-x^2 / 4 sigma^2) (c = 4) fall to BOUNDARY_DECAY of
+# their peak: sqrt(c ln(1 / BOUNDARY_DECAY)) rounded up to 0.01, 7.44 and 10.52.
+DENSITY_CLEARANCE, ENVELOPE_CLEARANCE = (
+    math.ceil(100.0 * math.sqrt(c * math.log(1.0 / BOUNDARY_DECAY))) / 100.0 for c in (2.0, 4.0)
+)
+
+
 @dataclass(frozen=True)
 class GridSection:
     nx: int
     np: int
     x_length: float
     p_length: float
-    x_center: float = 0.0
-    p_center: float = 0.0
+    x_center: float
+    p_center: float
 
     def x_axis(self) -> AxisGrid:
         return AxisGrid(self.nx, self.x_length, self.x_center)
@@ -76,9 +86,9 @@ class GridSection:
 class BeamSection:
     kind: str
     sigma0: float
-    x0: float = 0.0
-    p0: float = 0.0
-    separation: float = 0.0
+    x0: float
+    p0: float
+    separation: float
 
 
 @dataclass(frozen=True)
@@ -97,11 +107,11 @@ class PhysicsSection:
 @dataclass(frozen=True)
 class PotentialSection:
     preset: str
-    k: float = 0.0
-    lambda4: float = 0.0
-    profile: str = "constant"
-    omega: float = 0.0
-    phase: float = 0.0
+    k: float
+    lambda4: float
+    profile: str
+    omega: float
+    phase: float
 
     def build(self) -> PotentialSpec:
         if self.preset == "free_space":
@@ -126,8 +136,8 @@ class RunSection:
     n_steps: int
     snapshot_every: int
     engines: tuple[str, ...]
-    ray_count: int = DEFAULT_RAY_COUNT
-    seed: int = DEFAULT_SEED
+    ray_count: int
+    seed: int
 
 
 @dataclass(frozen=True)
@@ -243,7 +253,7 @@ def _positive(section: str, key: str, value: float) -> float:
 
 
 def _power_of_two(section: str, key: str, value: int) -> int:
-    if value < 8 or value & (value - 1):
+    if not _is_point_count(value):
         raise ConfigError(f"{section}.{key}: must be a power of two >= 8, got {value}")
     return value
 
@@ -290,7 +300,7 @@ def _parse_physics(sec: _Section) -> PhysicsSection:
         )
     _positive(sec.name, "vth_over_c", vth)
     _positive(sec.name, "sigma0", sigma0)
-    return PhysicsSection(2.0 * vth * sigma0, vth, sigma0)
+    return PhysicsSection(emittance_from_thermal(vth, sigma0).epsilon, vth, sigma0)
 
 
 def _parse_potential(sec: _Section) -> PotentialSection:
@@ -427,13 +437,13 @@ def _cross_validate(config: ScenarioConfig):
     # that loads is a config that can start running.  The authoritative
     # boundary-decay checks live in the state constructors; these mirror
     # them geometrically so misfits fail at load time with a config-level
-    # message.  A density needs sigma * sqrt(2 ln 1e12) = 7.44 sigma of edge
-    # clearance, a wavefield envelope (exponent x^2 / 4 sigma^2) needs
-    # 10.52 sigma; one grid spacing is added because the last point sits
-    # inside the nominal edge.
+    # message: a density needs DENSITY_CLEARANCE sigma of edge clearance, a
+    # wavefield envelope ENVELOPE_CLEARANCE sigma; one grid spacing is added
+    # because the last point sits inside the nominal edge.
     grid = config.grid
     beam = config.beam
-    x_clear = (10.52 if "twm" in config.run.engines else 7.44) * beam.sigma0
+    twm = "twm" in config.run.engines
+    x_clear = (ENVELOPE_CLEARANCE if twm else DENSITY_CLEARANCE) * beam.sigma0
     reach = 0.5 * beam.separation + x_clear + grid.x_length / grid.nx
     x_low = grid.x_center - 0.5 * grid.x_length
     x_high = grid.x_center + 0.5 * grid.x_length
@@ -443,7 +453,7 @@ def _cross_validate(config: ScenarioConfig):
             "grid edges; enlarge the grid or shrink the beam"
         )
     sigma_p = config.epsilon / (2.0 * beam.sigma0)
-    p_reach = 7.44 * sigma_p + grid.p_length / grid.np
+    p_reach = DENSITY_CLEARANCE * sigma_p + grid.p_length / grid.np
     p_low = grid.p_center - 0.5 * grid.p_length
     p_high = grid.p_center + 0.5 * grid.p_length
     if beam.p0 - p_reach < p_low or beam.p0 + p_reach > p_high:

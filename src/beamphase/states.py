@@ -12,6 +12,8 @@ Three representations of the same transverse beam:
 
 All solvers assume periodic grids, so the constructors refuse grids on
 which the state has not decayed to 1e-12 of its peak at the domain edges.
+The builders make states at z = 0; ``dataclasses.replace`` moves one to
+another z.
 """
 
 from __future__ import annotations
@@ -139,15 +141,13 @@ class QuasiDistribution:
 class RayEnsemble:
     """Monte-Carlo sample of (x, p) phase-space points at a common z.
 
-    ``clipped_mass`` records the fraction of (negative) density mass that was
-    clipped before sampling; ``algorithm`` names the RNG for reproducibility.
+    ``algorithm`` names the RNG for reproducibility.
     """
 
     positions: np.ndarray
     momenta: np.ndarray
     z: float = 0.0
     seed: int | None = None
-    clipped_mass: float = 0.0
 
     def __post_init__(self):
         positions = np.asarray(self.positions, dtype=float).copy()
@@ -182,14 +182,14 @@ def _check_boundary_decay(magnitudes: np.ndarray, what: str):
         )
 
 
-def _coherent_peaks(grid, sigma, epsilon, x0, p0, z, offsets, name) -> WaveField:
-    """Coherent sum of Gaussian envelopes centred at ``x0 + offset``, unit norm on the grid."""
+def _coherent_peaks(grid, sigma, epsilon, x0, p0, offsets, name) -> WaveField:
+    """Coherent sum of Gaussian envelopes centred at ``x0 + offset``, unit norm, at z = 0."""
     dx = grid.points() - x0
     envelope = reduce(np.add, (np.exp(-((dx - c) ** 2) / (4.0 * sigma**2)) for c in offsets))
     _check_boundary_decay(envelope, f"{name} wavefield")
     values = envelope * np.exp(1j * p0 * dx / epsilon)
     values /= math.sqrt(float(np.sum(np.abs(values) ** 2)) * grid.spacing)
-    return WaveField(grid, values, epsilon, z)
+    return WaveField(grid, values, epsilon)
 
 
 def gaussian_wavefield(
@@ -198,7 +198,6 @@ def gaussian_wavefield(
     epsilon: float,
     x0: float = 0.0,
     p0: float = 0.0,
-    z: float = 0.0,
 ) -> WaveField:
     """Coherent Gaussian envelope with rms width sigma and mean momentum p0.
 
@@ -209,7 +208,7 @@ def gaussian_wavefield(
     """
     check_positive("sigma", sigma, StateError)
     check_positive("epsilon", epsilon, StateError)
-    return _coherent_peaks(grid, sigma, epsilon, x0, p0, z, (0.0,), "gaussian")
+    return _coherent_peaks(grid, sigma, epsilon, x0, p0, (0.0,), "gaussian")
 
 
 def superposition_wavefield(
@@ -219,18 +218,17 @@ def superposition_wavefield(
     epsilon: float,
     x0: float = 0.0,
     p0: float = 0.0,
-    z: float = 0.0,
 ) -> WaveField:
     """Coherent superposition of two Gaussians with peak-to-peak separation."""
     check_positive("sigma", sigma, StateError)
     check_positive("separation", separation, StateError)
     check_positive("epsilon", epsilon, StateError)
     half = 0.5 * separation
-    return _coherent_peaks(grid, sigma, epsilon, x0, p0, z, (half, -half), "superposition")
+    return _coherent_peaks(grid, sigma, epsilon, x0, p0, (half, -half), "superposition")
 
 
-def _gaussian_peaks(grid, sigma_x, sigma_p, sigma_xp, centres, p0, z, kind, name):
-    """Sum of bivariate Gaussians centred at ``(c, p0)``, c in ``centres``, at unit mass."""
+def _gaussian_peaks(grid, sigma_x, sigma_p, sigma_xp, centres, p0, name):
+    """Classical sum of Gaussians centred at ``(c, p0)``, c in ``centres``, unit mass, at z = 0."""
     det = sigma_x**2 * sigma_p**2 - sigma_xp**2
     if not (det > 0.0 and sigma_x > 0.0 and sigma_p > 0.0):
         raise StateError(
@@ -249,7 +247,7 @@ def _gaussian_peaks(grid, sigma_x, sigma_p, sigma_xp, centres, p0, z, kind, name
     _check_boundary_decay(values.max(axis=1), f"{name} quasi-distribution (x axis)")
     _check_boundary_decay(values.max(axis=0), f"{name} quasi-distribution (p axis)")
     values /= float(np.sum(values)) * grid.cell_area
-    return QuasiDistribution(grid, values, z, kind)
+    return QuasiDistribution(grid, values)
 
 
 def gaussian_quasidist(
@@ -259,11 +257,9 @@ def gaussian_quasidist(
     sigma_xp: float = 0.0,
     x0: float = 0.0,
     p0: float = 0.0,
-    z: float = 0.0,
-    kind: str = "classical",
 ) -> QuasiDistribution:
     """Bivariate Gaussian density, normalized to unit mass on the grid."""
-    return _gaussian_peaks(grid, sigma_x, sigma_p, sigma_xp, (x0,), p0, z, kind, "gaussian")
+    return _gaussian_peaks(grid, sigma_x, sigma_p, sigma_xp, (x0,), p0, "gaussian")
 
 
 def superposition_quasidist(
@@ -273,7 +269,6 @@ def superposition_quasidist(
     separation: float,
     x0: float = 0.0,
     p0: float = 0.0,
-    z: float = 0.0,
 ) -> QuasiDistribution:
     """Equal-weight two-peak Gaussian mixture (a non-negative density).
 
@@ -281,17 +276,15 @@ def superposition_quasidist(
     peak locations, no interference fringes.
     """
     half = 0.5 * separation
-    return _gaussian_peaks(
-        grid, sigma_x, sigma_p, 0.0, (x0 - half, x0 + half), p0, z, "classical", "superposition"
-    )
+    return _gaussian_peaks(grid, sigma_x, sigma_p, 0.0, (x0 - half, x0 + half), p0, "superposition")
 
 
 def sample_rays(quasidist: QuasiDistribution, count: int, seed: int) -> RayEnsemble:
     """Draw a ray ensemble from a classical density.
 
-    Negative grid values are clipped to zero before sampling and the clipped
-    mass fraction is recorded on the ensemble; if that fraction exceeds
-    1e-6 of the total (a Wigner-type state in disguise) the draw is refused.
+    Negative grid values are clipped to zero before sampling; if the clipped
+    mass exceeds 1e-6 of the total (a Wigner-type state in disguise) the draw
+    is refused.
     Sampling is exact for the piecewise-constant grid density: inverse CDF
     over cell masses, then a uniform jitter inside the selected cell.
     """
@@ -320,10 +313,4 @@ def sample_rays(quasidist: QuasiDistribution, count: int, seed: int) -> RayEnsem
     p_axis = quasidist.grid.p_axis
     x = x_axis.points()[ix] + (rng.random(count) - 0.5) * x_axis.spacing
     p = p_axis.points()[ip] + (rng.random(count) - 0.5) * p_axis.spacing
-    return RayEnsemble(
-        positions=x,
-        momenta=p,
-        z=quasidist.z,
-        seed=int(seed),
-        clipped_mass=negative / total,
-    )
+    return RayEnsemble(positions=x, momenta=p, z=quasidist.z, seed=int(seed))

@@ -53,6 +53,17 @@ MARGINAL_TOL = 1e-10
 _FFT_TAKES_OUT = np.lib.NumpyVersion(np.__version__) >= "2.0.0"
 
 
+def _real_part(values: np.ndarray, what: str) -> np.ndarray:
+    """``values.real``, unless the imaginary residue exceeds ``REALNESS_TOL`` of the peak."""
+    peak = float(np.abs(values.real).max())
+    residue = float(np.abs(values.imag).max())
+    if peak > 0.0 and residue > REALNESS_TOL * peak:
+        raise TransformError(
+            f"{what} imaginary residue {residue:.3e} exceeds {REALNESS_TOL} of peak {peak:.3e}"
+        )
+    return values.real
+
+
 def _fft_in_place(transform, array: np.ndarray, axis: int) -> None:
     """``array[...] = transform(array, axis=axis)``, without a temporary where numpy allows."""
     if _FFT_TAKES_OUT:
@@ -170,15 +181,7 @@ class _WignerMap:
         corr[half + 1 : corr.shape[0] - half] = 0.0
         _fft_in_place(np.fft.fft, corr, axis=0)
         corr *= self.scale
-        values = corr.transpose()
-        peak = float(np.abs(values.real).max())
-        residue = float(np.abs(values.imag).max())
-        if residue > REALNESS_TOL * peak:
-            raise TransformError(
-                f"wigner transform imaginary residue {residue:.3e} exceeds "
-                f"{REALNESS_TOL} of peak {peak:.3e}"
-            )
-        values = np.ascontiguousarray(values.real)
+        values = np.ascontiguousarray(_real_part(corr.transpose(), "wigner transform"))
         marginal_x = values.sum(axis=0) * grid.spacing
         # The WaveField constructor checks the momentum norm (Parseval on this axis).
         phi = WaveField(self.momentum.p_axis, self.momentum(psi.values), psi.epsilon, psi.z)
@@ -227,11 +230,11 @@ class Tomogram:
         return float(self.values.sum()) * self.axis.spacing
 
 
-def tomogram_axis(grid: PhaseGrid, mu: float, nu: float, n: int = 1024) -> AxisGrid:
-    """Default output axis: the projection of the phase-space box."""
+def tomogram_axis(grid: PhaseGrid, mu: float, nu: float) -> AxisGrid:
+    """Default output axis: the projection of the phase-space box, on 1024 points."""
     length = abs(mu) * grid.x_axis.length + abs(nu) * grid.p_axis.length
     center = mu * grid.x_axis.center + nu * grid.p_axis.center
-    return AxisGrid(n, length, center)
+    return AxisGrid(1024, length, center)
 
 
 def tomogram(
@@ -275,11 +278,4 @@ def tomogram(
     # Invert onto the requested axis: w(X_i) = (1/2 pi) integral e^{i xi X}.
     x_first = axis.points()[0]
     values = np.fft.ifft(slice_values * np.exp(1j * xi * x_first)) / axis.spacing
-    peak = float(np.abs(values.real).max())
-    residue = float(np.abs(values.imag).max())
-    if peak > 0.0 and residue > REALNESS_TOL * peak:
-        raise TransformError(
-            f"tomogram imaginary residue {residue:.3e} exceeds "
-            f"{REALNESS_TOL} of peak {peak:.3e}"
-        )
-    return Tomogram(float(mu), float(nu), axis, values.real)
+    return Tomogram(float(mu), float(nu), axis, _real_part(values, "tomogram"))

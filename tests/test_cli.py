@@ -385,6 +385,23 @@ class TestVerbs:
             assert (outdir / f"moments_{engine}.csv").is_file()
         assert not (outdir / "moments_rays.csv").exists()
 
+    def test_unknown_verb_exits_2(self, capsys):
+        assert main(["frobnicate"]) == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "frobnicate" in err
+
+    def test_help_exits_0(self, capsys):
+        assert main(["--help"]) == 0
+        assert "usage: beamphase" in capsys.readouterr().out
+
+    def test_run_reports_the_largest_distance(self, tmp_path, capsys):
+        ini = lens_ini(tmp_path, QUARTIC)
+        assert main(["run", str(ini)]) == 0
+        out = capsys.readouterr().out
+        (pair,) = run_scenario(load_scenario(ini), emit=False).distances
+        assert max(pair.linf) > 0.0
+        assert f"distance moyal vs liouville: max L_inf = {max(pair.linf):.6e}\n" in out
+
     def test_info_describes_dump(self, free_run, capsys):
         assert main(["info", str(free_run / "state_twm.mbgd")]) == 0
         out = capsys.readouterr().out

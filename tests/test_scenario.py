@@ -273,6 +273,24 @@ class TestOutput:
         assert load_text(tmp_path, text).output.formats == ("csv", "heatmap")
 
 
+class TestRefusalsNameTheirKey:
+    @pytest.mark.parametrize(
+        "old,new,key",
+        [
+            ("n_steps = 10", "n_steps = -1", "run.n_steps"),
+            ("n_steps = 10", "n_steps = 10\nsnapshot_every = 0", "run.snapshot_every"),
+            ("sigma0 = 1.0", "kind = pencil\nsigma0 = 1.0", "beam.kind"),
+            ("n_steps = 10", "n_steps = 10\n\n[potential]\npreset = sextupole", "potential.preset"),
+            ("n_steps = 10", "n_steps = 10\nengines =", "run.engines"),
+            ("x_length = 16.0", "nx = 12.5\nx_length = 16.0", "grid.nx"),
+            ("n_steps = 10", "n_steps = 10\n\n[output]\ndirectory =", "output.directory"),
+        ],
+    )
+    def test_refusal_names_its_key(self, tmp_path, old, new, key):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: "):
+            load_text(tmp_path, MINIMAL.replace(old, new))
+
+
 class TestOverrideHelpers:
     def test_with_helpers_return_updated_copies(self, tmp_path):
         config = load_text(tmp_path, MINIMAL)
@@ -289,6 +307,11 @@ class TestOverrideHelpers:
         config = load_text(tmp_path, MINIMAL)
         with pytest.raises(ConfigError, match="unknown engine"):
             config.with_engines(("wkb",))
+
+    def test_with_no_engines_refused(self, tmp_path):
+        config = load_text(tmp_path, MINIMAL)
+        with pytest.raises(ConfigError, match="run.engines: at least one engine is required"):
+            config.with_engines(())
 
 
 class TestReadmeExample:

@@ -21,6 +21,7 @@ from beamphase import (
     superposition_wavefield,
     wigner_transform,
 )
+from beamphase.states import CLASSICAL_FLOOR
 
 XGRID = AxisGrid(512, 32.0)
 
@@ -184,6 +185,17 @@ class TestSampleRays:
         psi = superposition_wavefield(AxisGrid(512, 48.0), 1.0, 4.0, 0.1)
         rho = wigner_transform(psi, AxisGrid(256, 4.0))
         with pytest.raises(SamplingError):
+            sample_rays(rho, 1000, seed=0)
+
+    def test_refuses_classical_state_with_negative_mass(self):
+        # One positive cell and ringing of half CLASSICAL_FLOOR everywhere
+        # else: a valid classical density whose negative cells hold 8e-6 of
+        # its mass, above the 1e-6 that sampling tolerates.
+        grid = PhaseGrid(AxisGrid(128, 12.8), AxisGrid(128, 1.28))
+        values = np.full(grid.shape, -0.5 * CLASSICAL_FLOOR)
+        values[64, 64] = 1.0
+        rho = QuasiDistribution(grid, values / (values.sum() * grid.cell_area))
+        with pytest.raises(SamplingError, match="negative mass fraction 8.19"):
             sample_rays(rho, 1000, seed=0)
 
     def test_algorithm_recorded(self):

@@ -156,7 +156,7 @@ def two_table_reference(psi, p_axis):
     minus = np.fft.ifft(spectrum[None, :] * np.exp(-1j * np.outer(s_kept, k)), axis=1)
     p0 = p_axis.points()[0]
     corr = np.zeros((n_p, grid.n), dtype=complex)
-    corr[keep] = plus * np.conj(minus) * np.exp(-2j * p0 * s_kept / eps)[:, None]
+    corr[keep] = np.multiply(np.conj(minus), plus) * np.exp(-2j * p0 * s_kept / eps)[:, None]
     values = np.fft.fft(corr, axis=0) * (ds / (math.pi * eps))
     return np.ascontiguousarray(values.transpose().real)
 
@@ -314,6 +314,13 @@ class TestTomogram:
             tomogram(rho, 0.0, 0.0)
         with pytest.raises(TransformError):
             tomogram(rho, math.nan, 1.0)
+
+    def test_realness_check_refuses(self, monkeypatch):
+        rho = self.gaussian_rho()
+        tomogram(rho, 0.6, 0.8)
+        monkeypatch.setattr(transforms, "REALNESS_TOL", 0.0)
+        with pytest.raises(TransformError, match="tomogram imaginary residue"):
+            tomogram(rho, 0.6, 0.8)
 
     def test_default_axis_spans_projected_box(self):
         rho = self.gaussian_rho()
