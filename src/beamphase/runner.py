@@ -25,13 +25,7 @@ from .diagnostics import (
 from .exceptions import BeamPhaseError, ConfigError, SolverError, StateError, TransformError
 from .phasespace import StepPlan, _preflight_kick, evolve_phase_space, trace_rays
 from .scenario import ScenarioConfig
-from .states import (
-    gaussian_quasidist,
-    gaussian_wavefield,
-    sample_rays,
-    superposition_quasidist,
-    superposition_wavefield,
-)
+from .states import sample_rays
 from .transforms import _WignerMap
 from .twm import _kinetic_phase, evolve_twm
 
@@ -97,41 +91,17 @@ class RunReport:
 def build_initial_states(config: ScenarioConfig):
     """Construct the initial state for every requested engine.
 
-    The wavefield engine gets a coherent Gaussian (or coherent two-peak
-    superposition); the grid and ray engines get the matching classical
-    density: same widths, momentum spread epsilon / (2 sigma0), and for
-    superposition beams the positive two-peak mixture without fringes.
-    Returns a dict with keys ``psi``, ``rho`` and ``rays`` (values may be
-    None when the corresponding engine was not requested).
+    The wavefield engine gets ``config.initial_wavefield()``, the grid and
+    ray engines ``config.initial_density()``: the builders that
+    ``load_scenario`` already ran to check the box.  Returns a dict with
+    keys ``psi``, ``rho`` and ``rays`` (values may be None when the
+    corresponding engine was not requested).
     """
     engines = config.run.engines
-    beam = config.beam
-    epsilon = config.epsilon
-    psi = _initial_wavefield(config) if "twm" in engines else None
-    rho = None
-    if {"moyal", "liouville", "rays"} & set(engines):
-        grid = config.grid.phase_grid()
-        sigma_p = epsilon / (2.0 * beam.sigma0)
-        if beam.kind == "gaussian":
-            rho = gaussian_quasidist(grid, beam.sigma0, sigma_p, 0.0, beam.x0, beam.p0)
-        else:
-            rho = superposition_quasidist(
-                grid, beam.sigma0, sigma_p, beam.separation, beam.x0, beam.p0
-            )
-    rays = None
-    if "rays" in engines:
-        rays = sample_rays(rho, config.run.ray_count, config.run.seed)
+    psi = config.initial_wavefield() if "twm" in engines else None
+    rho = config.initial_density() if {"moyal", "liouville", "rays"} & set(engines) else None
+    rays = sample_rays(rho, config.run.ray_count, config.run.seed) if "rays" in engines else None
     return {"psi": psi, "rho": rho, "rays": rays}
-
-
-def _initial_wavefield(config: ScenarioConfig):
-    beam = config.beam
-    x_axis = config.grid.x_axis()
-    if beam.kind == "gaussian":
-        return gaussian_wavefield(x_axis, beam.sigma0, config.epsilon, beam.x0, beam.p0)
-    return superposition_wavefield(
-        x_axis, beam.sigma0, beam.separation, config.epsilon, beam.x0, beam.p0
-    )
 
 
 def _preflight_wigner(config: ScenarioConfig) -> None:
@@ -143,7 +113,7 @@ def _preflight_wigner(config: ScenarioConfig) -> None:
     """
     if "twm" not in config.run.engines:
         return
-    psi = _initial_wavefield(config)
+    psi = config.initial_wavefield()
     try:
         _WignerMap(psi.grid, psi.epsilon, config.grid.p_axis())(psi, COMPARISON_MARGINAL_TOL)
     except (TransformError, StateError) as exc:

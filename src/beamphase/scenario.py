@@ -17,7 +17,7 @@ import os
 from dataclasses import dataclass, replace
 
 from .diagnostics import emittance_from_thermal
-from .exceptions import ConfigError
+from .exceptions import ConfigError, GridError, StateError
 from .grids import AxisGrid, PhaseGrid, _is_point_count
 from .potentials import (
     ConstantProfile,
@@ -27,7 +27,14 @@ from .potentials import (
     linear_lens,
     quartic_channel,
 )
-from .states import BOUNDARY_DECAY
+from .states import (
+    QuasiDistribution,
+    WaveField,
+    gaussian_quasidist,
+    gaussian_wavefield,
+    superposition_quasidist,
+    superposition_wavefield,
+)
 
 __all__ = [
     "GridSection",
@@ -53,14 +60,6 @@ DEFAULT_NX = 256
 DEFAULT_NP = 256
 DEFAULT_RAY_COUNT = 10_000
 DEFAULT_SEED = 0
-
-
-# Edge clearance, in sigma, at which a density exp(-x^2 / 2 sigma^2) (c = 2) and
-# a wavefield envelope exp(-x^2 / 4 sigma^2) (c = 4) fall to BOUNDARY_DECAY of
-# their peak: sqrt(c ln(1 / BOUNDARY_DECAY)) rounded up to 0.01, 7.44 and 10.52.
-DENSITY_CLEARANCE, ENVELOPE_CLEARANCE = (
-    math.ceil(100.0 * math.sqrt(c * math.log(1.0 / BOUNDARY_DECAY))) / 100.0 for c in (2.0, 4.0)
-)
 
 
 @dataclass(frozen=True)
@@ -166,10 +165,35 @@ class ScenarioConfig:
         return replace(self, run=replace(self.run, seed=seed))
 
     def with_engines(self, engines: tuple[str, ...]) -> "ScenarioConfig":
-        """This config with other engines, checked again: the x clearance depends on twm."""
+        """This config with other engines, checked again: twm adds its wavefield to the box."""
         config = replace(self, run=replace(self.run, engines=_canonical_engines(engines)))
         _cross_validate(config)
         return config
+
+    def initial_wavefield(self) -> WaveField:
+        """The twm engine's initial state: the coherent one- or two-peak beam on the x axis."""
+        beam = self.beam
+        x_axis = self.grid.x_axis()
+        if beam.kind == "gaussian":
+            return gaussian_wavefield(x_axis, beam.sigma0, self.epsilon, beam.x0, beam.p0)
+        return superposition_wavefield(
+            x_axis, beam.sigma0, beam.separation, self.epsilon, beam.x0, beam.p0
+        )
+
+    def initial_density(self) -> QuasiDistribution:
+        """The grid and ray engines' initial state: the classical density of the same beam.
+
+        Same widths, momentum spread epsilon / (2 sigma0), and for
+        superposition beams the positive two-peak mixture without fringes.
+        """
+        beam = self.beam
+        grid = self.grid.phase_grid()
+        sigma_p = self.epsilon / (2.0 * beam.sigma0)
+        if beam.kind == "gaussian":
+            return gaussian_quasidist(grid, beam.sigma0, sigma_p, 0.0, beam.x0, beam.p0)
+        return superposition_quasidist(
+            grid, beam.sigma0, sigma_p, beam.separation, beam.x0, beam.p0
+        )
 
 
 class _Section:
@@ -434,30 +458,27 @@ def load_scenario(path) -> ScenarioConfig:
 
 def _cross_validate(config: ScenarioConfig):
     # Solver preconditions that span sections are checked here so a config
-    # that loads is a config that can start running.  The authoritative
-    # boundary-decay checks live in the state constructors; these mirror
-    # them geometrically so misfits fail at load time with a config-level
-    # message: a density needs DENSITY_CLEARANCE sigma of edge clearance, a
-    # wavefield envelope ENVELOPE_CLEARANCE sigma; one grid spacing is added
-    # because the last point sits inside the nominal edge.
-    grid = config.grid
-    beam = config.beam
-    twm = "twm" in config.run.engines
-    x_clear = (ENVELOPE_CLEARANCE if twm else DENSITY_CLEARANCE) * beam.sigma0
-    reach = 0.5 * beam.separation + x_clear + grid.x_length / grid.nx
-    x_low = grid.x_center - 0.5 * grid.x_length
-    x_high = grid.x_center + 0.5 * grid.x_length
-    if beam.x0 - reach < x_low or beam.x0 + reach > x_high:
+    # that loads is a config that can start running.  The box is checked by
+    # building the initial states with the builders ``build_initial_states``
+    # calls, so the constructors' sampled edge check is the only edge rule:
+    # the density for every config (its p axis bounds every engine), the
+    # wavefield, whose envelope decays half as fast in x, when twm runs.
+    try:
+        config.initial_density()
+        if "twm" in config.run.engines:
+            config.initial_wavefield()
+    except StateError as exc:
+        # A beam that misses the box altogether samples to zero everywhere.
         raise ConfigError(
-            "grid.x_length: beam does not decay to 1e-12 of its peak at the "
-            "grid edges; enlarge the grid or shrink the beam"
-        )
-    sigma_p = config.epsilon / (2.0 * beam.sigma0)
-    p_reach = DENSITY_CLEARANCE * sigma_p + grid.p_length / grid.np
-    p_low = grid.p_center - 0.5 * grid.p_length
-    p_high = grid.p_center + 0.5 * grid.p_length
-    if beam.p0 - p_reach < p_low or beam.p0 + p_reach > p_high:
+            f"grid.x_length, grid.p_length: {exc}; the box must hold the beam"
+        ) from None
+    except GridError as exc:
+        if "(p axis)" in str(exc):
+            raise ConfigError(
+                "grid.p_length: momentum spread epsilon / (2 sigma0) does not decay at "
+                f"the grid edges ({exc})"
+            ) from None
         raise ConfigError(
-            "grid.p_length: momentum spread epsilon / (2 sigma0) does not "
-            "decay to 1e-12 of its peak at the grid edges"
-        )
+            f"grid.x_length: beam does not decay at the grid edges ({exc}); enlarge the "
+            "grid or shrink the beam"
+        ) from None

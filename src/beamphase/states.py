@@ -11,7 +11,9 @@ Three representations of the same transverse beam:
 * :class:`RayEnsemble` -- Monte-Carlo sample of phase-space points.
 
 All solvers assume periodic grids, so the constructors refuse grids on
-which the state has not decayed to 1e-12 of its peak at the domain edges.
+which the state's first or last sample exceeds 1e-12 of its largest
+sample (for a density, along each axis).  ``load_scenario`` runs the same
+constructors, so this is the one edge rule for scenarios too.
 The builders make states at z = 0; ``dataclasses.replace`` moves one to
 another z.
 """
@@ -177,7 +179,7 @@ def _check_boundary_decay(magnitudes: np.ndarray, what: str):
     edge = max(float(magnitudes[0]), float(magnitudes[-1]))
     if edge > BOUNDARY_DECAY * peak:
         raise GridError(
-            f"grid too narrow for {what}: boundary level {edge / peak:.3e} of peak "
+            f"grid too narrow for {what}: boundary level {edge / peak:.3e} of the largest sample "
             f"exceeds {BOUNDARY_DECAY}"
         )
 

@@ -513,6 +513,24 @@ class TestVerbs:
         assert main(["compare", str(ini), "--quiet"]) == 2
         assert capsys.readouterr().err.startswith("error: grid.x_length: beam does not decay")
 
+    def test_validate_and_run_refuse_a_peak_between_samples_alike(self, tmp_path, capsys):
+        # x0 = 7.56 puts the largest sample 0.44 from the centre, so the edge
+        # sample at 15 is 1.05e-12 of it: the density constructor refuses the
+        # grid, and load time applies the same check.
+        text = (
+            FREE_SCENARIO.replace("nx = 128\nnp = 64", "nx = 32\nnp = 256")
+            .replace("sigma0 = 1.0", "sigma0 = 1.0\nx0 = 7.56")
+            .replace("engines = twm, moyal, liouville, rays\nray_count = 2000\n",
+                     "engines = liouville\n")
+        )
+        ini = write_ini(tmp_path, text, outdir=tmp_path / "out")
+        with pytest.raises(ConfigError, match="grid.x_length"):
+            load_scenario(ini)
+        for verb in ("validate", "run"):
+            assert main([verb, str(ini)]) == 2
+            assert capsys.readouterr().err.startswith("error: grid.x_length: ")
+        assert not (tmp_path / "out").exists()
+
 
 class TestFlags:
     def test_output_dir_flag_beats_config(self, tmp_path):

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from beamphase import ConfigError, eval_gradient, load_scenario
+from beamphase import ConfigError, GridError, build_initial_states, eval_gradient, load_scenario
+from beamphase import scenario
 from beamphase.scenario import DEFAULT_OUTPUT_DIR, OUTPUT_DIR_ENV
 
 MINIMAL = """
@@ -229,6 +230,70 @@ class TestClearance:
             tmp_path, text.replace("x_length = 16.0", "x_length = 24.0")
         )
         assert config.run.engines == ("twm",)
+
+    # A beam placed just inside or just outside the box edge, on a grid with
+    # unit (x) or 0.025 (p) spacing so the peak can fall between samples.
+    # Each case names the key that load_scenario refuses it on, or None.
+    EDGE_PROBE = """
+        [grid]
+        nx = 32
+        np = {np}
+        x_length = 32.0
+        p_length = 0.8
+
+        [beam]
+        kind = {kind}
+        sigma0 = 1.0
+        x0 = {x0}
+        p0 = {p0}
+        separation = {separation}
+
+        [physics]
+        epsilon = 0.1
+
+        [run]
+        dz = 0.1
+        n_steps = 1
+        engines = {engines}
+    """
+    EDGE_CASES = {
+        # Centre 0.44 from a sample: the edge sample at 15 is 1.05e-12 of the largest.
+        "gaussian-between-samples-in": (dict(x0=7.5), None),
+        "gaussian-between-samples-out": (dict(x0=7.56), "grid.x_length"),
+        "superposition-in": (dict(kind="superposition", separation=15.0), None),
+        "superposition-out": (dict(kind="superposition", separation=15.12), "grid.x_length"),
+        # The wavefield envelope exp(-x^2 / 4 sigma^2) reaches about 10.5 sigma.
+        "twm-envelope-in": (dict(x0=4.4, engines="twm"), None),
+        "twm-envelope-out": (dict(x0=4.5, engines="twm"), "grid.x_length"),
+        # sigma_p = 0.05; the top p sample sits at 0.375, about 7.4 sigma_p from p0.
+        "p-axis-in": (dict(np=32, p0=0.0025), None),
+        "p-axis-out": (dict(np=32, p0=0.005), "grid.p_length"),
+    }
+
+    @pytest.mark.parametrize("case", EDGE_CASES.values(), ids=EDGE_CASES.keys())
+    def test_load_accepts_exactly_what_builds(self, tmp_path, monkeypatch, case):
+        overrides, refusal = case
+        fields = dict(np=256, kind="gaussian", x0=0.0, p0=0.0, separation=0.0, engines="liouville")
+        path = write_scenario(tmp_path, self.EDGE_PROBE.format(**{**fields, **overrides}))
+        with monkeypatch.context() as unchecked:
+            unchecked.setattr(scenario, "_cross_validate", lambda config: None)
+            config = load_scenario(path)
+        try:
+            build_initial_states(config)
+            builds = True
+        except GridError:
+            builds = False
+        assert builds == (refusal is None)
+        if builds:
+            assert load_scenario(path) == config
+        else:
+            with pytest.raises(ConfigError, match=refusal):
+                load_scenario(path)
+
+    def test_beam_off_the_grid_is_a_config_error(self, tmp_path):
+        # Every sample underflows to zero, which the constructors refuse as a StateError.
+        with pytest.raises(ConfigError, match="grid.x_length, grid.p_length: .* identically zero"):
+            load_text(tmp_path, MINIMAL.replace("sigma0 = 1.0", "sigma0 = 1.0\nx0 = 100.0"))
 
 
 class TestRun:
