@@ -8,7 +8,9 @@ Verbs:
 * ``validate <scenario>``: parse, validate and echo the resolved config;
   with twm among the engines, also check that the initial field passes the
   Wigner transform the run compares it through.  Step-1 phase guards that
-  ``run`` would refuse are printed as ``warning:`` lines.
+  ``run`` would refuse, and for a potential of degree <= 2 the grid
+  engines' closed-form guards and resolution prediction, are printed as
+  ``warning:`` lines.
 * ``info <grid-dump>``: print the header and value statistics of a dump.
 
 Exit codes: 0 success, 2 configuration or validation problem, 1 runtime

@@ -277,13 +277,20 @@ def truncation_ratio(
     x = state.grid.x_axis.points()[:, None]
     y = state.grid.p_axis.frequencies()[None, :]
     z = state.z
+    if spec.kick_is_classical:
+        # The numerator vanishes, so only a vanishing denominator (nan) is
+        # left to find.  Its terms are non-negative, so it vanishes when
+        # every term does; row by row, the first row with a nonzero term
+        # settles it without the whole-grid temporaries.
+        for slope, row in zip(eval_gradient(spec, x, z), state.values):
+            if (np.abs(slope * y[0] * np.fft.fft(row)) ** 2).any():
+                return 0.0
+        return float("nan")
     rho_tilde = np.fft.fft(state.values, axis=1)
     g1 = eval_gradient(spec, x, z) * y
     denom = _l2_norm(g1 * rho_tilde)
     if denom == 0.0:
         return float("nan")
-    if spec.kick_is_classical:
-        return 0.0
     # The classical part of the closed-form series is bit-identical to g1,
     # so G - G1 is formed directly as the partial sum from order 3 up; no
     # cancellation noise enters.

@@ -19,14 +19,7 @@ sub-flow uses real-data transforms: the drifts ``rfft``/``irfft`` along x,
 the kick along p.  Both multipliers are Hermitian (the drift phase is odd
 in kx, and G is odd in y), so each is built only on the non-negative half
 spectrum.  The kick, rebuilt every step for z-dependent potentials, forms
-``exp(i dz G)`` as ``cos(dz G) + i sin(dz G)`` of a real angle.  For a
-potential of degree at most 2 (all of linear optics) ``G = U'(x) y`` has
-rank one in y, so the kick is built from the gradient alone: with
-``y_j = j dy`` and ``j = w q + r``, ``exp(i dz U'_i y_j)`` is the product of
-``exp(i dz dy U'_i w q)`` and ``exp(i dz dy U'_i r)``, which takes cos and
-sin of about ``2 sqrt(np/2)`` columns instead of ``np/2 + 1``.  A potential
-of higher degree builds its generator on the whole ``nx x (np/2 + 1)``
-half spectrum.
+``exp(i dz G)`` as ``cos(dz G) + i sin(dz G)`` of a real angle.
 
 The one place a half spectrum loses information is the unpaired Nyquist
 row (column): ``irfft`` drops the imaginary part that the multiplier
@@ -42,11 +35,15 @@ drift's spectrum instead and opens the next step from it, with its Nyquist
 row made real, which is what that ``rfft`` gives in exact arithmetic: five
 transforms a step instead of six.
 
+Linear optics do not step the grid at all: for a potential of degree at
+most 2 ``evolve_phase_space`` maps the run in closed form with
+:mod:`beamphase.linear_map`.
+
 Every engine -- this grid solver, the ray tracer and the wavefield solver
 of :mod:`beamphase.twm` -- runs through one step loop, ``_evolve``, and
 returns a :class:`Trajectory`.  Raw arrays pass between steps; moments and
 state checks are taken from the arrays, and state objects are built only
-at snapshots.
+at snapshots.  The closed-form linear path returns the same record.
 """
 
 from __future__ import annotations
@@ -79,6 +76,12 @@ __all__ = [
 
 # Imaginary residue (relative to the state peak) tolerated after a step.
 STEP_REALNESS_TOL = 1e-8
+
+# Largest |x| or |p| a ray keeps once its ensemble's moments overflow.  With
+# every coordinate within it a deviation is at most 2 RAY_CAP, so a variance
+# or covariance is at most 4 RAY_CAP**2 and the emittance radicand's products
+# at most 16 RAY_CAP**4 = 1.6e301: the moments of the rays kept are finite.
+RAY_CAP = 1e75
 
 GENERATOR_MODES = ("full_moyal", "truncated")
 
@@ -167,6 +170,13 @@ def _step_error(step: int, n_steps: int, exc: Exception) -> SolverError:
     return SolverError(f"step {step}/{n_steps}: {exc}")
 
 
+def _snapshot_cadence(n_steps: int, snapshot_every: int | None) -> int:
+    """The checked ``snapshot_every``; None keeps only the initial and final states."""
+    if snapshot_every is None:
+        return max(n_steps, 1)
+    return check_count(snapshot_every, "snapshot_every", 1, SolverError)
+
+
 def _evolve(kernel, initial, values, zs: list[float], snapshot_every: int | None) -> Trajectory:
     """Advance ``values`` from ``zs[0]`` through every step boundary in ``zs``.
 
@@ -179,9 +189,7 @@ def _evolve(kernel, initial, values, zs: list[float], snapshot_every: int | None
     final one (default: only those two).  Step errors carry ``step k/n``.
     """
     n_steps = len(zs) - 1
-    if snapshot_every is None:
-        snapshot_every = max(n_steps, 1)
-    snapshot_every = check_count(snapshot_every, "snapshot_every", 1, SolverError)
+    snapshot_every = _snapshot_cadence(n_steps, snapshot_every)
     snapshots = [initial]
     snapshot_steps = [0]
     moments = [kernel.measure(values, zs[0])]
@@ -274,21 +282,10 @@ def _kick_multiplier(
 ):
     """``exp(i dz G)`` on ``x_col`` x ``y_row`` as ``cos + i sin`` (None without a force).
 
-    When ``spec.kick_is_classical`` the generator is ``U'(x) y`` bit for bit
-    under either plan (the order-1 shift coefficient ``2 (eps/2) / eps`` is
-    1.0), so the kick has rank one in y and is built from the gradient
-    alone by :func:`_rank_one_kick`; otherwise the generator is built on the
-    whole grid.  Raises when the kick phase ``max |dz G|`` reaches pi; both
-    builds give that phase the same value.
+    Raises when the kick phase ``max |dz G|`` reaches pi.
     """
     if spec.degree < 1:
         return None
-    if spec.kick_is_classical:
-        slope = eval_gradient(spec, x_col[:, 0], z_mid)
-        # Rounding is monotone, so max_ij |U'_i y_j| = max_j (max_i |U'_i|) y_j
-        # (a non-finite U' gives nan, as the 0 * inf of the y = 0 column does).
-        _check_kick_phase(float(np.max(np.abs(slope).max() * y_row)) * plan.dz)
-        return _rank_one_kick(slope, y_row[0], plan.dz)
     if plan.generator == "full_moyal":
         g = moyal_generator(spec, x_col, y_row, z_mid, epsilon)
     else:
@@ -312,22 +309,6 @@ def _unit_phase(angle: np.ndarray) -> np.ndarray:
     np.cos(angle, out=out.real)
     np.sin(angle, out=out.imag)
     return out
-
-
-def _rank_one_kick(slope: np.ndarray, y: np.ndarray, dz: float) -> np.ndarray:
-    """``exp(i dz slope_i y_j)`` on the half-spectrum row ``y_j = j dy`` from few cos and sin.
-
-    With ``theta_i = dz dy slope_i``, each ``j = w q + r`` (``w = ceil(sqrt(n))``
-    for the row's n entries) gives ``exp(i theta_i j) = exp(i theta_i w q)
-    exp(i theta_i r)``: cos and sin of ``n/w + w`` columns instead of n.
-    Returns a view of the first n columns of the product.
-    """
-    n = len(y)
-    width = math.ceil(math.sqrt(n))
-    theta = (dz * y[1]) * slope
-    coarse = _unit_phase(np.multiply.outer(theta, np.arange(0, n, width)))
-    fine = _unit_phase(np.multiply.outer(theta, np.arange(width)))
-    return (coarse[:, :, None] * fine[:, None, :]).reshape(len(slope), -1)[:, :n]
 
 
 def _preflight_kick(grid: PhaseGrid, spec: PotentialSpec, epsilon: float, plan: StepPlan) -> None:
@@ -411,10 +392,21 @@ def evolve_phase_space(
     spectrum the previous step kept).  Every step checks the evolved density
     for finite values and unit mass (and, when it stays classical, for
     negative values) and raises :class:`SolverError` naming the step.
+
+    For a potential of degree at most 2 the run is mapped in closed form
+    (see the module docstring): the moments come from the composed step
+    matrices, only the snapshots are computed on the grid (sheared, or
+    stepped where the shears would leave the grid), and there the density
+    checks run; the other steps get the coefficient check, the kick guard
+    and the resolution prediction.  Either plan gives the same result.
     """
     epsilon = check_positive("epsilon", epsilon, SolverError)
     # Classical transport preserves positivity; deformed transport does not.
     kind = state.kind if plan.is_classical else "wigner"
+    if spec.kick_is_classical:
+        from .linear_map import _evolve_linear  # loaded by the runs that take it
+
+        return _evolve_linear(state, spec, epsilon, plan, kind, snapshot_every)
     kernel = _GridKernel(state.grid, spec, epsilon, plan, kind)
     return _evolve(kernel, state, state.values, _step_boundaries(state.z, plan), snapshot_every)
 
@@ -422,12 +414,18 @@ def evolve_phase_space(
 class _RayKernel:
     """Leapfrog on the position and momentum arrays of the rays still live.
 
-    The arrays are updated in place; a step that loses rays compacts them
-    to the finite ones.  Kick-drift-kick is first-same-as-last: for a
-    z-independent potential the closing half-kick of one step is the
-    opening half-kick of the next, so it is kept in ``kick`` and each step
-    evaluates the gradient once.  A step that loses rays drops it; the next
-    step recomputes it on the survivors.
+    The values are the list ``[x, p]``.  The arrays are updated in place; a
+    step that loses rays compacts them to the finite ones.  A ray can stay
+    finite and still overflow the moments (``x**2``, or the product of two
+    variances, past the float range): only when a step's moments come out
+    non-finite does ``measure`` drop the rays beyond ``RAY_CAP``, replacing
+    both arrays in the list, count them as lost and measure again.  Other
+    moment errors (fewer than two rays left) are raised as they are.
+    Kick-drift-kick is first-same-as-last: for a z-independent potential
+    the closing half-kick of one step is the opening half-kick of the next,
+    so it is kept in ``kick`` and each step evaluates the gradient once.  A
+    step that loses rays drops it; the next step recomputes it on the
+    survivors.
     """
 
     def __init__(self, ensemble: RayEnsemble, spec: PotentialSpec, plan: StepPlan):
@@ -456,15 +454,28 @@ class _RayKernel:
             finite = np.isfinite(x) & np.isfinite(p)
         self.kick = kick if self.spec.is_static else None
         if not finite.all():
-            x, p = x[finite], p[finite]
-            self.lost += finite.size - x.size
-            self.kick = None
-            if x.size == 0:
-                raise SolverError("all rays diverged to non-finite phase-space values")
+            x, p = self._drop(x, p, finite)
+        return [x, p]
+
+    def _drop(self, x: np.ndarray, p: np.ndarray, kept: np.ndarray):
+        """The rays ``kept`` marks; the others count as lost."""
+        x, p = x[kept], p[kept]
+        self.lost += kept.size - x.size
+        self.kick = None
+        if x.size == 0:
+            raise SolverError("all rays diverged to non-finite phase-space values")
         return x, p
 
-    def measure(self, values, z: float) -> BeamMoments:
-        return _ray_moments(*values, z)
+    def measure(self, values: list, z: float) -> BeamMoments:
+        try:
+            return _ray_moments(*values, z)
+        except StateError:
+            x, p = values
+            kept = (np.abs(x) <= RAY_CAP) & (np.abs(p) <= RAY_CAP)
+            if kept.all():
+                raise
+            values[:] = self._drop(x, p, kept)
+            return _ray_moments(*values, z)
 
     def wrap(self, values, z: float) -> RayEnsemble:
         return RayEnsemble(*values, z, self.ensemble.seed)
@@ -479,11 +490,12 @@ def trace_rays(ensemble: RayEnsemble, spec: PotentialSpec, plan: StepPlan) -> Tr
     first-same-as-last: the closing half-kick of a step is reused as the
     opening half-kick of the next, so a step evaluates the gradient once,
     with results bitwise equal to two evaluations.  Rays that reach
-    non-finite coordinates (diverging anharmonic orbits) are excluded from
+    non-finite coordinates (diverging anharmonic orbits), and at a step
+    whose moments overflow the rays beyond ``RAY_CAP``, are excluded from
     the moments and from the final ensemble; ``lost`` reports how many.  The
     snapshots are the initial and the final ensemble.
     """
-    values = (np.array(ensemble.positions, dtype=float), np.array(ensemble.momenta, dtype=float))
+    values = [np.array(ensemble.positions, dtype=float), np.array(ensemble.momenta, dtype=float)]
     # Rays advance z by repeated addition of dz (the grids use z0 + k dz); keeping
     # that keeps their z column, and so their artifacts, bit-identical.
     zs = list(accumulate(repeat(plan.dz, plan.n_steps), initial=ensemble.z))

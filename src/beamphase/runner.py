@@ -11,7 +11,7 @@ fixed config and seed.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .diagnostics import (
     negativity,
     truncation_ratio,
 )
-from .exceptions import BeamPhaseError, ConfigError, SolverError, StateError, TransformError
+from .exceptions import ConfigError, SolverError, StateError, TransformError
 from .phasespace import StepPlan, _preflight_kick, evolve_phase_space, trace_rays
 from .scenario import ScenarioConfig
 from .states import sample_rays
@@ -43,6 +43,8 @@ __all__ = [
 COMPARISON_MARGINAL_TOL = 1e-9
 
 GRID_ENGINES = ("moyal", "liouville")
+# The engines that start from ``config.initial_density()``.
+DENSITY_ENGINES = (*GRID_ENGINES, "rays")
 
 
 @dataclass(frozen=True)
@@ -88,18 +90,20 @@ class RunReport:
         raise KeyError(f"engine {name!r} was not part of this run")
 
 
-def build_initial_states(config: ScenarioConfig):
+def build_initial_states(config: ScenarioConfig, rho=None):
     """Construct the initial state for every requested engine.
 
     The wavefield engine gets ``config.initial_wavefield()``, the grid and
     ray engines ``config.initial_density()``: the builders that
-    ``load_scenario`` already ran to check the box.  Returns a dict with
-    keys ``psi``, ``rho`` and ``rays`` (values may be None when the
+    ``load_scenario`` already ran to check the box.  ``rho`` is that
+    density when the caller has built it.  Returns a dict with keys
+    ``psi``, ``rho`` and ``rays`` (values may be None when the
     corresponding engine was not requested).
     """
     engines = config.run.engines
     psi = config.initial_wavefield() if "twm" in engines else None
-    rho = config.initial_density() if {"moyal", "liouville", "rays"} & set(engines) else None
+    if rho is None and set(DENSITY_ENGINES) & set(engines):
+        rho = config.initial_density()
     rays = sample_rays(rho, config.run.ray_count, config.run.seed) if "rays" in engines else None
     return {"psi": psi, "rho": rho, "rays": rays}
 
@@ -131,23 +135,39 @@ def _engine_plan(name: str, config: ScenarioConfig) -> StepPlan:
     return StepPlan(run.dz, run.n_steps, "full_moyal")
 
 
-def _guard_failures(config: ScenarioConfig, spec) -> list[str]:
-    """The step-1 guard errors of the requested engines, in run order, as ``run`` reports them.
+def _guard_failures(config: ScenarioConfig, spec, rho=None) -> list[str]:
+    """The guard errors of the requested engines that need no evolved state, in run order.
 
-    The twm kinetic guard and the grid kick guard depend only on the grid,
-    the potential, dz and epsilon, so ``run_scenario`` refuses the first one
-    before any engine starts and ``validate`` reports each as a warning.
-    Guards at later steps of a z-dependent potential stay in the step loop.
-    A run without steps takes none, so it checks no guard.
+    ``run_scenario`` refuses the first one before any engine starts and
+    ``validate`` reports each as a warning, with the text ``run`` reports.
+    The twm kinetic guard and the grid kick guard of step 1 depend only on
+    the grid, the potential, dz and epsilon.  For a potential of degree at
+    most 2 the grid engines map the run in closed form, so every step's
+    coefficient check and kick guard and the resolution prediction from
+    the initial density ``rho`` (built from ``config`` when None) are known
+    in advance too (see ``linear_map._linear_failure``); both grid engines
+    share that result.  Guards at later steps of a z-dependent potential of
+    higher degree stay in the step loop.  A run without steps takes none,
+    so it checks no guard.
     """
     failures = []
-    if config.run.n_steps == 0:
+    run = config.run
+    if run.n_steps == 0:
         return failures
-    for name in config.run.engines:
+    linear = None  # both grid engines map a degree <= 2 run alike, so it is checked once
+    if spec.kick_is_classical and set(GRID_ENGINES) & set(run.engines):
+        from .linear_map import _linear_failure  # loaded by the runs that take it
+
+        rho = config.initial_density() if rho is None else rho
+        linear = _linear_failure(rho, spec, _engine_plan("moyal", config))
+    for name in run.engines:
         plan = _engine_plan(name, config)
         try:
             if name == "twm":
                 _kinetic_phase(config.grid.x_axis(), config.epsilon, plan.dz)
+            elif name in GRID_ENGINES and spec.kick_is_classical:
+                if linear is not None:
+                    failures.append(f"engine {name}: {linear}")
             elif name in GRID_ENGINES:
                 _preflight_kick(config.grid.phase_grid(), spec, config.epsilon, plan)
         except SolverError as exc:
@@ -159,38 +179,15 @@ def _linf(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(a - b).max())
 
 
-def _evolve_engine(name: str, states: dict, spec, config: ScenarioConfig, shared: dict):
-    """One engine's trajectory.
-
-    When moyal and liouville are both requested and the potential's kick is
-    classical (``PotentialSpec.kick_is_classical``), the two engines are the
-    same map: moyal's turn evolves the grid once under liouville's plan, so
-    liouville's per-step non-negativity check still runs, keeps that
-    trajectory in ``shared`` for liouville's turn, and returns it with the
-    evolved snapshots tagged ``"wigner"``.  If that pass raises, moyal runs
-    alone and liouville later runs alone, so each raises what its own pass
-    raises.
-    """
+def _evolve_engine(name: str, states: dict, spec, config: ScenarioConfig):
+    """One engine's trajectory."""
     plan = _engine_plan(name, config)
     every = config.run.snapshot_every
     if name == "twm":
         return evolve_twm(states["psi"], spec, plan, every)
     if name == "rays":
         return trace_rays(states["rays"], spec, plan)
-    if name in shared:
-        return shared.pop(name)
-    rho = states["rho"]
-    if name == "moyal" and "liouville" in config.run.engines and spec.kick_is_classical:
-        classical = _engine_plan("liouville", config)
-        try:
-            traj = evolve_phase_space(rho, spec, config.epsilon, classical, every)
-        except BeamPhaseError:
-            pass  # each engine's own pass below raises it again under its own name
-        else:
-            shared["liouville"] = traj
-            evolved = tuple(replace(state, kind="wigner") for state in traj.snapshots[1:])
-            return replace(traj, snapshots=traj.snapshots[:1] + evolved)
-    return evolve_phase_space(rho, spec, config.epsilon, plan, every)
+    return evolve_phase_space(states["rho"], spec, config.epsilon, plan, every)
 
 
 def _phase_space_snapshots(name: str, traj, spec, config: ScenarioConfig, warnings: list[str]):
@@ -246,20 +243,19 @@ def run_scenario(config: ScenarioConfig, emit: bool = True) -> RunReport:
 
     Artifacts (CSV series, grid dumps, heatmaps) are written to the
     configured output directory unless ``emit`` is false.  Solver errors
-    carry the engine name and step context; a step-1 guard error (see
-    ``_guard_failures``) is raised before any engine starts.
-
-    moyal and liouville coincide for a potential of degree <= 2, so a run
-    with both evolves the grid once (see ``_evolve_engine``): moyal's
-    ``seconds`` then holds that pass and liouville's only its own share.
-    Results and artifacts are those of two separate passes, bit for bit.
+    carry the engine name and step context; a guard error that needs no
+    evolved state (see ``_guard_failures``) is raised before any engine
+    starts.
     """
     spec = config.potential.build()
     run = config.run
-    failures = _guard_failures(config, spec)
+    # The density before the guards, which map it for a degree <= 2 grid run;
+    # the other states after them, so a refused run samples no rays.
+    rho = config.initial_density() if set(DENSITY_ENGINES) & set(run.engines) else None
+    failures = _guard_failures(config, spec, rho)
     if failures:
         raise SolverError(failures[0])
-    states = build_initial_states(config)
+    states = build_initial_states(config, rho)
     warnings: list[str] = []
 
     if config.physics.from_thermal:
@@ -275,12 +271,11 @@ def run_scenario(config: ScenarioConfig, emit: bool = True) -> RunReport:
     # for every engine with a phase-space representation; twm keeps only its
     # final density unless a grid engine needs them all for the distances.
     phase_space: dict[str, tuple] = {}
-    shared: dict = {}  # a trajectory one engine's pass made for a later engine
 
     for name in run.engines:
         started = time.perf_counter()
         try:
-            traj = _evolve_engine(name, states, spec, config, shared)
+            traj = _evolve_engine(name, states, spec, config)
         except SolverError as exc:
             raise SolverError(f"engine {name}: {exc}") from None
         seconds = time.perf_counter() - started

@@ -127,6 +127,76 @@ formats = csv
 """
 
 
+# Constant-lens runs that the grid cannot resolve to their end: stepping
+# refuses the superposition at step 331 (liouville) and the coarse-x
+# Gaussian at step 84 (liouville); the closed-form prediction refuses both
+# grid engines earlier, before any engine starts.
+UNRESOLVED_LENS_SCENARIOS = {
+    "superposition": (
+        "nx = 256", "kind = superposition\nsigma0 = 0.4\nseparation = 1.2", 1300, 322
+    ),
+    "coarse_x": ("nx = 128", "sigma0 = 0.4\nx0 = 0.5", 100, 46),
+}
+UNRESOLVED_LENS_SCENARIO = """
+[grid]
+{nx}
+np = 128
+x_length = 25.6
+p_length = 6.4
+
+[beam]
+{beam}
+
+[physics]
+epsilon = 0.1
+
+[potential]
+preset = linear_lens
+k = 1.0
+
+[run]
+dz = 2e-3
+n_steps = {n_steps}
+engines = moyal, liouville
+
+[output]
+directory = {outdir}
+formats = csv
+"""
+
+
+# A defocusing quartic: rays escape, and some overflow the moments while
+# still finite before they turn non-finite.
+DIVERGING_RAYS_SCENARIO = """
+[grid]
+nx = 256
+np = 128
+x_length = 32.0
+p_length = 0.8
+
+[beam]
+sigma0 = 1.0
+
+[physics]
+epsilon = 0.1
+
+[potential]
+preset = quartic_channel
+k = 1.0
+lambda4 = -1.0
+
+[run]
+dz = 0.05
+n_steps = 40
+engines = rays
+ray_count = 2000
+
+[output]
+directory = {outdir}
+formats = csv
+"""
+
+
 # lens_harmonic's grid, beam and step, cut to 40 steps; {potential} is a
 # [potential] section or empty (free space).
 LENS_SCENARIO = """
@@ -680,14 +750,14 @@ class TestRunnerReport:
 
 
 class TestSharedGridPass:
-    """moyal and liouville evolve the grid once when the kick is classical."""
+    """A run with both grid engines gives what two separate passes give."""
 
     @pytest.mark.parametrize(
         "potential, engines, passes",
         [
-            (HARMONIC_LENS, "moyal, liouville", 1),
-            (CONSTANT_LENS, "moyal, liouville", 1),
-            ("", "moyal, liouville", 1),
+            (HARMONIC_LENS, "moyal, liouville", 2),
+            (CONSTANT_LENS, "moyal, liouville", 2),
+            ("", "moyal, liouville", 2),
             (QUARTIC, "moyal, liouville", 2),
             (HARMONIC_LENS, "moyal", 1),
             (HARMONIC_LENS, "liouville", 1),
@@ -695,11 +765,12 @@ class TestSharedGridPass:
         ids=["harmonic", "constant", "free", "quartic", "moyal-only", "liouville-only"],
     )
     def test_grid_passes(self, tmp_path, monkeypatch, potential, engines, passes):
+        # Each grid engine makes its own pass under its own plan.
         plans = count_grid_passes(monkeypatch)
         run_scenario(load_scenario(lens_ini(tmp_path, potential, engines)), emit=False)
         assert len(plans) == passes
-        if engines == "moyal, liouville" and passes == 1:
-            assert plans[0].is_classical  # liouville's per-step check runs
+        names = [name.strip() for name in engines.split(",")]
+        assert [plan.is_classical for plan in plans] == [name == "liouville" for name in names]
 
     @pytest.mark.parametrize(
         "potential", [HARMONIC_LENS, CONSTANT_LENS, ""], ids=["harmonic", "constant", "free"]
@@ -744,19 +815,16 @@ class TestSharedGridPass:
             float(np.abs(a.values - b.values).max()) for a, b in zip(moyal, liouville)
         )
 
-    def test_failed_shared_pass_runs_each_engine_alone(self, tmp_path, monkeypatch):
-        plans = fail_classical_check_at(monkeypatch, 3)
-        assert main(["run", str(lens_ini(tmp_path)), "--quiet"]) == 1
-        assert [plan.is_classical for plan in plans] == [True, False, True]
-
 
 class TestGridErrorParity:
     """A run with both grid engines fails as two separate passes would."""
 
     def test_liouville_check_names_liouville_and_the_step(self, tmp_path, capsys, monkeypatch):
+        # The quartic channel steps, so liouville's per-step check runs; a
+        # degree <= 2 run is mapped in closed form.
         fail_classical_check_at(monkeypatch, 3)
         outdir = tmp_path / "out"
-        assert main(["run", str(lens_ini(tmp_path)), "--quiet"]) == 1
+        assert main(["run", str(lens_ini(tmp_path, QUARTIC)), "--quiet"]) == 1
         err = capsys.readouterr().err
         assert err.startswith(
             "error: engine liouville: step 3/40: classical density has negative values"
@@ -782,6 +850,64 @@ class TestGridErrorParity:
         warnings = [line for line in capsys.readouterr().out.splitlines() if "warning" in line]
         assert [w.split(":")[1] for w in warnings] == [" engine moyal", " engine liouville"]
         assert all("step 1/40: kick phase overflow" in w for w in warnings)
+
+
+class TestLinearPreflight:
+    """A degree <= 2 run the grid cannot resolve is refused before any engine starts."""
+
+    @pytest.mark.parametrize("case", sorted(UNRESOLVED_LENS_SCENARIOS))
+    def test_validate_warns_and_run_refuses(self, tmp_path, capsys, monkeypatch, case):
+        nx, beam, n_steps, step = UNRESOLVED_LENS_SCENARIOS[case]
+        outdir = tmp_path / "out"
+        ini = write_ini(
+            tmp_path, UNRESOLVED_LENS_SCENARIO, nx=nx, beam=beam, n_steps=n_steps, outdir=outdir
+        )
+        assert main(["validate", str(ini)]) == 0
+        warnings = [line for line in capsys.readouterr().out.splitlines() if "warning" in line]
+        prefix = f"step {step}/{n_steps}: grid.nx: the linear map carries the beam's spectrum"
+        assert [w.split(": step")[0] for w in warnings] == [
+            "warning: engine moyal", "warning: engine liouville"
+        ]
+        assert all(f": {prefix}" in w for w in warnings)
+        plans = count_grid_passes(monkeypatch)
+        assert main(["run", str(ini), "--quiet"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: engine moyal: {prefix}")
+        assert plans == []
+        assert not outdir.exists()
+
+    def test_run_builds_the_density_once(self, tmp_path, monkeypatch):
+        # The pre-flight maps the density the grid engines start from;
+        # the load-time box check built one before.
+        ini = write_ini(
+            tmp_path, UNRESOLVED_LENS_SCENARIO, nx="nx = 128", beam="sigma0 = 0.4\nx0 = 0.5",
+            n_steps=20, outdir=tmp_path / "out",
+        )
+        config = load_scenario(ini)
+        built = []
+        density = scenario.ScenarioConfig.initial_density
+
+        def counted(config):
+            built.append(config)
+            return density(config)
+
+        monkeypatch.setattr(scenario.ScenarioConfig, "initial_density", counted)
+        run_scenario(config, emit=False)
+        assert len(built) == 1
+
+
+class TestDivergingRays:
+    def test_rays_overflowing_the_moments_are_lost_not_fatal(self, tmp_path, capsys):
+        outdir = tmp_path / "out"
+        ini = write_ini(tmp_path, DIVERGING_RAYS_SCENARIO, outdir=outdir)
+        assert main(["run", str(ini)]) == 0
+        out = capsys.readouterr().out
+        (warning,) = [line for line in out.splitlines() if line.startswith("warning:")]
+        assert warning.startswith("warning: rays: ")
+        assert warning.endswith(" rays left the representable range")
+        lost = int(warning.split()[2])
+        assert 0 < lost < 2000
+        rows = (outdir / "moments_rays.csv").read_text().splitlines()
+        assert len(rows) == 1 + 41
 
 
 class TestWignerSnapshotStream:

@@ -1,0 +1,284 @@
+"""Linear optics in one shot: ``evolve_phase_space`` against stepping the grid kernel.
+
+For a potential of degree <= 2 ``evolve_phase_space`` maps a run in closed
+form: moments from the composed 2x2 step maps, snapshots from at most three
+Fourier shears of the cumulative map, or stepped where those shears would
+leave the grid.  Stepping ``_GridKernel`` through ``_evolve`` is its
+reference.  The bounds were fixed before measuring:
+moments within 1e-10 of their scale, the final state within 1e-9 of the
+peak.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from step_checks import assert_moments_close, count_ffts
+
+from beamphase import (
+    AxisGrid,
+    ConstantProfile,
+    HarmonicProfile,
+    PhaseGrid,
+    PotentialSpec,
+    SolverError,
+    StepPlan,
+    evolve_phase_space,
+    free_space,
+    gaussian_quasidist,
+    linear_lens,
+    superposition_quasidist,
+)
+from beamphase import linear_map, phasespace
+from beamphase.linear_map import _linear_run, _shear_sequence
+from beamphase.phasespace import _evolve, _GridKernel, _step_boundaries
+
+EPS = 0.1
+# The beams below stay within 7 widths of every edge while they rotate.
+LENS_GRID = PhaseGrid(AxisGrid(128, 6.4), AxisGrid(64, 5.12))
+# Off-centre axes: the -I branch reverses indices about the grid centre.
+SHIFTED_GRID = PhaseGrid(AxisGrid(128, 6.4, 0.35), AxisGrid(64, 5.12, -0.1))
+HARMONIC_LENS = PotentialSpec(((2, HarmonicProfile(0.5, 3.0)),))
+LENS_WITH_X1 = PotentialSpec(((1, HarmonicProfile(0.3, 2.0)), (2, ConstantProfile(0.5))))
+POTENTIALS = {
+    "harmonic_lens": HARMONIC_LENS,
+    "constant_lens": linear_lens(1.0),
+    "free": free_space(),
+    "lens_with_x1": LENS_WITH_X1,
+}
+
+
+def two_lenses(z):
+    """K = 1 for a quarter turn (beta 1), then K = 4 (beta 1/2)."""
+    return 0.5 if z < 0.5 * math.pi else 2.0
+
+
+# A quarter turn in each lens maps the run to nearly -diag(1/2, 2), far from a rotation.
+TWO_LENSES = PotentialSpec(((2, two_lenses),))
+# Room in p for the beam's momentum spread to double.
+TALL_GRID = PhaseGrid(AxisGrid(128, 6.4), AxisGrid(128, 10.24))
+BEAMS = {
+    "gaussian": lambda grid: gaussian_quasidist(grid, 0.3, 0.2, x0=0.2, p0=-0.1),
+    "superposition": lambda grid: superposition_quasidist(grid, 0.25, 0.2, 0.8, p0=0.1),
+}
+# Rotation angles of the constant lens (K = 1): the angle is the z covered.
+ANGLES = {
+    "below_quarter_turn": StepPlan(0.01, 100),
+    "past_quarter_turn": StepPlan(0.01, 250),
+    "full_period": StepPlan(2.0 * math.pi / 628, 628),
+}
+
+
+def stepped(state, spec, plan, every=None):
+    """The run stepped by the grid kernel: the path degree > 2 potentials take."""
+    kind = state.kind if plan.is_classical else "wigner"
+    kernel = _GridKernel(state.grid, spec, EPS, plan, kind)
+    return _evolve(kernel, state, state.values, _step_boundaries(state.z, plan), every)
+
+
+def mapped_run(state, spec, plan, every=None):
+    """``evolve_phase_space`` of the run, and how many steps the grid kernel took in it."""
+    steps = []
+    advance = _GridKernel.advance
+
+    def counted(kernel, values, z):
+        steps.append(z)
+        return advance(kernel, values, z)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_GridKernel, "advance", counted)
+        return evolve_phase_space(state, spec, EPS, plan, every), len(steps)
+
+
+def assert_matches_stepping(state, spec, plan, every=None, stepped_steps=0):
+    """The closed form matches stepping; ``stepped_steps`` of its steps were stepped too."""
+    mapped, count = mapped_run(state, spec, plan, every)
+    reference = stepped(state, spec, plan, every)
+    assert mapped.snapshot_steps == reference.snapshot_steps
+    assert_moments_close(mapped.moments, reference.moments, 1e-10)
+    for got, want in zip(mapped.snapshots, reference.snapshots, strict=True):
+        assert got.z == want.z
+        peak = np.abs(want.values).max()
+        assert np.abs(got.values - want.values).max() <= 1e-9 * peak
+    assert count == stepped_steps
+    return mapped
+
+
+def final_map(state, spec, plan):
+    """The cumulative affine map ``(a, b, c, d, e, f)`` of a run."""
+    totals, failure, _ = _linear_run(state, spec, plan, _step_boundaries(state.z, plan))
+    assert failure is None
+    return totals[-1]
+
+
+@pytest.mark.parametrize("beam", sorted(BEAMS))
+@pytest.mark.parametrize("potential", sorted(POTENTIALS))
+def test_potentials_match_stepping(potential, beam):
+    state = BEAMS[beam](LENS_GRID)
+    assert_matches_stepping(state, POTENTIALS[potential], StepPlan(0.01, 100), every=40)
+
+
+@pytest.mark.parametrize("grid", [LENS_GRID, SHIFTED_GRID], ids=["centred", "shifted"])
+@pytest.mark.parametrize("beam", sorted(BEAMS))
+@pytest.mark.parametrize("angle", sorted(ANGLES))
+def test_rotation_angles_match_stepping(angle, beam, grid):
+    state = BEAMS[beam](grid)
+    plan = ANGLES[angle]
+    a, b, c, d, _, _ = final_map(state, linear_lens(1.0), plan)
+    if angle == "past_quarter_turn":
+        assert a + d < 0.0  # the -I branch
+    elif angle == "full_period":
+        assert max(abs(a - 1.0), abs(b), abs(c), abs(d - 1.0)) <= 1e-3  # near the identity
+    else:
+        assert a + d > 0.0
+    assert_matches_stepping(state, linear_lens(1.0), plan)
+
+
+@pytest.mark.parametrize("n_steps", [0, 1])
+@pytest.mark.parametrize("potential", sorted(POTENTIALS))
+def test_short_runs_match_stepping(potential, n_steps):
+    state = BEAMS["gaussian"](LENS_GRID)
+    mapped = assert_matches_stepping(state, POTENTIALS[potential], StepPlan(0.01, n_steps))
+    if n_steps == 0:
+        assert mapped.final is state
+
+
+def test_moyal_equals_liouville_bitwise():
+    state = BEAMS["superposition"](LENS_GRID)
+    moyal = evolve_phase_space(state, HARMONIC_LENS, EPS, StepPlan(0.01, 100))
+    liouville = evolve_phase_space(state, HARMONIC_LENS, EPS, StepPlan(0.01, 100, "truncated", 1))
+    assert moyal.moments == liouville.moments
+    assert moyal.final.values.tobytes() == liouville.final.values.tobytes()
+    assert (moyal.final.kind, liouville.final.kind) == ("wigner", "classical")
+
+
+@pytest.mark.parametrize("potential", ["harmonic_lens", "free"])
+def test_ffts_do_not_grow_with_the_step_count(monkeypatch, potential):
+    state = BEAMS["gaussian"](LENS_GRID)
+    counts = []
+    for n_steps in (10, 100):
+        calls = count_ffts(monkeypatch)
+        evolve_phase_space(state, POTENTIALS[potential], EPS, StepPlan(0.01, n_steps))
+        counts.append(calls)
+        monkeypatch.undo()
+    assert counts[0] == counts[1]
+    # Two for the resolution check's spectrum, two for each of at most three shears.
+    assert sum(counts[0].values()) <= 2 + 3 * 2
+
+
+@pytest.mark.parametrize("potential", ["harmonic_lens", "constant_lens", "lens_with_x1"])
+def test_kick_guard_values_as_stepping(monkeypatch, potential):
+    # The closed form takes each step's kick phase from the grid's end
+    # points; stepping takes the maximum over the whole grid.  Equal bit
+    # for bit, and the one at pi raises the same message.
+    guards = []
+    check = phasespace._check_kick_phase
+
+    def recording(guard):
+        guards.append(guard)
+        check(guard)
+
+    for module in (phasespace, linear_map):
+        monkeypatch.setattr(module, "_check_kick_phase", recording)
+    state, spec, plan = BEAMS["gaussian"](LENS_GRID), POTENTIALS[potential], StepPlan(0.01, 30)
+    evolve_phase_space(state, spec, EPS, plan)
+    mapped, guards[:] = guards[:], []
+    stepped(state, spec, plan)
+    # A stepped kernel builds a static kick, and guards it, once.
+    assert mapped == (guards * 30 if spec.is_static else guards)
+    assert len(mapped) == 30
+    # Twice the step takes step 1's phase past pi for each of these lenses.
+    overflow = StepPlan(2.0 * math.pi * plan.dz / max(mapped), 30)
+    messages = []
+    for run in (evolve_phase_space, stepped):
+        with pytest.raises(SolverError, match=r"^step 1/30: kick phase overflow") as caught:
+            if run is evolve_phase_space:
+                run(state, spec, EPS, overflow)
+            else:
+                run(state, spec, overflow)
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
+
+
+def test_nan_coefficient_names_its_step():
+    # The x coefficient turns nan at the midpoint of step 3 (z = 0.025).
+    def nan_from_step_3(z):
+        return math.nan if z >= 0.025 else 0.0
+
+    spec = PotentialSpec(((2, HarmonicProfile(0.5, 3.0)), (1, nan_from_step_3)))
+    state = BEAMS["gaussian"](LENS_GRID)
+    with pytest.raises(SolverError, match=r"^step 3/5: .*non-finite"):
+        evolve_phase_space(state, spec, EPS, StepPlan(0.01, 5))
+    with pytest.raises(SolverError, match=r"^step 3/5: .*non-finite"):
+        stepped(state, spec, StepPlan(0.01, 5))
+
+
+@pytest.mark.parametrize("beam, stepped_snapshots", [("gaussian", 3), ("superposition", 4)])
+def test_squeezing_snapshots_are_stepped(beam, stepped_snapshots):
+    # Snapshots every 40 steps.  At steps 440 and 480 the first shear would
+    # carry the spectrum past the y Nyquist line (a rate near 100 at step
+    # 480), and near the quarter turn of the first lens (step 320, and 280
+    # for the wider spectrum of the superposition) it would carry the part
+    # above SHEAR_FLOOR there.  Those snapshots are stepped from the one
+    # before, 40 steps each; the others are sheared.
+    state = BEAMS[beam](TALL_GRID)
+    plan = StepPlan(math.pi / 640, 480)
+    a, b, c, d, _, _ = final_map(state, TWO_LENSES, plan)
+    assert max(abs(a + 0.5), abs(b), abs(c), abs(d + 2.0)) <= 1e-4
+    assert_matches_stepping(state, TWO_LENSES, plan, 40, stepped_steps=40 * stepped_snapshots)
+
+
+def test_wrapping_shear_is_stepped():
+    # A round beam that fills its box, turned by nearly a quarter: the first
+    # shear would push its tails across the x edge, where the three shears
+    # miss stepping by 7.5e-9 of the peak.  The final state is stepped instead.
+    grid = PhaseGrid(AxisGrid(128, 6.4), AxisGrid(128, 6.4))
+    state = gaussian_quasidist(grid, 0.42, 0.42)
+    plan = StepPlan((0.5 * math.pi - 0.1) / 200, 200)
+    assert_matches_stepping(state, linear_lens(1.0), plan, stepped_steps=200)
+
+
+def test_a_squeeze_has_no_three_shear_form():
+    assert _shear_sequence((2.0, 0.0, 0.0, 0.5, 0.0, 0.0), LENS_GRID) == (False, None)
+    # -I is an index reversal and nothing more.
+    assert _shear_sequence((-1.0, 0.0, 0.0, -1.0, 0.0, 0.0), LENS_GRID) == (
+        True, ((0, 0.0, 0.0), (1, 0.0, 0.0))
+    )
+
+
+class TestSteppingRefusalsStay:
+    """Runs that stepping refuses are refused by the closed form too, no later.
+
+    Every case is ``linear_lens(1.0)`` at eps 0.1 and dz 2e-3.  Without the
+    resolution prediction the closed form accepted both.
+    """
+
+    PLANS = {
+        "moyal": lambda n: StepPlan(2e-3, n),
+        "liouville": lambda n: StepPlan(2e-3, n, "truncated", 1),
+    }
+
+    @pytest.mark.parametrize("engine", sorted(PLANS))
+    def test_superposition_beam(self, engine):
+        # Stepping refuses liouville at step 331 and moyal at step 462.
+        grid = PhaseGrid(AxisGrid(256, 25.6), AxisGrid(128, 6.4))
+        state = superposition_quasidist(grid, 0.4, 0.125, 1.2)
+        with pytest.raises(SolverError, match=r"^step (\d+)/1300: grid\.nx: ") as caught:
+            evolve_phase_space(state, linear_lens(1.0), EPS, self.PLANS[engine](1300))
+        assert int(caught.value.args[0].split("/")[0].split()[1]) <= 331
+
+    def test_coarse_x_gaussian(self):
+        # 128 points over 25.6: stepped liouville refuses at step 84 (its
+        # density dips below the classical floor); moyal's minimum only
+        # worsens.  The prediction refuses both earlier, at the same step.
+        grid = PhaseGrid(AxisGrid(128, 25.6), AxisGrid(128, 6.4))
+        state = gaussian_quasidist(grid, 0.4, 0.125, x0=0.5)
+        with pytest.raises(SolverError, match=r"^step 84/100: classical density"):
+            stepped(state, linear_lens(1.0), self.PLANS["liouville"](100))
+        steps = set()
+        for plan in self.PLANS.values():
+            with pytest.raises(SolverError, match=r"^step (\d+)/100: grid\.nx: ") as caught:
+                evolve_phase_space(state, linear_lens(1.0), EPS, plan(100))
+            steps.add(caught.value.args[0].split("/")[0])
+        (step,) = steps
+        assert int(step.split()[1]) < 84

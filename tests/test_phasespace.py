@@ -36,12 +36,7 @@ from beamphase import (
 )
 from beamphase import phasespace
 from beamphase.diagnostics import _beam_moments
-from beamphase.phasespace import (
-    STEP_REALNESS_TOL,
-    _GridKernel,
-    _kick_multiplier,
-    _kick_operands,
-)
+from beamphase.phasespace import STEP_REALNESS_TOL, _GridKernel
 
 EPS = 0.1
 FREE_GRID = PhaseGrid(AxisGrid(256, 24.0), AxisGrid(64, 0.8))
@@ -330,108 +325,6 @@ class TestRealKernel:
             assert residue <= 1e-6 * STEP_REALNESS_TOL * np.abs(values).max()
 
 
-def dense_kick(spec, x_col, y_row, epsilon, plan, z_mid):
-    """``exp(i dz G)`` from the generator built on the whole grid, as ``cos + i sin``."""
-    if plan.generator == "full_moyal":
-        g = moyal_generator(spec, x_col, y_row, z_mid, epsilon)
-    else:
-        g = moyal_generator_truncated(spec, x_col, y_row, z_mid, epsilon, plan.max_order)
-    angle = plan.dz * g
-    kick = np.empty(angle.shape, dtype=complex)
-    np.cos(angle, out=kick.real)
-    np.sin(angle, out=kick.imag)
-    return kick
-
-
-class TestRankOneKick:
-    # For degree <= 2 the kick exp(i dz U'(x) y) is built from the gradient
-    # and a few columns of cos and sin; the dense generator build is its
-    # reference, with the kick phase near the guard's pi.
-    LENSES = {
-        "linear_lens": linear_lens(1.0),
-        "harmonic_lens": HARMONIC_LENS,
-        "lens_with_x1": LENS_WITH_X1,
-    }
-    Z_MID = 0.37
-
-    @staticmethod
-    def operands(n_p):
-        return _kick_operands(PhaseGrid(AxisGrid(256, 25.6), AxisGrid(n_p, 6.4)))
-
-    def max_generator(self, spec, x, y):
-        return float(np.abs(moyal_generator(spec, x, y, self.Z_MID, EPS)).max())
-
-    @pytest.mark.parametrize("n_p", [64, 128, 512])
-    @pytest.mark.parametrize("lens", sorted(LENSES))
-    @pytest.mark.parametrize("generator", ["full_moyal", "truncated"])
-    def test_matches_dense_build_near_the_guard(self, lens, n_p, generator):
-        spec = self.LENSES[lens]
-        x, y = self.operands(n_p)
-        plan = StepPlan(3.1 / self.max_generator(spec, x, y), 1, generator)
-        kick = _kick_multiplier(spec, x, y, EPS, plan, self.Z_MID)
-        assert kick.shape == (x.shape[0], y.shape[1])
-        reference = dense_kick(spec, x, y, EPS, plan, self.Z_MID)
-        assert np.abs(kick - reference).max() <= 3e-15
-
-    @pytest.mark.parametrize("lens", sorted(LENSES))
-    def test_guard_value_and_message_as_the_dense_build(self, monkeypatch, lens):
-        spec = self.LENSES[lens]
-        x, y = self.operands(128)
-        peak = self.max_generator(spec, x, y)
-        guards = []
-        check = phasespace._check_kick_phase
-
-        def recording(guard):
-            guards.append(guard)
-            check(guard)
-
-        monkeypatch.setattr(phasespace, "_check_kick_phase", recording)
-        at_pi = math.pi / peak
-        for dz in (0.5 * at_pi, math.nextafter(at_pi, 0.0), at_pi, math.nextafter(at_pi, 1.0), 2 * at_pi):
-            guard = peak * dz  # the dense build's max |dz G|
-            plan = StepPlan(dz, 1)
-            if guard >= math.pi:
-                message = (
-                    f"kick phase overflow: max |dz * G| = {guard:.3e} >= pi "
-                    "(the complex exponential would alias); reduce dz or the grid extents"
-                )
-                with pytest.raises(SolverError) as caught:
-                    _kick_multiplier(spec, x, y, EPS, plan, self.Z_MID)
-                assert str(caught.value) == message
-            else:
-                _kick_multiplier(spec, x, y, EPS, plan, self.Z_MID)
-            assert guards.pop() == guard
-
-    def test_lens_run_builds_no_generator(self, monkeypatch):
-        calls = Counter()
-        for name in ("moyal_generator", "moyal_generator_truncated"):
-            original = getattr(phasespace, name)
-
-            def counted(*args, __name=name, __original=original):
-                calls[__name] += 1
-                return __original(*args)
-
-            monkeypatch.setattr(phasespace, name, counted)
-        rho = gaussian_quasidist(LENS_GRID, 0.3, 0.2)
-        for plan in (StepPlan(0.01, 20), StepPlan(0.01, 20, "truncated", 1)):
-            evolve_phase_space(rho, HARMONIC_LENS, EPS, plan)
-        assert calls == Counter()
-        # The counter does see the quartic channel's one static build per plan.
-        rho = gaussian_quasidist(QUARTIC_GRID, 0.4, 0.25)
-        evolve_phase_space(rho, quartic_channel(1.0, 0.1), EPS, StepPlan(5e-4, 3))
-        evolve_phase_space(rho, quartic_channel(1.0, 0.1), EPS, StepPlan(5e-4, 3, "truncated", 1))
-        assert calls == Counter(moyal_generator=1, moyal_generator_truncated=1)
-
-    @pytest.mark.parametrize(
-        "plan", [StepPlan(5e-4, 1), StepPlan(5e-4, 1, "truncated", 1)], ids=["full", "order1"]
-    )
-    def test_quartic_kick_is_the_dense_build_bitwise(self, plan):
-        spec = PotentialSpec(((2, HarmonicProfile(0.5, 3.0)), (4, ConstantProfile(0.1))))
-        x, y = _kick_operands(QUARTIC_GRID)
-        kick = _kick_multiplier(spec, x, y, EPS, plan, self.Z_MID)
-        assert kick.tobytes() == dense_kick(spec, x, y, EPS, plan, self.Z_MID).tobytes()
-
-
 def retransform_reference(state, spec, epsilon, plan):
     """Real-data Strang steps that take the ``rfft`` of every sub-flow's input.
 
@@ -466,10 +359,15 @@ class TestHeldSpectrum:
         ids=["lens", "free"],
     )
     def test_ffts_per_step(self, monkeypatch, spec, per_step):
+        # Counted on the kernel itself: evolve_phase_space maps a run of
+        # these degree <= 2 potentials in closed form instead of stepping.
         rho = gaussian_quasidist(LENS_GRID, 0.3, 0.2)
-        calls = count_ffts(monkeypatch)
         n = 20
-        evolve_phase_space(rho, spec, EPS, StepPlan(0.01, n))
+        kernel = _GridKernel(LENS_GRID, spec, EPS, StepPlan(0.01, n))
+        calls = count_ffts(monkeypatch)
+        values = rho.values
+        for step in range(n):
+            values = kernel.advance(values, step * 0.01)
         # One rfft opens the first step; after that a step with a force takes
         # five transforms: the opening drift's irfft, then rfft + irfft for
         # the kick and for the closing drift.
@@ -570,7 +468,8 @@ class TestNonFiniteStep:
 class TestClassicalCheckPerStep:
     def test_negative_values_name_the_step(self, monkeypatch):
         # The check sees the negated density at step 3 (its 4th call), so the
-        # real check raises its own message from inside the step loop.
+        # real check raises its own message from inside the step loop.  The
+        # quartic channel steps; a degree <= 2 run is mapped in closed form.
         calls = []
         check = phasespace._check_classical
 
@@ -579,13 +478,14 @@ class TestClassicalCheckPerStep:
             check(-values if len(calls) == 4 else values)
 
         monkeypatch.setattr(phasespace, "_check_classical", failing)
-        rho = gaussian_quasidist(LENS_GRID, 0.3, 0.12)
-        evolve_phase_space(rho, HARMONIC_LENS, EPS, StepPlan(0.01, 5))
+        rho = gaussian_quasidist(QUARTIC_GRID, 0.4, 0.25)
+        spec = quartic_channel(1.0, 0.1)
+        evolve_phase_space(rho, spec, EPS, StepPlan(5e-4, 5))
         assert calls == []  # a deformed (wigner) density may go negative
         with pytest.raises(
             SolverError, match=r"^step 3/5: classical density has negative values beyond round-off"
         ):
-            evolve_phase_space(rho, HARMONIC_LENS, EPS, StepPlan(0.01, 5, "truncated", 1))
+            evolve_phase_space(rho, spec, EPS, StepPlan(5e-4, 5, "truncated", 1))
 
 
 class TestTraceRays:
@@ -625,13 +525,41 @@ class TestTraceRays:
         assert out.lost == 1
         assert out.final.count == 2
 
-    @pytest.mark.parametrize("far", [300.0, 1e3, 1e4])
-    def test_overflowing_moments_name_the_step(self, far):
-        # The far ray stays finite while the squares in its moments overflow;
-        # that is a step error, not a bare OverflowError.
-        ens = RayEnsemble(np.array([0.1, -0.1, 0.2, far]), np.zeros(4))
-        with pytest.raises(SolverError, match=r"^step \d+/30: beam moments are not finite"):
-            trace_rays(ens, quartic_channel(1.0, 0.1), StepPlan(0.01, 30))
+    @pytest.mark.parametrize("far, dropped_at", [(300.0, 15), (1e3, 4), (1e4, 3)])
+    def test_overflowing_moments_drop_the_far_ray(self, far, dropped_at):
+        # The far ray stays finite while the squares in its moments overflow.
+        # The step where that happens drops it as lost, with no bare
+        # OverflowError, and from there the moments are those of the other
+        # three rays traced alone.
+        spec, plan = quartic_channel(1.0, 0.1), StepPlan(0.01, 30)
+        near = RayEnsemble(np.array([0.1, -0.1, 0.2]), np.zeros(3))
+        out = trace_rays(RayEnsemble(np.array([0.1, -0.1, 0.2, far]), np.zeros(4)), spec, plan)
+        alone = trace_rays(near, spec, plan)
+        assert out.lost == 1
+        assert out.moments[dropped_at:] == alone.moments[dropped_at:]
+        assert out.moments[dropped_at - 1] != alone.moments[dropped_at - 1]
+        assert out.final.positions.tobytes() == alone.final.positions.tobytes()
+
+    def test_overflowing_radicand_drops_the_far_ray(self):
+        # The far ray's coordinates square to about 1e160, finite, but the
+        # product of the two variances overflows at step 1; the ray lies
+        # beyond RAY_CAP, so it is dropped and the rest go on as if alone.
+        spec, plan = free_space(), StepPlan(1.0, 3)
+        near = RayEnsemble(np.array([0.1, -0.1, 0.2]), np.zeros(3))
+        far = RayEnsemble(np.array([0.1, -0.1, 0.2, 0.0]), np.array([0.0, 0.0, 0.0, 1e80]))
+        out = trace_rays(far, spec, plan)
+        alone = trace_rays(near, spec, plan)
+        assert out.lost == 1
+        assert math.isfinite(out.moments[0].sigma_p)
+        assert out.moments[1:] == alone.moments[1:]
+
+    def test_one_ray_left_names_the_step(self):
+        # Two of three rays turn non-finite at step 1; the moments of the one
+        # left are refused as they are, with the step named.
+        spec = quartic_channel(0.0, 1e200)
+        ens = RayEnsemble(np.array([0.0, 1e40, 2e40]), np.zeros(3))
+        with pytest.raises(SolverError, match=r"^step 1/3: ray moments need at least two rays"):
+            trace_rays(ens, spec, StepPlan(1.0, 3))
 
     def test_total_loss_raises(self):
         spec = quartic_channel(0.0, 1e200)
