@@ -5,7 +5,9 @@ most 2 (``PotentialSpec.kick_is_classical``) the generator is ``U'(x) y``
 under either plan, and a Strang step is the affine symplectic map
 ``(M_k, d_k) = D(dz/2) K_k D(dz/2)``: a drift ``x <- x + p dz/2``, a kick
 ``p <- p - dz U'(x)`` with U' sampled at the step midpoint, and a drift.
-``evolve_phase_space`` composes these 2x2 maps in closed form: the
+``evolve_phase_space`` composes these 2x2 maps in closed form and runs
+them through the step loop of every engine, ``phasespace._evolve``, as
+:class:`_LinearKernel`, whose values between steps are step numbers: the
 moments follow ``mu <- M_k mu + d_k`` and ``Sigma <- M_k Sigma M_k^T`` from
 the measured initial moments, and each snapshot is the initial array
 carried by the cumulative map in at most three Fourier shears, the same
@@ -33,20 +35,17 @@ import math
 
 import numpy as np
 
-from .diagnostics import _beam_moments, _grid_moments
+from .diagnostics import BeamMoments, _beam_moments, _grid_moments
 from .exceptions import SolverError, StateError
 from .grids import PhaseGrid
 from .phasespace import (
     StepPlan,
-    Trajectory,
     _check_kick_phase,
     _check_residue,
     _GridKernel,
     _half_spectrum,
     _kick_operands,
-    _snapshot_cadence,
     _spectral_flow,
-    _step_boundaries,
     _step_error,
     _unit_phase,
 )
@@ -73,9 +72,9 @@ def _linear_steps(spec: PotentialSpec, grid: PhaseGrid, plan: StepPlan, zs: list
     Each step with a force refuses non-finite coefficients, then runs the
     kick guard with the value and message of a stepped kick.  Returns an
     ``(n, 6)`` array whose row k - 1 is the map of steps 1..k, cut before
-    the first failing step, and that step's error or None.  A row ``(a, b,
-    c, d, e, f)`` is the matrix ``[[a, b], [c, d]]`` by rows and the offset
-    ``(e, f)``: ``(x, p) <- (a x + b p + e, c x + d p + f)``.
+    the first failing step, and that step's error (naming no step) or None.
+    A row ``(a, b, c, d, e, f)`` is the matrix ``[[a, b], [c, d]]`` by rows
+    and the offset ``(e, f)``: ``(x, p) <- (a x + b p + e, c x + d p + f)``.
     """
     half = 0.5 * plan.dz
     mids = [z + half for z in zs[:-1]]
@@ -105,7 +104,7 @@ def _linear_steps(spec: PotentialSpec, grid: PhaseGrid, plan: StepPlan, zs: list
                     )
                 _check_kick_phase(guard)
             except SolverError as exc:
-                failure = _step_error(step, len(mids), exc)
+                failure = exc
                 c1, c2 = c1[: step - 1], c2[: step - 1]
                 break
     q = (2.0 * plan.dz) * c2  # the kick p <- p - q x - f
@@ -201,9 +200,10 @@ def _linear_run(state: QuasiDistribution, spec: PotentialSpec, plan: StepPlan, z
     Returns ``(totals, failure, shear_support)``: the cumulative maps (see
     :func:`_linear_steps`) of the steps that pass the coefficient check,
     the kick guard and the resolution check, the :class:`SolverError` of
-    the first step that fails one (None when every step passes), and the
+    the first step that fails one (None when every step passes; that step
+    is ``len(totals) + 1``, which the error does not name), and the
     initial state's spectral support at ``SHEAR_FLOOR`` (None without
-    steps).
+    steps).  No evolved state is needed: a caller can refuse a run early.
     """
     totals, failure = _linear_steps(spec, state.grid, plan, zs)
     if not len(totals):
@@ -214,21 +214,9 @@ def _linear_run(state: QuasiDistribution, spec: PotentialSpec, plan: StepPlan, z
     unresolved = _first_unresolved(spectral, state.grid, totals, spec.degree >= 1)
     if unresolved is not None:
         step, message = unresolved
-        failure = _step_error(step, len(zs) - 1, SolverError(message))
+        failure = SolverError(message)
         totals = totals[: step - 1]
     return totals, failure, shear_support
-
-
-def _linear_failure(
-    state: QuasiDistribution, spec: PotentialSpec, plan: StepPlan
-) -> SolverError | None:
-    """The error a degree <= 2 ``evolve_phase_space`` run would raise before any snapshot map.
-
-    That is every step's coefficient check and kick guard and the
-    resolution prediction; they need no evolved state, so a caller can
-    refuse the run before any engine starts.
-    """
-    return _linear_run(state, spec, plan, _step_boundaries(state.z, plan))[1]
 
 
 def _shear_sequence(total, grid: PhaseGrid) -> tuple[bool, tuple | None]:
@@ -298,25 +286,12 @@ def _shears_resolve(grid: PhaseGrid, support, flip: bool, shears) -> bool:
     return True
 
 
-def _shear(values: np.ndarray, axis: int, shift: np.ndarray, frequencies: np.ndarray):
-    """Each line of ``values`` along ``axis`` shifted by its ``shift`` entry; and the residue.
-
-    ``shift`` has one entry per line (per p column for ``axis = 0``, per x
-    row for ``axis = 1``), so the result is ``rho(u - shift)`` on every line;
-    ``frequencies`` is the half spectrum along ``axis``.
-    """
-    if axis == 0:
-        angle = np.multiply.outer(frequencies, -shift)
-    else:
-        angle = np.multiply.outer(-shift, frequencies)
-    return _spectral_flow(np.fft.rfft(values, axis=axis), _unit_phase(angle), axis)
-
-
 def _shear_map(values: np.ndarray, grid: PhaseGrid, flip: bool, shears) -> np.ndarray:
     """``values`` carried by the shears of :func:`_shear_sequence`.
 
     ``-I`` about the grid centre is an index reversal on the periodic grid.
-    Each shear is one sub-flow with its Nyquist residue checked.
+    A shear makes each line along ``axis``, at ``v`` on the other axis,
+    ``rho(u - rate v - offset)``: one sub-flow, its Nyquist residue checked.
     """
     if flip:
         # (x, p) -> 2 centre - (x, p) maps grid point j to n - j (mod n) on each axis.
@@ -330,64 +305,77 @@ def _shear_map(values: np.ndarray, grid: PhaseGrid, flip: bool, shears) -> np.nd
         if rate == 0.0 and offset == 0.0:
             continue
         line, frequencies = axes[axis]
-        values, residue = _shear(values, axis, rate * line + offset, frequencies)
+        angle = np.multiply.outer(-(rate * line + offset), frequencies)  # lines by frequencies
+        phase = _unit_phase(angle.T if axis == 0 else angle)
+        values, residue = _spectral_flow(np.fft.rfft(values, axis=axis), phase, axis)
         _check_residue(values, residue)
     return values
 
 
-def _evolve_linear(
-    state: QuasiDistribution, spec: PotentialSpec, epsilon: float, plan: StepPlan, kind: str,
-    snapshot_every: int | None,
-) -> Trajectory:
-    """Closed-form ``evolve_phase_space`` for a degree <= 2 potential (see the module docstring).
+class _LinearKernel:
+    """The closed form as a kernel of ``phasespace._evolve``, whose values are step numbers.
 
     The moments of step k are the measured initial ones carried by the
     cumulative map ``(M, d)``: ``mu_k = M mu_0 + d`` and ``Sigma_k = M
-    Sigma_0 M^T``, the product of the per-step updates.  A snapshot whose
-    shears the grid cannot resolve (see :func:`_shears_resolve`) is stepped
-    by the grid kernel from the snapshot before it instead.
+    Sigma_0 M^T``.  Advancing from the last step that passes raises the
+    refusal of :func:`_linear_run`.  A snapshot whose shears the grid cannot
+    resolve (see :func:`_shears_resolve`) is stepped by the grid kernel
+    from the snapshot before it; ``_evolve`` wraps outside its step errors,
+    so ``wrap`` names its own: the snapshot's step, or the inner step that
+    failed.
     """
-    zs = _step_boundaries(state.z, plan)
-    n_steps = len(zs) - 1
-    snapshot_every = _snapshot_cadence(n_steps, snapshot_every)
-    grid = state.grid
-    totals, failure, spectral = _linear_run(state, spec, plan, zs)
-    x, p = grid.x_axis.points(), grid.p_axis.points()
-    start = _grid_moments(state.values, zs[0], x, p, grid.cell_area)
-    xx, xp, pp = start.sigma_x**2, start.sigma_xp, start.sigma_p**2
-    a, b, c, d, e, f = totals.T
-    series = (
-        a * start.mean_x + b * start.mean_p + e,
-        c * start.mean_x + d * start.mean_p + f,
-        a * a * xx + 2.0 * a * b * xp + b * b * pp,
-        c * c * xx + 2.0 * c * d * xp + d * d * pp,
-        a * c * xx + (a * d + b * c) * xp + b * d * pp,
-    )
-    if len(totals):
-        real = np.abs(state.values)
-        real = _support_points(real >= SHEAR_FLOOR * real.max(), x, p)
-        support = (real, spectral)
+
+    lost = 0
     kernel = None  # steps the snapshots the shears cannot carry
-    moments, snapshots, snapshot_steps = [start], [state], [0]
-    for step, (z, *moment) in enumerate(zip(zs[1:], *(m.tolist() for m in series)), start=1):
+
+    def __init__(
+        self, state: QuasiDistribution, spec: PotentialSpec, epsilon: float, plan: StepPlan,
+        kind: str, zs: list[float],
+    ):
+        self.initial, self.kind, self.zs = state, kind, zs
+        self.stepping = (state.grid, spec, epsilon, plan, kind)
+        self.last = (0, state)  # the latest snapshot and its step
+        self.totals, self.failure, spectral = _linear_run(state, spec, plan, zs)
+        x, p = state.grid.x_axis.points(), state.grid.p_axis.points()
+        self.start = start = _grid_moments(state.values, zs[0], x, p, state.grid.cell_area)
+        xx, xp, pp = start.sigma_x**2, start.sigma_xp, start.sigma_p**2
+        a, b, c, d, e, f = self.totals.T
+        series = (
+            a * start.mean_x + b * start.mean_p + e,
+            c * start.mean_x + d * start.mean_p + f,
+            a * a * xx + 2.0 * a * b * xp + b * b * pp,
+            c * c * xx + 2.0 * c * d * xp + d * d * pp,
+            a * c * xx + (a * d + b * c) * xp + b * d * pp,
+        )
+        self.rows = list(zip(*(m.tolist() for m in series)))
+        if len(self.totals):
+            real = np.abs(state.values)
+            self.support = (_support_points(real >= SHEAR_FLOOR * real.max(), x, p), spectral)
+
+    def advance(self, step: int, z: float) -> int:
+        if step == len(self.totals):
+            raise self.failure
+        return step + 1
+
+    def measure(self, step: int, z: float) -> BeamMoments:
+        return _beam_moments(z, *self.rows[step - 1]) if step else self.start
+
+    def wrap(self, step: int, z: float) -> QuasiDistribution:
+        grid = self.initial.grid
+        last, snapshot = self.last
         at = step  # the step an error names
         try:
-            moments.append(_beam_moments(z, *moment))
-            if step % snapshot_every and step != n_steps:
-                continue
-            flip, shears = _shear_sequence(totals[step - 1].tolist(), grid)
-            if shears is not None and _shears_resolve(grid, support, flip, shears):
-                values = _shear_map(state.values, grid, flip, shears)
+            flip, shears = _shear_sequence(self.totals[step - 1].tolist(), grid)
+            if shears is not None and _shears_resolve(grid, self.support, flip, shears):
+                values = _shear_map(self.initial.values, grid, flip, shears)
             else:
-                if kernel is None:
-                    kernel = _GridKernel(grid, spec, epsilon, plan, kind)
-                values = snapshots[-1].values
-                for at in range(snapshot_steps[-1] + 1, step + 1):
-                    values = kernel.advance(values, zs[at - 1])
-            snapshots.append(QuasiDistribution(grid, values, z, kind))
-            snapshot_steps.append(step)
+                if self.kernel is None:
+                    self.kernel = _GridKernel(*self.stepping)
+                values = snapshot.values
+                for at in range(last + 1, step + 1):
+                    values = self.kernel.advance(values, self.zs[at - 1])
+            snapshot = QuasiDistribution(grid, values, z, self.kind)
         except (SolverError, StateError) as exc:
-            raise _step_error(at, n_steps, exc) from None
-    if failure is not None:
-        raise failure
-    return Trajectory(tuple(snapshots), tuple(snapshot_steps), tuple(moments))
+            raise _step_error(at, len(self.zs) - 1, exc) from None
+        self.last = (step, snapshot)
+        return snapshot

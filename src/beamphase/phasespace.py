@@ -35,15 +35,13 @@ drift's spectrum instead and opens the next step from it, with its Nyquist
 row made real, which is what that ``rfft`` gives in exact arithmetic: five
 transforms a step instead of six.
 
-Linear optics do not step the grid at all: for a potential of degree at
-most 2 ``evolve_phase_space`` maps the run in closed form with
-:mod:`beamphase.linear_map`.
-
-Every engine -- this grid solver, the ray tracer and the wavefield solver
-of :mod:`beamphase.twm` -- runs through one step loop, ``_evolve``, and
-returns a :class:`Trajectory`.  Raw arrays pass between steps; moments and
-state checks are taken from the arrays, and state objects are built only
-at snapshots.  The closed-form linear path returns the same record.
+Every engine runs through one step loop, ``_evolve``, and returns a
+:class:`Trajectory`: this grid solver, the ray tracer, the wavefield solver
+of :mod:`beamphase.twm`, and for a potential of degree at most 2 the closed
+form of :mod:`beamphase.linear_map`, which does not step the grid at all.
+Each engine's kernel chooses the values that pass between steps (raw
+arrays, or the closed form's step numbers); moments and state checks are
+taken from them, and state objects are built only at snapshots.
 """
 
 from __future__ import annotations
@@ -170,29 +168,26 @@ def _step_error(step: int, n_steps: int, exc: Exception) -> SolverError:
     return SolverError(f"step {step}/{n_steps}: {exc}")
 
 
-def _snapshot_cadence(n_steps: int, snapshot_every: int | None) -> int:
-    """The checked ``snapshot_every``; None keeps only the initial and final states."""
-    if snapshot_every is None:
-        return max(n_steps, 1)
-    return check_count(snapshot_every, "snapshot_every", 1, SolverError)
-
-
 def _evolve(kernel, initial, values, zs: list[float], snapshot_every: int | None) -> Trajectory:
     """Advance ``values`` from ``zs[0]`` through every step boundary in ``zs``.
 
     The step loop of every engine.  ``kernel`` supplies ``advance(values,
     z)`` (one step starting at z), ``measure(values, z)`` (moments plus the
-    per-step state checks) and ``wrap(values, z)`` (a state object); arrays
-    pass between steps and state objects are built only at snapshots.
+    per-step state checks) and ``wrap(values, z)`` (a state object); the
+    values are the kernel's own (arrays, or the closed form's step numbers).
     Moments are recorded at every step including the initial state; full
-    states every ``snapshot_every`` steps plus always ``initial`` and the
-    final one (default: only those two).  Step errors carry ``step k/n``.
+    states every ``snapshot_every`` steps plus always the initial and the
+    final one (default: only those two).  The initial one is ``initial``,
+    or the state measured when measuring it dropped rays.  Step errors
+    carry ``step k/n``.
     """
     n_steps = len(zs) - 1
-    snapshot_every = _snapshot_cadence(n_steps, snapshot_every)
-    snapshots = [initial]
-    snapshot_steps = [0]
+    if snapshot_every is None:
+        snapshot_every = max(n_steps, 1)
+    snapshot_every = check_count(snapshot_every, "snapshot_every", 1, SolverError)
     moments = [kernel.measure(values, zs[0])]
+    snapshots = [kernel.wrap(values, zs[0]) if kernel.lost else initial]
+    snapshot_steps = [0]
     for step in range(1, n_steps + 1):
         try:
             values = kernel.advance(values, zs[step - 1])
@@ -403,12 +398,14 @@ def evolve_phase_space(
     epsilon = check_positive("epsilon", epsilon, SolverError)
     # Classical transport preserves positivity; deformed transport does not.
     kind = state.kind if plan.is_classical else "wigner"
+    zs = _step_boundaries(state.z, plan)
     if spec.kick_is_classical:
-        from .linear_map import _evolve_linear  # loaded by the runs that take it
+        from .linear_map import _LinearKernel  # loaded by the runs that take it
 
-        return _evolve_linear(state, spec, epsilon, plan, kind, snapshot_every)
-    kernel = _GridKernel(state.grid, spec, epsilon, plan, kind)
-    return _evolve(kernel, state, state.values, _step_boundaries(state.z, plan), snapshot_every)
+        kernel, values = _LinearKernel(state, spec, epsilon, plan, kind, zs), 0
+    else:
+        kernel, values = _GridKernel(state.grid, spec, epsilon, plan, kind), state.values
+    return _evolve(kernel, state, values, zs, snapshot_every)
 
 
 class _RayKernel:
@@ -493,7 +490,8 @@ def trace_rays(ensemble: RayEnsemble, spec: PotentialSpec, plan: StepPlan) -> Tr
     non-finite coordinates (diverging anharmonic orbits), and at a step
     whose moments overflow the rays beyond ``RAY_CAP``, are excluded from
     the moments and from the final ensemble; ``lost`` reports how many.  The
-    snapshots are the initial and the final ensemble.
+    snapshots are the initial ensemble whose moments were measured (without
+    the rays those moments dropped) and the final one.
     """
     values = [np.array(ensemble.positions, dtype=float), np.array(ensemble.momenta, dtype=float)]
     # Rays advance z by repeated addition of dz (the grids use z0 + k dz); keeping

@@ -126,8 +126,8 @@ class PotentialSpec:
         bit for bit, and the deformed and classical transport of a density
         are the same map.  This covers all of linear beam optics (drifts,
         quadrupole lenses, FODO cells).  The generator is then
-        ``U'(x) y``, so the kick ``exp(i dz G)`` has rank one in y: the
-        grid solver builds it from the gradient alone.
+        ``U'(x) y``, and ``evolve_phase_space`` maps such a run in closed
+        form (:mod:`beamphase.linear_map`) instead of stepping the grid.
         """
         return self.degree <= 2
 

@@ -23,7 +23,14 @@ from .diagnostics import (
     truncation_ratio,
 )
 from .exceptions import ConfigError, SolverError, StateError, TransformError
-from .phasespace import StepPlan, _preflight_kick, evolve_phase_space, trace_rays
+from .phasespace import (
+    StepPlan,
+    _preflight_kick,
+    _step_boundaries,
+    _step_error,
+    evolve_phase_space,
+    trace_rays,
+)
 from .scenario import ScenarioConfig
 from .states import sample_rays
 from .transforms import _WignerMap
@@ -145,7 +152,7 @@ def _guard_failures(config: ScenarioConfig, spec, rho=None) -> list[str]:
     most 2 the grid engines map the run in closed form, so every step's
     coefficient check and kick guard and the resolution prediction from
     the initial density ``rho`` (built from ``config`` when None) are known
-    in advance too (see ``linear_map._linear_failure``); both grid engines
+    in advance too (see ``linear_map._linear_run``); both grid engines
     share that result.  Guards at later steps of a z-dependent potential of
     higher degree stay in the step loop.  A run without steps takes none,
     so it checks no guard.
@@ -156,10 +163,11 @@ def _guard_failures(config: ScenarioConfig, spec, rho=None) -> list[str]:
         return failures
     linear = None  # both grid engines map a degree <= 2 run alike, so it is checked once
     if spec.kick_is_classical and set(GRID_ENGINES) & set(run.engines):
-        from .linear_map import _linear_failure  # loaded by the runs that take it
+        from .linear_map import _linear_run  # loaded by the runs that take it
 
         rho = config.initial_density() if rho is None else rho
-        linear = _linear_failure(rho, spec, _engine_plan("moyal", config))
+        plan = _engine_plan("moyal", config)
+        totals, linear, _ = _linear_run(rho, spec, plan, _step_boundaries(rho.z, plan))
     for name in run.engines:
         plan = _engine_plan(name, config)
         try:
@@ -167,7 +175,7 @@ def _guard_failures(config: ScenarioConfig, spec, rho=None) -> list[str]:
                 _kinetic_phase(config.grid.x_axis(), config.epsilon, plan.dz)
             elif name in GRID_ENGINES and spec.kick_is_classical:
                 if linear is not None:
-                    failures.append(f"engine {name}: {linear}")
+                    raise _step_error(len(totals) + 1, plan.n_steps, linear)
             elif name in GRID_ENGINES:
                 _preflight_kick(config.grid.phase_grid(), spec, config.epsilon, plan)
         except SolverError as exc:

@@ -2,15 +2,19 @@
 
 import dataclasses
 import math
+import os
 import shutil
 import struct
 import subprocess
+import sys
 import textwrap
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import beamphase
 from beamphase import (
     AxisGrid,
     BeamMoments,
@@ -893,6 +897,38 @@ class TestLinearPreflight:
         monkeypatch.setattr(scenario.ScenarioConfig, "initial_density", counted)
         run_scenario(config, emit=False)
         assert len(built) == 1
+
+
+class TestLazyLinearMap:
+    """Only a run with a grid engine on a potential of degree <= 2 loads ``linear_map``."""
+
+    @pytest.mark.parametrize(
+        "potential, engines, loaded",
+        [
+            (QUARTIC, "moyal, liouville", False),
+            (HARMONIC_LENS, "twm", False),
+            (HARMONIC_LENS, "moyal, liouville", True),
+        ],
+        ids=["quartic", "twm-only", "lens"],
+    )
+    def test_run_loads_linear_map_only_for_linear_grid_runs(
+        self, tmp_path, potential, engines, loaded
+    ):
+        ini = lens_ini(tmp_path, potential, engines)
+        script = (
+            "import sys\n"
+            "from beamphase.cli import main\n"
+            f"assert main(['run', {str(ini)!r}, '--quiet']) == 0\n"
+            "print('beamphase.linear_map' in sys.modules)\n"
+        )
+        src = str(Path(beamphase.__file__).parent.parent)
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == f"{loaded}\n"
 
 
 class TestDivergingRays:

@@ -246,11 +246,48 @@ def test_a_squeeze_has_no_three_shear_form():
     )
 
 
+def test_failing_shear_names_its_snapshot(monkeypatch):
+    # The shears of the second snapshot (step 80) fail their residue check.
+    snapshots = []
+    shear_map = linear_map._shear_map
+
+    def counted(*args):
+        snapshots.append(args)
+        return shear_map(*args)
+
+    def failing(values, residue):
+        if len(snapshots) == 2:
+            raise SolverError("shear residue")
+
+    monkeypatch.setattr(linear_map, "_shear_map", counted)
+    monkeypatch.setattr(linear_map, "_check_residue", failing)
+    state = BEAMS["gaussian"](LENS_GRID)
+    with pytest.raises(SolverError, match=r"^step 80/100: shear residue$"):
+        evolve_phase_space(state, linear_lens(1.0), EPS, StepPlan(0.01, 100), 40)
+
+
+def test_failing_stepped_snapshot_names_the_inner_step(monkeypatch):
+    # test_squeezing_snapshots_are_stepped's Gaussian: the step-320 snapshot
+    # is stepped from step 280, and the grid kernel fails at inner step 300.
+    state, plan = BEAMS["gaussian"](TALL_GRID), StepPlan(math.pi / 640, 480)
+    fail_at = _step_boundaries(state.z, plan)[300 - 1]
+    advance = _GridKernel.advance
+
+    def failing(kernel, values, z):
+        if z == fail_at:
+            raise SolverError("stepping failed")
+        return advance(kernel, values, z)
+
+    monkeypatch.setattr(_GridKernel, "advance", failing)
+    with pytest.raises(SolverError, match=r"^step 300/480: stepping failed$"):
+        evolve_phase_space(state, TWO_LENSES, EPS, plan, 40)
+
+
 class TestSteppingRefusalsStay:
     """Runs that stepping refuses are refused by the closed form too, no later.
 
-    Every case is ``linear_lens(1.0)`` at eps 0.1 and dz 2e-3.  Without the
-    resolution prediction the closed form accepted both.
+    Every case is ``linear_lens(1.0)`` at eps 0.1.  Without the resolution
+    prediction the closed form accepted the first two.
     """
 
     PLANS = {
@@ -282,3 +319,19 @@ class TestSteppingRefusalsStay:
             steps.add(caught.value.args[0].split("/")[0])
         (step,) = steps
         assert int(step.split()[1]) < 84
+
+    @pytest.mark.parametrize("engine, stepped_step", [("moyal", 49), ("liouville", 43)])
+    def test_narrow_beam_reaches_the_y_nyquist_line(self, engine, stepped_step):
+        # sigma_x = 0.1: the lens turns the wide kx spectrum toward y, past
+        # the y Nyquist line of the coarse p axis.  Stepping refuses moyal at
+        # step 49 (residue) and liouville at step 43 (classical floor).
+        grid = PhaseGrid(AxisGrid(256, 12.8), AxisGrid(64, 8.0))
+        state = gaussian_quasidist(grid, 0.1, 0.5)
+        generator = ("truncated", 1) if engine == "liouville" else ()
+        plan = StepPlan(0.01, 200, *generator)
+        with pytest.raises(SolverError, match=rf"^step {stepped_step}/200: "):
+            stepped(state, linear_lens(1.0), plan)
+        pattern = r"^step (\d+)/200: grid\.np: .* y \(conjugate to p\) Nyquist"
+        with pytest.raises(SolverError, match=pattern) as caught:
+            evolve_phase_space(state, linear_lens(1.0), EPS, plan)
+        assert int(caught.value.args[0].split("/")[0].split()[1]) <= stepped_step

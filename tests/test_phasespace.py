@@ -553,6 +553,15 @@ class TestTraceRays:
         assert math.isfinite(out.moments[0].sigma_p)
         assert out.moments[1:] == alone.moments[1:]
 
+    def test_initial_rays_overflowing_the_moments_leave_snapshot_0(self):
+        # The far ray's square overflows the step-0 moments, so it is lost
+        # before any step; snapshot 0 is the ensemble those moments measured.
+        ens = RayEnsemble(np.array([0.1, -0.1, 0.2, 1e200]), np.zeros(4))
+        out = trace_rays(ens, free_space(), StepPlan(1.0, 2))
+        assert out.lost == 1
+        assert out.snapshots[0].count == 3
+        assert out.moments[0] == moments_of(out.snapshots[0])
+
     def test_one_ray_left_names_the_step(self):
         # Two of three rays turn non-finite at step 1; the moments of the one
         # left are refused as they are, with the step named.
