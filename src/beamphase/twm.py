@@ -6,22 +6,17 @@ variable k conjugate to x, and a second half potential phase.  The scaled
 emittance eps plays the role hbar has in quantum mechanics and is read from
 the wavefield itself, never from configuration.
 
-Without a potential the step is diagonal in k, so the solver advances a
-block of steps at once.  Each spectrum of the block is the previous one
-times the kinetic phase, one batched inverse FFT gives the block's fields,
-and one batched pass gives their moments, with a second batched inverse
-FFT for the derivative.  No field is transformed forward again: two 1-D
-transforms a step instead of four, run as a few large calls instead of
-many small ones.  The steps are still handed out and checked one at a
-time, so a failing check names its own step.  With a potential the step
-ends with a half phase in x and takes four transforms; it runs step by
-step, so that an error from the potential also names its own step.
+Without a potential the flow is diagonal in k, so the run is not stepped:
+the field at z is the initial spectrum times ``exp(-i eps k^2 (z - z0) / 2)``
+and its moments follow the classical drift law from the measured initial
+ones.  Only the snapshots are built, each checked against that law (see
+:class:`_FreeKernel`): one forward FFT a run, two inverse ones a snapshot.
 
 The potential ordering here is the mirror image of the drift ordering in
 the phase-space grid solver; both are second order in dz, so cross-solver
 disagreement is pure splitting error and shrinks by four when dz is halved.
-The step loop and the :class:`~beamphase.phasespace.Trajectory` record are
-shared with the phase-space engines.
+Stepped or closed-form, a run goes through the step loop of the phase-space
+engines and returns their :class:`~beamphase.phasespace.Trajectory` record.
 """
 
 from __future__ import annotations
@@ -32,10 +27,17 @@ from functools import partial
 
 import numpy as np
 
-from .diagnostics import BeamMoments, _WavefieldMoments
-from .exceptions import BeamPhaseError, SolverError, check_positive
+from .diagnostics import BeamMoments, _beam_moments, _WavefieldMoments
+from .exceptions import BeamPhaseError, SolverError, StateError, check_positive
 from .grids import AxisGrid
-from .phasespace import StepPlan, Trajectory, _evolve, _static_once, _step_boundaries
+from .phasespace import (
+    StepPlan,
+    Trajectory,
+    _evolve,
+    _static_once,
+    _step_boundaries,
+    _step_error,
+)
 from .potentials import ConstantProfile, PotentialSpec, eval_potential
 from .states import WaveField
 
@@ -70,36 +72,13 @@ def _half_phase(spec: PotentialSpec, x: np.ndarray, scale: float, z_mid: float):
     return np.exp(-1j * eval_potential(spec, x, z_mid) * scale)
 
 
-# Complex values in one array of a free-space block (64 KiB): the block holds
-# BLOCK_ELEMENTS // nx steps, so its memory does not grow with the grid.
-# Eight 512-point rows already share the per-call overhead of numpy's FFT
-# as well as 128 do, and arrays this small stay below glibc's default mmap
-# threshold: 1 MiB blocks raised it and cost twm_free 12 MB of peak RSS.
-BLOCK_ELEMENTS = 1 << 12
-
-
 class _TwmKernel:
-    """Spectral phases and moment constants for repeated steps of one plan on one grid.
-
-    Without a potential, ``advance`` handed a field it did not return (or
-    the last field of a block) computes the next block of up to
-    ``BLOCK_ELEMENTS // nx`` steps, capped by the steps the plan has left:
-    the spectra row by row, the fields by one batched inverse FFT, and
-    their norms and moments by ``_WavefieldMoments.rows``.  Each call then
-    returns the block's next field, and ``measure`` of that very array
-    only checks its norm and builds its moments.  The spectrum of the
-    block's last field is kept to open the next block.
-    """
+    """Spectral phases and moment constants for repeated Strang steps of one plan on one grid."""
 
     lost = 0
-    _handed = None  # the field last returned from a block
 
     def __init__(self, psi: WaveField, spec: PotentialSpec, plan: StepPlan):
-        self.plan = plan
-        self.grid = psi.grid
-        self.epsilon = psi.epsilon
-        self.steps_taken = 0
-        self.block_steps = max(1, BLOCK_ELEMENTS // psi.grid.n)
+        self.plan, self.psi = plan, psi
         # A plan without steps applies no kinetic phase, so it is neither built nor guarded.
         if plan.n_steps:
             self.kinetic_phase = _kinetic_phase(psi.grid, psi.epsilon, plan.dz)
@@ -109,45 +88,86 @@ class _TwmKernel:
         )
         self.moments = _WavefieldMoments(psi.grid, psi.epsilon)
 
-    def _start_block(self, spectrum: np.ndarray) -> None:
-        count = min(self.block_steps, max(1, self.plan.n_steps - self.steps_taken))
-        spectra = np.empty((count, spectrum.size), dtype=complex)
-        # A bad field must not warn before its own step is measured.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for row in spectra:
-                spectrum = np.multiply(spectrum, self.kinetic_phase, out=row)
-            self.fields = np.fft.ifft(spectra, axis=1)
-        self.rows = self.moments.rows(self.fields, spectra)
-        self.spectrum = spectrum.copy()
-        self.next_row = 0
-
-    def _free_step(self, psi: np.ndarray) -> np.ndarray:
-        if psi is not self._handed:
-            self._start_block(np.fft.fft(psi))
-        elif self.next_row == len(self.rows):
-            self._start_block(self.spectrum)
-        self._handed = psi = self.fields[self.next_row]
-        self.next_row += 1
-        self.steps_taken += 1
-        return psi
-
     def advance(self, psi: np.ndarray, z: float) -> np.ndarray:
         half = self.half_at(z + 0.5 * self.plan.dz)
-        if half is None:
-            return self._free_step(psi)
-        spectrum = np.fft.fft(psi * half)
+        spectrum = np.fft.fft(psi if half is None else psi * half)
         spectrum *= self.kinetic_phase
         psi = np.fft.ifft(spectrum)
-        psi *= half
+        if half is not None:
+            psi *= half
         return psi
 
     def measure(self, psi: np.ndarray, z: float) -> BeamMoments:
-        if psi is self._handed:
-            return self.moments.finish(self.rows[self.next_row - 1], z)
         return self.moments(psi, z)
 
     def wrap(self, psi: np.ndarray, z: float) -> WaveField:
-        return WaveField(self.grid, psi, self.epsilon, z)
+        return WaveField(self.psi.grid, psi, self.psi.epsilon, z)
+
+
+# Largest departure of a free-space snapshot's moments from the drift law, of each moment's scale.
+FREE_LAW_TOL = 1e-9
+
+
+class _FreeKernel:
+    """Free space in closed form, a ``phasespace._evolve`` kernel whose values are step numbers.
+
+    The moments of step k are the drift law at ``t = zs[k] - zs[0]`` from the
+    measured initial ones: ``<x> + t <p>``, ``var_x + 2 t cov_xp + t^2
+    var_p`` and ``cov_xp + t var_p``, the p moments constant.  A snapshot is
+    the initial spectrum times ``exp(-i eps k^2 t / 2)``, inverted; it is
+    measured and refused when a moment departs from its closed-form row by
+    more than ``FREE_LAW_TOL`` of its scale (a mean against the width on its
+    axis, ``sigma_xp`` against ``sigma_x sigma_p``), which on the periodic
+    grid means the field has reached the edge of the box.  ``_evolve`` wraps
+    outside its step errors, so ``wrap`` names the snapshot's step itself.
+    """
+
+    lost = 0
+
+    def __init__(self, psi: WaveField, plan: StepPlan, zs: list[float]):
+        # No step is taken, but a plan with steps is held to a step's kinetic guard.
+        if plan.n_steps:
+            _kinetic_phase(psi.grid, psi.epsilon, plan.dz)
+        self.psi, self.zs = psi, zs
+        self.moments = _WavefieldMoments(psi.grid, psi.epsilon)
+        self.spectrum = np.fft.fft(psi.values)
+        self.angle = 0.5 * psi.epsilon * psi.grid.frequencies() ** 2  # per unit of z
+        self.start = self.moments.central(psi.values, self.spectrum)
+
+    def field(self, z: float) -> tuple[np.ndarray, np.ndarray]:
+        """The field at ``z`` and its spectrum."""
+        spectrum = self.spectrum * np.exp(-1j * (self.angle * (z - self.zs[0])))
+        return np.fft.ifft(spectrum), spectrum
+
+    def advance(self, step: int, z: float) -> int:
+        return step + 1
+
+    def measure(self, step: int, z: float) -> BeamMoments:
+        mean_x, mean_p, var_x, var_p, cov_xp = self.start
+        if step:  # the drift law at t = z - z0
+            t = z - self.zs[0]
+            var_x += t * (2.0 * cov_xp + t * var_p)
+            mean_x, cov_xp = mean_x + t * mean_p, cov_xp + t * var_p
+        return _beam_moments(z, mean_x, mean_p, var_x, var_p, cov_xp)
+
+    def wrap(self, step: int, z: float) -> WaveField:
+        values, spectrum = self.field(z)
+        try:
+            got = _beam_moments(z, *self.moments.central(values, spectrum))
+            want = self.measure(step, z)
+            sx, sp = want.sigma_x, want.sigma_p
+            scales = {"mean_x": sx, "mean_p": sp, "sigma_x": sx, "sigma_p": sp, "sigma_xp": sx * sp}
+            for name, scale in scales.items():
+                deviation = abs(getattr(got, name) - getattr(want, name)) / scale
+                if deviation > FREE_LAW_TOL:
+                    raise SolverError(
+                        f"grid.x_length: the field's {name} departs from the free drift law by "
+                        f"{deviation:.3e} of its scale, above {FREE_LAW_TOL:g}: it has reached the "
+                        "edge of the periodic box; raise grid.x_length or shorten the run"
+                    )
+            return WaveField(self.psi.grid, values, self.psi.epsilon, z)
+        except (SolverError, StateError) as exc:
+            raise _step_error(step, len(self.zs) - 1, exc) from None
 
 
 def step_twm(psi: WaveField, spec: PotentialSpec, plan: StepPlan) -> WaveField:
@@ -171,11 +191,15 @@ def evolve_twm(
     Same recording contract as the phase-space solver: moments at every
     step including the initial one, full fields at the snapshot cadence
     plus the initial and final states, ``n_steps = 0`` is the identity.
-    Every step checks the field for finite values and unit norm and raises
-    :class:`SolverError` naming the step.
+    Each stepped field, or in free space each snapshot (also against the drift
+    law), is checked for finite values and unit norm; :class:`SolverError` names the step.
     """
-    kernel = _TwmKernel(psi, spec, plan)
-    return _evolve(kernel, psi, psi.values, _step_boundaries(psi.z, plan), snapshot_every)
+    zs = _step_boundaries(psi.z, plan)
+    if spec.degree < 0:
+        kernel, values = _FreeKernel(psi, plan, zs), 0
+    else:
+        kernel, values = _TwmKernel(psi, spec, plan), psi.values
+    return _evolve(kernel, psi, values, zs, snapshot_every)
 
 
 def matched_width(spec: PotentialSpec, epsilon: float) -> float:

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -162,6 +163,37 @@ k = 1.0
 dz = 2e-3
 n_steps = {n_steps}
 engines = moyal, liouville
+
+[output]
+directory = {outdir}
+formats = csv
+"""
+
+
+# twm_free's physics with the beam moving at p0 = 0.5 (the momentum axis
+# centred on it): by z = 26 the free beam reaches the edge of the 48-long box.
+# Stepped, it wrapped silently to mean_x 18.15 at z = 40, where the free law
+# gives 20.0.
+WRAPPING_TWM_SCENARIO = """
+[grid]
+nx = 512
+np = 128
+x_length = 48.0
+p_length = 1.6
+p_center = 0.5
+
+[beam]
+sigma0 = 1.0
+p0 = 0.5
+
+[physics]
+epsilon = 0.1
+
+[run]
+dz = 4e-3
+n_steps = 10000
+snapshot_every = 100
+engines = twm
 
 [output]
 directory = {outdir}
@@ -944,6 +976,18 @@ class TestDivergingRays:
         assert 0 < lost < 2000
         rows = (outdir / "moments_rays.csv").read_text().splitlines()
         assert len(rows) == 1 + 41
+
+
+class TestFreeSpaceWrap:
+    def test_run_refuses_a_beam_reaching_the_box_edge(self, tmp_path, capsys):
+        outdir = tmp_path / "out"
+        ini = write_ini(tmp_path, WRAPPING_TWM_SCENARIO, outdir=outdir)
+        assert main(["run", str(ini), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        found = re.match(r"error: engine twm: step (\d+)/10000: grid\.x_length: ", err)
+        assert found, err
+        assert int(found.group(1)) <= 6500
+        assert not outdir.exists()
 
 
 class TestWignerSnapshotStream:

@@ -1,6 +1,7 @@
 """Split-step wavefield solver and the thermal wave model helper formulas."""
 
 import math
+import re
 from collections import Counter
 from dataclasses import astuple
 
@@ -218,17 +219,16 @@ def retransform_reference(psi, spec, plan):
 
 
 class TestHeldSpectrum:
-    # The free-space step keeps the spectrum of the fields it returns: the
-    # moments and the next step reuse it instead of transforming again.
+    # A free-space run is not stepped: its snapshots are built from the
+    # initial spectrum, so its FFT count does not grow with the step count.
     def test_free_space_step_takes_two_ffts(self, monkeypatch):
         psi = gaussian_wavefield(AxisGrid(512, 48.0), 1.0, EPS)
-        calls = count_ffts(monkeypatch, rows=True)
-        n = 2 * twm.BLOCK_ELEMENTS // 512 + 3  # not a multiple of the block
-        evolve_twm(psi, free_space(), StepPlan(4e-3, n))
-        # Counted in 1-D transforms, however the blocks batch them.  Initial
-        # moments take fft + ifft, the first step one fft; then each step
-        # takes an ifft to the field and one to the moments' derivative.
-        assert calls == Counter(fft=2, ifft=2 * n + 1)
+        for n in (12, 1200):
+            calls = count_ffts(monkeypatch)
+            evolve_twm(psi, free_space(), StepPlan(4e-3, n), snapshot_every=n // 4)
+            # The initial moments take fft + ifft; then each of the 4 snapshots
+            # takes an ifft to the field and one to the moments' derivative.
+            assert calls == Counter(fft=1, ifft=1 + 2 * 4)
 
     def test_potential_step_keeps_four_ffts(self, monkeypatch):
         psi = gaussian_wavefield(AxisGrid(256, 12.8), 0.4, EPS)
@@ -326,11 +326,13 @@ def moment_bytes(moments):
 
 
 class TestFreeSpaceBlocks:
-    # A free-space run steps in blocks of BLOCK steps; the results must be
-    # those of taking the steps one at a time, bit for bit, and a failing
-    # check must still name its own step.
+    # A free-space run is mapped in closed form: the moments follow the drift
+    # law, and each snapshot is the initial spectrum times one kinetic phase.
+    # The results must be those of taking the steps one at a time within
+    # round-off, and a bad snapshot must name its own step.  The step counts
+    # and cadences are those once cut into blocks of BLOCK steps.
     GRID = AxisGrid(512, 48.0)
-    BLOCK = twm.BLOCK_ELEMENTS // 512
+    BLOCK = 8
     DZ = 4e-3
 
     @pytest.mark.parametrize(
@@ -343,10 +345,11 @@ class TestFreeSpaceBlocks:
         plan = StepPlan(self.DZ, n_steps)
         run = evolve_twm(psi, free_space(), plan, snapshot_every=every)
         moments, fields = held_spectrum_steps(psi, plan)
-        assert moment_bytes(run.moments) == moment_bytes(moments)
+        assert_moments_close(run.moments, moments, 1e-11)
         assert run.snapshot_steps[-1] == n_steps
         for step, snap in zip(run.snapshot_steps, run.snapshots):
-            assert snap.values.tobytes() == fields[step].tobytes()
+            peak = np.abs(fields[step]).max()
+            assert np.abs(snap.values - fields[step]).max() <= 1e-11 * peak
 
     def test_zero_steps(self):
         psi = gaussian_wavefield(self.GRID, 1.0, EPS)
@@ -361,41 +364,58 @@ class TestFreeSpaceBlocks:
         _, fields = held_spectrum_steps(psi, plan)
         assert step_twm(psi, free_space(), plan).values.tobytes() == fields[1].tobytes()
 
-    def plant_growth(self, monkeypatch, per_step_norm):
-        """Scale the kinetic phase so that each step multiplies the norm by ``per_step_norm``."""
-        original = twm._kinetic_phase
-        scale = math.sqrt(per_step_norm)
-        monkeypatch.setattr(
-            twm, "_kinetic_phase", lambda *args: scale * original(*args)
-        )
+    def plant(self, monkeypatch, from_step, factor):
+        """Scale the field of every snapshot from step ``from_step`` on by ``factor``."""
+        field = twm._FreeKernel.field
+
+        def planted(kernel, z):
+            values, spectrum = field(kernel, z)
+            return (values * factor if z > (from_step - 0.5) * self.DZ else values), spectrum
+
+        monkeypatch.setattr(twm._FreeKernel, "field", planted)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
-        "failing", [1, BLOCK // 2 + 3, BLOCK, BLOCK + 1], ids=["first", "mid", "last", "next"]
+        "planted, named", [(5, 5), (10, 10), (19, 19), (11, 15)],
+        ids=["first", "mid", "last", "next"],
     )
-    def test_norm_failure_names_its_step(self, monkeypatch, failing):
+    def test_norm_failure_names_its_step(self, monkeypatch, planted, named):
+        # Snapshots at 5, 10, 15 and the last step, 19; a field that goes bad
+        # between two snapshots is refused at the next one.
         psi = gaussian_wavefield(self.GRID, 1.0, EPS)
-        norm0 = float(np.sum(psi.density())) * self.GRID.spacing
-        # The norm crosses 1 + NORM_TOL half a step before step `failing`.
-        self.plant_growth(monkeypatch, ((1.0 + NORM_TOL) / norm0) ** (1.0 / (failing - 0.5)))
+        self.plant(monkeypatch, planted, math.sqrt(1.0 + 3.0 * NORM_TOL))
         n = 2 * self.BLOCK + 3
-        with pytest.raises(SolverError, match=rf"^step {failing}/{n}: wavefield norm is "):
-            evolve_twm(psi, free_space(), StepPlan(self.DZ, n))
+        with pytest.raises(SolverError, match=rf"^step {named}/{n}: wavefield norm is "):
+            evolve_twm(psi, free_space(), StepPlan(self.DZ, n), snapshot_every=5)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_overflow_later_in_the_block_does_not_warn(self, monkeypatch):
-        # The block's later fields overflow to inf and nan while it is built;
-        # the run must still fail at step 1, on its norm, without a warning.
+    def test_overflowing_snapshot_does_not_warn(self, monkeypatch):
+        # The planted field's density overflows to inf; the run must fail at
+        # that snapshot, on its norm, without a warning.
         psi = gaussian_wavefield(self.GRID, 1.0, EPS)
-        self.plant_growth(monkeypatch, 1e200)
-        n = self.BLOCK
-        assert n >= 4  # the spectra overflow from the fourth row on
-        with pytest.raises(SolverError, match=rf"^step 1/{n}: wavefield norm is [0-9.]+e\+(199|200),"):
-            evolve_twm(psi, free_space(), StepPlan(self.DZ, n))
+        self.plant(monkeypatch, 10, 1e200)
+        n = 2 * self.BLOCK + 3
+        with pytest.raises(SolverError, match=rf"^step 10/{n}: wavefield norm is inf:"):
+            evolve_twm(psi, free_space(), StepPlan(self.DZ, n), snapshot_every=5)
 
     @pytest.mark.parametrize("nx, length", [(64, 48.0), (512, 48.0), (1 << 17, 12288.0)])
-    def test_block_memory_does_not_grow_with_the_grid(self, nx, length):
+    def test_kernel_holds_one_spectrum(self, nx, length):
         psi = gaussian_wavefield(AxisGrid(nx, length), 1.0, EPS)
-        kernel = _TwmKernel(psi, free_space(), StepPlan(self.DZ, 5000))
-        kernel.advance(psi.values, 0.0)
-        assert kernel.fields.shape == (max(1, twm.BLOCK_ELEMENTS // nx), nx)
+        for n_steps in (1, 5000):
+            plan = StepPlan(self.DZ, n_steps)
+            zs = _step_boundaries(psi.z, plan)
+            kernel = twm._FreeKernel(psi, plan, zs)
+            kernel.wrap(kernel.advance(0, zs[0]), zs[1])
+            held = [a for a in vars(kernel).values() if isinstance(a, np.ndarray)]
+            assert sorted((a.dtype.kind, a.shape) for a in held) == [("c", (nx,)), ("f", (nx,))]
+
+
+class TestFreeSpaceWrap:
+    def test_beam_reaching_the_box_edge_is_refused(self):
+        # Stepped, this run returns mean_x 18.15 and sigma_x 8.51 at z = 40,
+        # where the free law gives 20.0 and 2.236: the beam has wrapped.
+        psi = gaussian_wavefield(AxisGrid(512, 48.0), 1.0, EPS, p0=0.5)
+        with pytest.raises(SolverError, match=r"grid\.x_length") as info:
+            evolve_twm(psi, free_space(), StepPlan(4e-3, 10000), snapshot_every=100)
+        step = int(re.match(r"step (\d+)/10000: ", str(info.value)).group(1))
+        assert step % 100 == 0 and step <= 6500
