@@ -8,9 +8,10 @@ Verbs:
 * ``validate <scenario>``: parse, validate and echo the resolved config;
   with twm among the engines, also check that the initial field passes the
   Wigner transform the run compares it through.  Step-1 phase guards that
-  ``run`` would refuse, and for a potential of degree <= 2 the grid
-  engines' closed-form guards and resolution prediction, are printed as
-  ``warning:`` lines.
+  ``run`` would refuse, for a potential of degree <= 2 the grid engines'
+  closed-form guards and resolution prediction, and in free space the twm
+  engine's own closed-form run (a beam that reaches the edge of the box),
+  are printed as ``warning:`` lines.
 * ``info <grid-dump>``: print the header and value statistics of a dump.
 
 Exit codes: 0 success, 2 configuration or validation problem, 1 runtime
@@ -24,10 +25,11 @@ import argparse
 import dataclasses
 import sys
 
-from .exceptions import BeamPhaseError, ConfigError
+from .exceptions import BeamPhaseError, ConfigError, SolverError
 from .outputs import read_grid_dump
-from .runner import RunReport, _guard_failures, _preflight_wigner, run_scenario
+from .runner import RunReport, _engine_plan, _guard_failures, _preflight_wigner, run_scenario
 from .scenario import ScenarioConfig, load_scenario
+from .twm import evolve_twm
 
 __all__ = ["main"]
 
@@ -97,7 +99,17 @@ def _cmd_run(args) -> int:
 def _cmd_validate(args) -> int:
     config = load_scenario(args.scenario)
     _preflight_wigner(config)
-    failures = _guard_failures(config, config.potential.build())
+    spec = config.potential.build()
+    failures = _guard_failures(config, spec)
+    if "twm" in config.run.engines and spec.degree < 0:
+        # Free space maps the run in closed form (twm._FreeKernel), so the engine's
+        # own check of the box edge is cheap enough to run here.
+        plan, every = _engine_plan("twm", config), config.run.snapshot_every
+        try:
+            evolve_twm(config.initial_wavefield(), spec, plan, every)
+        except SolverError as exc:
+            if f"engine twm: {exc}" not in failures:  # not the kinetic guard again
+                failures.append(f"engine twm: {exc}")
     if not args.quiet:
         print(f"scenario {args.scenario} is valid")
         for line in _echo_config(config):

@@ -81,42 +81,32 @@ STEP_REALNESS_TOL = 1e-8
 # at most 16 RAY_CAP**4 = 1.6e301: the moments of the rays kept are finite.
 RAY_CAP = 1e75
 
-GENERATOR_MODES = ("full_moyal", "truncated")
-
 
 @dataclass(frozen=True)
 class StepPlan:
-    """How to advance a state: step size, count, generator flavour.
+    """How to advance a state: step size, count, and the order of the Moyal series.
 
-    ``generator`` selects ``"full_moyal"`` (complete deformation series) or
-    ``"truncated"`` with an odd ``max_order``; order 1 is the classical
-    Liouville equation.  Every engine steps by Strang (or leapfrog) splitting.
+    ``max_order = None`` keeps the complete deformation series; an odd
+    ``max_order`` truncates it there, and order 1 is the classical Liouville
+    equation.  Every engine steps by Strang (or leapfrog) splitting.
     """
 
     dz: float
     n_steps: int
-    generator: str = "full_moyal"
     max_order: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "dz", check_positive("dz", self.dz, SolverError))
         object.__setattr__(self, "n_steps", check_count(self.n_steps, "n_steps", 0, SolverError))
-        if self.generator not in GENERATOR_MODES:
-            raise SolverError(
-                f"generator must be one of {GENERATOR_MODES}, got {self.generator!r}"
-            )
-        if self.generator == "truncated":
-            order = self.max_order
-            order = 1 if order is None else check_count(order, "max_order", 1, SolverError)
+        if self.max_order is not None:
+            order = check_count(self.max_order, "max_order", 1, SolverError)
             if order % 2 == 0:
                 raise SolverError(f"max_order must be odd, got {order}")
             object.__setattr__(self, "max_order", order)
-        elif self.max_order is not None:
-            raise SolverError("max_order applies only to the truncated generator")
 
     @property
     def is_classical(self) -> bool:
-        return self.generator == "truncated" and self.max_order == 1
+        return self.max_order == 1
 
 
 @dataclass(frozen=True)
@@ -281,7 +271,7 @@ def _kick_multiplier(
     """
     if spec.degree < 1:
         return None
-    if plan.generator == "full_moyal":
+    if plan.max_order is None:
         g = moyal_generator(spec, x_col, y_row, z_mid, epsilon)
     else:
         g = moyal_generator_truncated(spec, x_col, y_row, z_mid, epsilon, plan.max_order)
@@ -363,8 +353,7 @@ def step_phase_space(
     grid, else the step would alias and a :class:`SolverError` is raised.
     The output is real (the Nyquist residue, see the module docstring, is
     measured against the ``1e-8`` tolerance), keeps the grid, advances z by
-    dz, and keeps the ``classical`` tag only under the order-1 truncated
-    generator.
+    dz, and keeps the ``classical`` tag only under ``max_order = 1``.
     """
     return evolve_phase_space(state, spec, epsilon, replace(plan, n_steps=1)).final
 

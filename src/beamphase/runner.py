@@ -136,10 +136,7 @@ def _preflight_wigner(config: ScenarioConfig) -> None:
 
 
 def _engine_plan(name: str, config: ScenarioConfig) -> StepPlan:
-    run = config.run
-    if name == "liouville":
-        return StepPlan(run.dz, run.n_steps, "truncated", 1)
-    return StepPlan(run.dz, run.n_steps, "full_moyal")
+    return StepPlan(config.run.dz, config.run.n_steps, 1 if name == "liouville" else None)
 
 
 def _guard_failures(config: ScenarioConfig, spec, rho=None) -> list[str]:

@@ -65,10 +65,8 @@ def _kinetic_phase(grid: AxisGrid, epsilon: float, dz: float) -> np.ndarray:
     return np.exp(-1j * kinetic_angle)
 
 
-def _half_phase(spec: PotentialSpec, x: np.ndarray, scale: float, z_mid: float):
-    """``exp(-i U(x, z_mid) scale)``, the half potential phase (None without a potential)."""
-    if spec.degree < 0:
-        return None
+def _half_phase(spec: PotentialSpec, x: np.ndarray, scale: float, z_mid: float) -> np.ndarray:
+    """``exp(-i U(x, z_mid) scale)``, the half potential phase."""
     return np.exp(-1j * eval_potential(spec, x, z_mid) * scale)
 
 
@@ -90,11 +88,10 @@ class _TwmKernel:
 
     def advance(self, psi: np.ndarray, z: float) -> np.ndarray:
         half = self.half_at(z + 0.5 * self.plan.dz)
-        spectrum = np.fft.fft(psi if half is None else psi * half)
+        spectrum = np.fft.fft(psi * half)
         spectrum *= self.kinetic_phase
         psi = np.fft.ifft(spectrum)
-        if half is not None:
-            psi *= half
+        psi *= half
         return psi
 
     def measure(self, psi: np.ndarray, z: float) -> BeamMoments:

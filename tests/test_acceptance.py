@@ -96,7 +96,7 @@ def invariance_runs():
     for name, rho, spec in (("free", rho_free, free_space()), ("lens", rho_lens, linear_lens(1.0))):
         runs[f"moyal {name}"] = evolve_phase_space(rho, spec, EPS, StepPlan(0.01, 1000))
         runs[f"liouville {name}"] = evolve_phase_space(
-            rho, spec, EPS, StepPlan(0.01, 1000, "truncated", 1)
+            rho, spec, EPS, StepPlan(0.01, 1000, max_order=1)
         )
         runs[f"rays {name}"] = trace_rays(
             sample_rays(rho, 20_000, RAY_SEED), spec, StepPlan(0.01, 1000)
@@ -111,7 +111,7 @@ def divergence_runs():
     mix = superposition_quasidist(grid, 0.5, 0.2, separation=2.0)
     spec = quartic_channel(1.0, 0.1)
     eps = 0.2
-    classical = evolve_phase_space(mix, spec, eps, StepPlan(1e-4, 500, "truncated", 1), 100)
+    classical = evolve_phase_space(mix, spec, eps, StepPlan(1e-4, 500, max_order=1), 100)
     moyal = evolve_phase_space(mix, spec, eps, StepPlan(1e-4, 500), 100)
     moyal_half = evolve_phase_space(mix, spec, eps, StepPlan(5e-5, 1000))
     return {
@@ -184,7 +184,7 @@ def test_criterion_03_quadratic_equivalence(criterion):
             PhaseGrid(AxisGrid(128, 6.4), AxisGrid(64, 5.12)), 0.3, EPS / 0.6
         )
         full_plan = StepPlan(0.01, 1)
-        truncated_plan = StepPlan(0.01, 1, "truncated", 1)
+        truncated_plan = StepPlan(0.01, 1, max_order=1)
         for rho, spec in ((free_rho, free_space()), (lens_rho, linear_lens(1.0))):
             full = truncated = rho
             for _ in range(1000):

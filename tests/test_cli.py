@@ -785,6 +785,14 @@ class TestRunnerReport:
         )
 
 
+class TestEnginePlans:
+    def test_only_liouville_truncates_the_moyal_series(self, tmp_path):
+        # bench/child.py labels a grid run liouville by max_order == 1, else moyal.
+        config = load_scenario(write_ini(tmp_path, FREE_SCENARIO, outdir=tmp_path / "out"))
+        orders = {name: runner._engine_plan(name, config).max_order for name in config.run.engines}
+        assert orders == {"twm": None, "moyal": None, "liouville": 1, "rays": None}
+
+
 class TestSharedGridPass:
     """A run with both grid engines gives what two separate passes give."""
 
@@ -818,7 +826,7 @@ class TestSharedGridPass:
         separate = {
             "moyal": evolve_phase_space(rho, spec, eps, StepPlan(run.dz, run.n_steps), 20),
             "liouville": evolve_phase_space(
-                rho, spec, eps, StepPlan(run.dz, run.n_steps, "truncated", 1), 20
+                rho, spec, eps, StepPlan(run.dz, run.n_steps, max_order=1), 20
             ),
         }
         diagnosed = []  # every snapshot the run diagnoses, moyal's first
@@ -988,6 +996,17 @@ class TestFreeSpaceWrap:
         assert found, err
         assert int(found.group(1)) <= 6500
         assert not outdir.exists()
+
+    def test_validate_warns_with_the_text_run_refuses_with(self, tmp_path, capsys):
+        ini = write_ini(tmp_path, WRAPPING_TWM_SCENARIO, outdir=tmp_path / "out")
+        assert main(["validate", str(ini)]) == 0
+        warnings = [
+            line for line in capsys.readouterr().out.splitlines() if line.startswith("warning:")
+        ]
+        assert len(warnings) == 1
+        assert re.match(r"warning: engine twm: step \d+/10000: grid\.x_length: ", warnings[0])
+        assert main(["run", str(ini), "--quiet"]) == 1
+        assert capsys.readouterr().err == "error: " + warnings[0].removeprefix("warning: ") + "\n"
 
 
 class TestWignerSnapshotStream:

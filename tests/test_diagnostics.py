@@ -174,7 +174,7 @@ class TestNegativity:
         grid = PhaseGrid(AxisGrid(256, 10.0), AxisGrid(128, 5.12))
         mix = superposition_quasidist(grid, 0.5, 0.2, separation=2.0)
         spec = quartic_channel(1.0, 0.1)
-        classical = evolve_phase_space(mix, spec, 0.2, StepPlan(1e-4, 200, "truncated", 1))
+        classical = evolve_phase_space(mix, spec, 0.2, StepPlan(1e-4, 200, max_order=1))
         report = negativity(classical.final)
         assert report.min_value >= -1e-10
         assert report.negativity_volume <= 1e-10

@@ -60,7 +60,7 @@ def test_bad_scalar_raises_the_entry_points_own_error(entry, bad):
         (lambda: AxisGrid(8, "1"), "axis length must be positive and finite, got '1'"),
         (lambda: AxisGrid(-8, 1.0), "axis point count must be a power of two >= 8, got -8"),
         (lambda: AxisGrid(8.0, 1.0), "axis point count must be an integer, got 8.0"),
-        (lambda: StepPlan(0.1, 10, "truncated", 2), "max_order must be odd, got 2"),
+        (lambda: StepPlan(0.1, 10, max_order=2), "max_order must be odd, got 2"),
         (
             lambda: moyal_generator_truncated(linear_lens(1.0), 0.5, 1.0, 0.0, 0.1, 2),
             "max_order must be odd, got 2",
@@ -93,6 +93,6 @@ def test_messages(call, message):
 def test_cleaned_values_are_plain_numbers():
     grid = AxisGrid(np.int64(16), np.float32(2.0))
     assert type(grid.n) is int and type(grid.length) is float
-    plan = StepPlan(np.float64(0.1), np.int32(5), "truncated", np.int64(3))
+    plan = StepPlan(np.float64(0.1), np.int32(5), max_order=np.int64(3))
     assert (type(plan.dz), type(plan.n_steps), type(plan.max_order)) == (float, int, int)
     assert sample_rays(gaussian_quasidist(GRID, 1.0, 0.5), np.int64(5), 0).count == 5

@@ -146,7 +146,7 @@ def test_short_runs_match_stepping(potential, n_steps):
 def test_moyal_equals_liouville_bitwise():
     state = BEAMS["superposition"](LENS_GRID)
     moyal = evolve_phase_space(state, HARMONIC_LENS, EPS, StepPlan(0.01, 100))
-    liouville = evolve_phase_space(state, HARMONIC_LENS, EPS, StepPlan(0.01, 100, "truncated", 1))
+    liouville = evolve_phase_space(state, HARMONIC_LENS, EPS, StepPlan(0.01, 100, max_order=1))
     assert moyal.moments == liouville.moments
     assert moyal.final.values.tobytes() == liouville.final.values.tobytes()
     assert (moyal.final.kind, liouville.final.kind) == ("wigner", "classical")
@@ -292,7 +292,7 @@ class TestSteppingRefusalsStay:
 
     PLANS = {
         "moyal": lambda n: StepPlan(2e-3, n),
-        "liouville": lambda n: StepPlan(2e-3, n, "truncated", 1),
+        "liouville": lambda n: StepPlan(2e-3, n, max_order=1),
     }
 
     @pytest.mark.parametrize("engine", sorted(PLANS))
@@ -327,8 +327,8 @@ class TestSteppingRefusalsStay:
         # step 49 (residue) and liouville at step 43 (classical floor).
         grid = PhaseGrid(AxisGrid(256, 12.8), AxisGrid(64, 8.0))
         state = gaussian_quasidist(grid, 0.1, 0.5)
-        generator = ("truncated", 1) if engine == "liouville" else ()
-        plan = StepPlan(0.01, 200, *generator)
+        order = (1,) if engine == "liouville" else ()
+        plan = StepPlan(0.01, 200, *order)
         with pytest.raises(SolverError, match=rf"^step {stepped_step}/200: "):
             stepped(state, linear_lens(1.0), plan)
         pattern = r"^step (\d+)/200: grid\.np: .* y \(conjugate to p\) Nyquist"

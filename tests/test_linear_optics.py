@@ -78,7 +78,7 @@ def run(engine: str, spec):
     if engine == "moyal":
         return evolve_phase_space(rho, spec, EPS, PLAN)
     if engine == "liouville":
-        return evolve_phase_space(rho, spec, EPS, StepPlan(PLAN.dz, PLAN.n_steps, "truncated", 1))
+        return evolve_phase_space(rho, spec, EPS, StepPlan(PLAN.dz, PLAN.n_steps, max_order=1))
     if engine == "twm":
         return evolve_twm(gaussian_wavefield(GRID.x_axis, SIGMA0, EPS, X0), spec, PLAN)
     return trace_rays(sample_rays(rho, 20000, seed=1), spec, PLAN)

@@ -49,16 +49,16 @@ LENS_WITH_X1 = PotentialSpec(((1, HarmonicProfile(0.3, 2.0)), (2, ConstantProfil
 class TestStepPlan:
     def test_defaults(self):
         plan = StepPlan(0.01, 10)
-        assert plan.generator == "full_moyal"
+        assert plan.max_order is None
         assert not plan.is_classical
 
     def test_truncated_defaults_to_classical(self):
-        plan = StepPlan(0.01, 10, "truncated")
+        plan = StepPlan(0.01, 10, max_order=1)
         assert plan.max_order == 1
         assert plan.is_classical
 
     def test_higher_truncation_not_classical(self):
-        assert not StepPlan(0.01, 10, "truncated", 3).is_classical
+        assert not StepPlan(0.01, 10, max_order=3).is_classical
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -67,14 +67,18 @@ class TestStepPlan:
             dict(dz=-0.1, n_steps=1),
             dict(dz=math.nan, n_steps=1),
             dict(dz=0.1, n_steps=-1),
-            dict(dz=0.1, n_steps=1, generator="magic"),
-            dict(dz=0.1, n_steps=1, generator="truncated", max_order=2),
-            dict(dz=0.1, n_steps=1, generator="full_moyal", max_order=3),
+            dict(dz=0.1, n_steps=1, max_order=2),
+            dict(dz=0.1, n_steps=1, max_order=0),
+            dict(dz=0.1, n_steps=1, max_order=True),
         ],
     )
     def test_contract(self, kwargs):
         with pytest.raises(SolverError):
             StepPlan(**kwargs)
+
+    def test_mode_string_in_the_order_slot_is_refused(self):
+        with pytest.raises(SolverError, match="max_order must be an integer, got 'truncated'"):
+            StepPlan(0.1, 1, "truncated")
 
 
 class TestFreeSpace:
@@ -103,7 +107,7 @@ class TestQuadraticEquivalence:
         rho_full = gaussian_quasidist(LENS_GRID, 0.3, 0.12)
         rho_trunc = rho_full
         full = StepPlan(0.01, 1)
-        trunc = StepPlan(0.01, 1, "truncated", 1)
+        trunc = StepPlan(0.01, 1, max_order=1)
         for _ in range(100):
             rho_full = step_phase_space(rho_full, spec, EPS, full)
             rho_trunc = step_phase_space(rho_trunc, spec, EPS, trunc)
@@ -111,10 +115,10 @@ class TestQuadraticEquivalence:
 
     def test_kind_propagation(self):
         rho = gaussian_quasidist(LENS_GRID, 0.3, 0.12)
-        assert step_phase_space(rho, linear_lens(1.0), EPS, StepPlan(0.01, 1, "truncated", 1)).kind == "classical"
+        assert step_phase_space(rho, linear_lens(1.0), EPS, StepPlan(0.01, 1, max_order=1)).kind == "classical"
         assert step_phase_space(rho, linear_lens(1.0), EPS, StepPlan(0.01, 1)).kind == "wigner"
         rho_q = gaussian_quasidist(QUARTIC_GRID, 0.4, 0.25)
-        assert step_phase_space(rho_q, quartic_channel(1.0, 0.1), EPS, StepPlan(5e-4, 1, "truncated", 3)).kind == "wigner"
+        assert step_phase_space(rho_q, quartic_channel(1.0, 0.1), EPS, StepPlan(5e-4, 1, max_order=3)).kind == "wigner"
 
 
 class TestLens:
@@ -159,7 +163,7 @@ class TestQuartic:
         mix = superposition_quasidist(grid, 0.5, 0.2, separation=2.0)
         spec = quartic_channel(1.0, 0.1)
         moyal = evolve_phase_space(mix, spec, 0.2, StepPlan(1e-4, 200))
-        classical = evolve_phase_space(mix, spec, 0.2, StepPlan(1e-4, 200, "truncated", 1))
+        classical = evolve_phase_space(mix, spec, 0.2, StepPlan(1e-4, 200, max_order=1))
         assert moyal.final.values.min() < -1e-10
         assert moyal.final.kind == "wigner"
         assert classical.final.values.min() >= -1e-12
@@ -193,7 +197,7 @@ class TestMoyalCorrection:
         p = self.GRID.p_axis.points()
         moments = {}
         for name, plan in (
-            ("moyal", StepPlan(self.DZ, 1)), ("liouville", StepPlan(self.DZ, 1, "truncated", 1))
+            ("moyal", StepPlan(self.DZ, 1)), ("liouville", StepPlan(self.DZ, 1, max_order=1))
         ):
             w_p = step_phase_space(rho, spec, epsilon, plan).values.sum(axis=0)
             moments[name] = [float(w_p @ p**k) * self.GRID.cell_area for k in (1, 2, 3)]
@@ -229,7 +233,7 @@ class TestMoyalCorrection:
         for epsilon in (0.05, 0.1, 0.2):
             moyal, liouville = (
                 evolve_phase_space(rho, spec, epsilon, plan).final.values
-                for plan in (StepPlan(self.DZ, 100), StepPlan(self.DZ, 100, "truncated", 1))
+                for plan in (StepPlan(self.DZ, 100), StepPlan(self.DZ, 100, max_order=1))
             )
             distance[epsilon] = np.abs(moyal - liouville).max()
         assert 3.6 <= distance[0.1] / distance[0.05] <= 4.4
@@ -254,7 +258,7 @@ def complex_reference(state, spec, epsilon, plan):
         z_mid = state.z + step * plan.dz + 0.5 * plan.dz
         rho = np.fft.ifft(np.fft.fft(rho, axis=0) * drift, axis=0)
         if spec.degree >= 1:
-            if plan.generator == "full_moyal":
+            if plan.max_order is None:
                 g = moyal_generator(spec, x, y, z_mid, epsilon)
             else:
                 g = moyal_generator_truncated(spec, x, y, z_mid, epsilon, plan.max_order)
@@ -274,10 +278,10 @@ class TestRealKernel:
         "harmonic_lens": (LENS_GRID, (0.3, 0.2), HARMONIC_LENS, StepPlan(0.01, 50)),
         "quartic_full": (QUARTIC_GRID, (0.4, 0.25), quartic_channel(1.0, 0.1), StepPlan(5e-4, 50)),
         "quartic_order1": (
-            QUARTIC_GRID, (0.4, 0.25), quartic_channel(1.0, 0.1), StepPlan(5e-4, 50, "truncated", 1)
+            QUARTIC_GRID, (0.4, 0.25), quartic_channel(1.0, 0.1), StepPlan(5e-4, 50, max_order=1)
         ),
         "quartic_order3": (
-            QUARTIC_GRID, (0.4, 0.25), quartic_channel(1.0, 0.1), StepPlan(5e-4, 50, "truncated", 3)
+            QUARTIC_GRID, (0.4, 0.25), quartic_channel(1.0, 0.1), StepPlan(5e-4, 50, max_order=3)
         ),
     }
 
@@ -312,7 +316,7 @@ class TestRealKernel:
     def test_harmonic_lens_moyal_equals_liouville_bitwise(self):
         rho = gaussian_quasidist(LENS_GRID, 0.3, 0.12)
         moyal = evolve_phase_space(rho, HARMONIC_LENS, EPS, StepPlan(0.01, 50))
-        liouville = evolve_phase_space(rho, HARMONIC_LENS, EPS, StepPlan(0.01, 50, "truncated", 1))
+        liouville = evolve_phase_space(rho, HARMONIC_LENS, EPS, StepPlan(0.01, 50, max_order=1))
         assert moyal.final.values.tobytes() == liouville.final.values.tobytes()
 
     def test_nyquist_monitor_quiet_when_resolved(self):
@@ -455,7 +459,7 @@ class TestNonFiniteStep:
     @pytest.mark.parametrize("engine", ["twm", "moyal", "liouville", "rays"])
     def test_nan_coefficient_fails_at_step_one(self, engine):
         rho = gaussian_quasidist(QUARTIC_GRID, 0.4, 0.25)
-        plan = StepPlan(0.01, 3, "truncated") if engine == "liouville" else StepPlan(0.01, 3)
+        plan = StepPlan(0.01, 3, max_order=1) if engine == "liouville" else StepPlan(0.01, 3)
         with pytest.raises(SolverError, match=r"^step 1/3: .*non-finite"):
             if engine == "twm":
                 evolve_twm(gaussian_wavefield(QUARTIC_GRID.x_axis, 0.4, EPS), self.NAN_LENS, plan)
@@ -485,7 +489,7 @@ class TestClassicalCheckPerStep:
         with pytest.raises(
             SolverError, match=r"^step 3/5: classical density has negative values beyond round-off"
         ):
-            evolve_phase_space(rho, spec, EPS, StepPlan(5e-4, 5, "truncated", 1))
+            evolve_phase_space(rho, spec, EPS, StepPlan(5e-4, 5, max_order=1))
 
 
 class TestTraceRays:
