@@ -9,9 +9,9 @@ Verbs:
   with twm among the engines, also check that the initial field passes the
   Wigner transform the run compares it through.  Step-1 phase guards that
   ``run`` would refuse, for a potential of degree <= 2 the grid engines'
-  closed-form guards and resolution prediction, and in free space the twm
-  engine's own closed-form run (a beam that reaches the edge of the box),
-  are printed as ``warning:`` lines.
+  closed-form guards and support check, and in free space the twm engine's
+  own closed-form run, are printed as ``warning:`` lines; a beam carried to
+  the box edge is named by ``grid.x_length`` or ``grid.p_length``.
 * ``info <grid-dump>``: print the header and value statistics of a dump.
 
 Exit codes: 0 success, 2 configuration or validation problem, 1 runtime

@@ -17,16 +17,19 @@ map with a negative trace first takes ``-I``, an index reversal about the
 grid centre, which keeps the shear parameters bounded (at most 1 for a
 rotation), and the translation rides in the shear offsets.  Every step
 still refuses non-finite coefficients and runs the kick guard.  The grid
-checks of the steps that are not computed become a prediction: the
-support of the initial density's spectrum (``SUPPORT_FLOOR`` of its peak)
-is mapped by ``M_k^{-T}``, and the run is refused at the first step where
-it reaches the kx Nyquist line, or with a force the y one.  The states
-between two shears are not states of the run: far from a rotation (a
-squeeze, say) a shear rate grows without bound.  So the initial support,
-in real space and in the spectrum (``SHEAR_FLOOR`` of each peak), is
-carried shear by shear, and a snapshot whose shears would carry it
-across the box or past a Nyquist line the next shear needs is stepped by
-the grid kernel from the snapshot before it instead.
+checks of the steps that are not computed become one rule, which one
+scan (:func:`_first_exit`) applies to the initial density's support in
+real space and in the spectrum: a state is on the grid while its map
+keeps that support inside the periodic box and short of the Nyquist
+lines.  Each step's end state, its cumulative map, is checked at
+``SUPPORT_FLOOR`` of each peak (the y line only with a force: without
+one no step transforms along p), and the run is refused at the first
+step that fails, naming ``grid.x_length``, ``grid.p_length``, ``grid.nx``
+or ``grid.np``.  The states between two shears are not states of the
+run, and far from a rotation (a squeeze, say) a shear rate grows without
+bound.  So each state a shear takes is checked at ``SHEAR_FLOOR``
+against the box and both lines, and a snapshot whose shears fail is
+stepped by the grid kernel from the snapshot before it instead.
 """
 
 from __future__ import annotations
@@ -53,8 +56,9 @@ from .potentials import PotentialSpec
 from .states import QuasiDistribution
 from .transforms import _fft_in_place
 
-# Spectral magnitude (relative to the peak) above which the initial density's
-# content counts toward the support that the linear path's resolution check maps.
+# Magnitude (relative to the peak, in real space and in the spectrum) above
+# which the initial density's content counts toward the support that every
+# step's end state must keep on the grid.
 SUPPORT_FLOOR = 1e-8
 
 # Magnitude (relative to the peak, in real space and in the spectrum) above
@@ -111,16 +115,22 @@ def _linear_steps(spec: PotentialSpec, grid: PhaseGrid, plan: StepPlan, zs: list
     f = plan.dz * c1
     diagonal = 1.0 - q * half
     steps = (diagonal, half * (1.0 + diagonal), -q, -half * f, -f)
-    totals = []
-    a, b, c, d, e, g = 1.0, 0.0, 0.0, 1.0, 0.0, 0.0
+    totals, total = [], (1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
     # Step k, [[sa, sb], [sc, sa]] with offset (se, sf), after the map of steps 1..k-1.
     for sa, sb, sc, se, sf in zip(*(step.tolist() for step in steps)):
-        a, b, c, d, e, g = (
-            sa * a + sb * c, sa * b + sb * d, sc * a + sa * c, sc * b + sa * d,
-            sa * e + sb * g + se, sc * e + sa * g + sf,
-        )
-        totals.append((a, b, c, d, e, g))
+        total = _compose((sa, sb, sc, sa, se, sf), total)
+        totals.append(total)
     return np.array(totals, dtype=float).reshape(-1, 6), failure
+
+
+def _compose(outer: tuple, inner: tuple) -> tuple:
+    """The affine map ``outer`` after ``inner``, both rows of :func:`_linear_steps`."""
+    sa, sb, sc, sd, se, sf = outer
+    a, b, c, d, e, f = inner
+    return (
+        sa * a + sb * c, sa * b + sb * d, sc * a + sd * c, sc * b + sd * d,
+        sa * e + sb * f + se, sc * e + sd * f + sf,
+    )
 
 
 def _support_points(mask: np.ndarray, u: np.ndarray, v: np.ndarray):
@@ -135,61 +145,69 @@ def _support_points(mask: np.ndarray, u: np.ndarray, v: np.ndarray):
     return np.concatenate((u[first], u[last])), np.concatenate((v[columns], v[columns]))
 
 
-def _spectral_magnitude(values: np.ndarray) -> np.ndarray:
-    """``|FFT2(values)|`` over its peak on the ``kx >= 0`` half, ``kx`` by ``y``.
+def _supports(values: np.ndarray, grid: PhaseGrid) -> tuple:
+    """The support records of ``values`` at ``SUPPORT_FLOOR`` and at ``SHEAR_FLOOR``.
 
-    ``values`` is real, so its spectrum is Hermitian and the half holds the
-    whole support (mirrored by ``(kx, y) -> (-kx, -y)``).  The transform
-    along p runs in place on contiguous rows.
+    Each is ``((x, p), (kx, y))``, the points of :func:`_support_points`
+    where ``|values|``, and ``|FFT2(values)|`` on its ``kx >= 0`` half,
+    reach the floor times their peak (a real array's spectrum is Hermitian).
     """
     spectrum = np.fft.rfft(values, axis=0)
     _fft_in_place(np.fft.fft, spectrum, axis=1)
     magnitude = np.hypot(spectrum.real, spectrum.imag, out=spectrum.real)  # |spectrum|, in place
     magnitude /= magnitude.max()
-    return magnitude
+    real = np.abs(values)
+    peak = real.max()
+    x, p = grid.x_axis.points(), grid.p_axis.points()
+    kx, y = _half_spectrum(grid.x_axis), grid.p_axis.frequencies()
+    return tuple(
+        (_support_points(real >= floor * peak, x, p), _support_points(magnitude >= floor, kx, y))
+        for floor in (SUPPORT_FLOOR, SHEAR_FLOOR)
+    )
 
 
-def _spectral_support(magnitude: np.ndarray, grid: PhaseGrid, floor: float):
-    """The ``(kx, y)`` points of :func:`_support_points` where ``magnitude`` reaches ``floor``."""
-    kx = _half_spectrum(grid.x_axis)
-    return _support_points(magnitude >= floor, kx, grid.p_axis.frequencies())
+def _first_exit(support: tuple, grid: PhaseGrid, maps: np.ndarray, y_line: bool):
+    """The first of the affine ``maps`` that carries ``support`` off the grid, or None.
 
-
-def _first_unresolved(
-    spectral: tuple, grid: PhaseGrid, totals: np.ndarray, force: bool
-) -> tuple[int, str] | None:
-    """The first step whose cumulative map carries the ``spectral`` support to a Nyquist line.
-
-    The density ``rho_0(M^-1 (w - d))`` has the spectrum of ``rho_0`` carried
-    by ``M^-T = [[d, -c], [-b, a]]`` (det M = 1); ``spectral`` holds the
-    ``(kx, y)`` points of :func:`_spectral_support` at ``SUPPORT_FLOOR``.
-    The kx line is checked always, the y line only with a force: without
-    one no step transforms along p.  Returns ``(step, message)`` naming the
-    grid key, or None.
+    ``support`` is a record of :func:`_supports` and ``maps`` an ``(n, 6)``
+    array of rows of :func:`_linear_steps`.  A map carries the real-space
+    points by ``(x, p) <- M (x, p) + (e, f)`` and the spectral ones by
+    ``M^-T = [[d, -c], [-b, a]]`` (det M = 1).  The state stays on the grid
+    while they stay in the box ``[x_0, x_{n-1}] x [p_0, p_{n-1}]`` and
+    short of the kx Nyquist line, and of the y one when ``y_line``.
+    Returns ``(index, message)``, the message naming the grid key of the
+    first limit reached (in the order x, p, kx, y).
     """
-    kx, y = spectral
-    limits = (_half_spectrum(grid.x_axis)[-1], _half_spectrum(grid.p_axis)[-1])
-    a, b, c, d = totals[:, :4].T
-    # Steps in blocks: whole-run (steps x points) temporaries raised the peak RSS.
-    block = max(1, 8192 // kx.size)
-    for start in range(0, len(totals), block):
-        rows = slice(start, start + block)
-        reach_x = np.abs(np.multiply.outer(d[rows], kx) - np.multiply.outer(c[rows], y))
-        hits_x = reach_x.max(axis=1) >= limits[0]
-        hits = hits_x
-        if force:
-            reach_y = np.abs(np.multiply.outer(a[rows], y) - np.multiply.outer(b[rows], kx))
-            hits = hits_x | (reach_y.max(axis=1) >= limits[1])
+    (x, p), (kx, y) = support
+    axes = (grid.x_axis, grid.p_axis)
+    low, high = np.array([(axis.points()[0], axis.points()[-1]) for axis in axes]).T
+    lines = np.array([_half_spectrum(axis)[-1] for axis in axes])
+    lines[1] = lines[1] if y_line else math.inf
+    matrices = maps[:, :4].reshape(-1, 2, 2)
+    inverse_t = matrices[:, ::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])  # M^-T
+    # Maps in blocks, by broadcast products: whole-run arrays, matmul, einsum raised the peak RSS.
+    block = max(1, 8192 // max(x.size, kx.size))
+    for start in range(0, len(maps), block):
+        r = slice(start, start + block)
+        m, t, offsets = matrices[r], inverse_t[r], maps[r, 4:]
+        moved = m[:, :, :1] * x + m[:, :, 1:] * p  # adding an offset to its extremes is exact
+        turned = t[:, :, :1] * kx + t[:, :, 1:] * y
+        out = np.concatenate((
+            (moved.min(axis=2) + offsets < low) | (moved.max(axis=2) + offsets > high),
+            np.abs(turned, out=turned).max(axis=2) >= lines,
+        ), axis=1)
+        hits = out.any(axis=1)
         if hits.any():
             at = int(hits.argmax())
-            if hits_x[at]:
-                key, what, limit = "grid.nx", "kx", limits[0]
-            else:
-                key, what, limit = "grid.np", "y (conjugate to p)", limits[1]
-            return start + at + 1, (
-                f"{key}: the linear map carries the beam's spectrum to the {what} Nyquist "
-                f"frequency {limit:.4g}, so the grid can no longer resolve the state; "
-                f"raise {key} or shorten the run"
+            limit = int(out[at].argmax())
+            reached = [f"beam to the edge of the periodic box, {u} in [{lo:.4g}, {hi:.4g}]"
+                       for u, lo, hi in zip("xp", low, high)]
+            reached += [f"beam's spectrum to the {w} Nyquist frequency {line:.4g}"
+                        for w, line in zip(("kx", "y (conjugate to p)"), lines)]
+            key = ("grid.x_length", "grid.p_length", "grid.nx", "grid.np")[limit]
+            return start + at, (
+                f"{key}: the linear map carries the {reached[limit]}, so the grid can no longer "
+                f"resolve the state; raise {key} or shorten the run"
             )
     return None
 
@@ -199,23 +217,19 @@ def _linear_run(state: QuasiDistribution, spec: PotentialSpec, plan: StepPlan, z
 
     Returns ``(totals, failure, shear_support)``: the cumulative maps (see
     :func:`_linear_steps`) of the steps that pass the coefficient check,
-    the kick guard and the resolution check, the :class:`SolverError` of
-    the first step that fails one (None when every step passes; that step
-    is ``len(totals) + 1``, which the error does not name), and the
-    initial state's spectral support at ``SHEAR_FLOOR`` (None without
-    steps).  No evolved state is needed: a caller can refuse a run early.
+    the kick guard and :func:`_first_exit`, the :class:`SolverError` of the
+    first step that fails one (None when every step passes; that step is
+    ``len(totals) + 1``, which the error does not name), and the initial
+    state's support record at ``SHEAR_FLOOR`` (None without steps).  No
+    evolved state is needed: a caller can refuse a run early.
     """
     totals, failure = _linear_steps(spec, state.grid, plan, zs)
     if not len(totals):
         return totals, failure, None
-    magnitude = _spectral_magnitude(state.values)
-    spectral = _spectral_support(magnitude, state.grid, SUPPORT_FLOOR)
-    shear_support = _spectral_support(magnitude, state.grid, SHEAR_FLOOR)
-    unresolved = _first_unresolved(spectral, state.grid, totals, spec.degree >= 1)
-    if unresolved is not None:
-        step, message = unresolved
-        failure = SolverError(message)
-        totals = totals[: step - 1]
+    support, shear_support = _supports(state.values, state.grid)
+    exit_ = _first_exit(support, state.grid, totals, spec.degree >= 1)
+    if exit_ is not None:
+        totals, failure = totals[: exit_[0]], SolverError(exit_[1])
     return totals, failure, shear_support
 
 
@@ -239,10 +253,9 @@ def _shear_sequence(total, grid: PhaseGrid) -> tuple[bool, tuple | None]:
     """
     a, b, c, d, e, f = total
     flip = a + d < 0.0
-    if flip:
-        # (x, p) -> 2 centre - (x, p), then the map: the negated matrix, shifted offsets.
+    if flip:  # (x, p) -> 2 centre - (x, p), then the map
         cx, cp = grid.x_axis.center, grid.p_axis.center
-        a, b, c, d, e, f = -a, -b, -c, -d, e + 2.0 * (a * cx + b * cp), f + 2.0 * (c * cx + d * cp)
+        a, b, c, d, e, f = _compose(total, (-1.0, 0.0, 0.0, -1.0, 2.0 * cx, 2.0 * cp))
     if abs(c) >= abs(b) and c != 0.0:
         t2 = (d - 1.0) / c
         t1 = b - a * t2
@@ -256,34 +269,23 @@ def _shear_sequence(total, grid: PhaseGrid) -> tuple[bool, tuple | None]:
     return flip, ((0, 0.0, e), (1, 0.0, f))
 
 
-def _shears_resolve(grid: PhaseGrid, support, flip: bool, shears) -> bool:
-    """Whether the grid resolves every state the shears hand on, from the initial ``support``.
+def _shear_states(grid: PhaseGrid, flip: bool, shears) -> np.ndarray:
+    """The affine maps that carry the initial state to the states the ``shears`` take.
 
-    A shear along an axis transforms along it, so the state it takes needs
-    its spectrum short of that axis's Nyquist frequency; with a nonzero
-    rate it moves each line by the other coordinate, which must not have
-    wrapped around the periodic box.  ``support`` is ``((x, p), (kx,
-    y))``, the real-space and spectral points of :func:`_support_points`;
-    shear by shear the points move as the state does (the spectrum by the
-    transposed inverse: a shear ``u <- u + r v`` takes ``w_v <- w_v - r
-    w_u``).  The final state's spectrum is the resolution check's.
+    The first is ``-I`` about the grid centre with ``flip``, else the
+    identity; each next one composes the shear before it, ``x <- x + rate
+    p + offset`` (axis 0) or ``p <- p + rate x + offset`` (axis 1).  A
+    shear that moves nothing takes no state.  Rows as :func:`_linear_steps`.
     """
-    (x, p), spectral = support
-    if flip:
-        x, p = 2.0 * grid.x_axis.center - x, 2.0 * grid.p_axis.center - p
-    real, spectral, axes = [x, p], list(spectral), (grid.x_axis, grid.p_axis)
+    cx, cp = grid.x_axis.center, grid.p_axis.center
+    total = (-1.0, 0.0, 0.0, -1.0, 2.0 * cx, 2.0 * cp) if flip else (1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
+    states = []
     for axis, rate, offset in shears:
-        if rate == 0.0 and offset == 0.0:
-            continue
-        other = 1 - axis
-        if np.abs(spectral[axis]).max() >= _half_spectrum(axes[axis])[-1]:
-            return False
-        line = axes[other].points()
-        if rate != 0.0 and (real[other].min() < line[0] or real[other].max() > line[-1]):
-            return False
-        real[axis] = real[axis] + rate * real[other] + offset
-        spectral[other] = spectral[other] - rate * spectral[axis]
-    return True
+        if rate != 0.0 or offset != 0.0:
+            states.append(total)
+            x_shear = (1.0, rate, 0.0, 1.0, offset, 0.0)
+            total = _compose(x_shear if axis == 0 else (1.0, 0.0, rate, 1.0, 0.0, offset), total)
+    return np.array(states, dtype=float).reshape(-1, 6)
 
 
 def _shear_map(values: np.ndarray, grid: PhaseGrid, flip: bool, shears) -> np.ndarray:
@@ -318,8 +320,8 @@ class _LinearKernel:
     The moments of step k are the measured initial ones carried by the
     cumulative map ``(M, d)``: ``mu_k = M mu_0 + d`` and ``Sigma_k = M
     Sigma_0 M^T``.  Advancing from the last step that passes raises the
-    refusal of :func:`_linear_run`.  A snapshot whose shears the grid cannot
-    resolve (see :func:`_shears_resolve`) is stepped by the grid kernel
+    refusal of :func:`_linear_run`.  A snapshot one of whose
+    :func:`_shear_states` is off the grid is stepped by the grid kernel
     from the snapshot before it; ``_evolve`` wraps outside its step errors,
     so ``wrap`` names its own: the snapshot's step, or the inner step that
     failed.
@@ -335,7 +337,7 @@ class _LinearKernel:
         self.initial, self.kind, self.zs = state, kind, zs
         self.stepping = (state.grid, spec, epsilon, plan, kind)
         self.last = (0, state)  # the latest snapshot and its step
-        self.totals, self.failure, spectral = _linear_run(state, spec, plan, zs)
+        self.totals, self.failure, self.support = _linear_run(state, spec, plan, zs)
         x, p = state.grid.x_axis.points(), state.grid.p_axis.points()
         self.start = start = _grid_moments(state.values, zs[0], x, p, state.grid.cell_area)
         xx, xp, pp = start.sigma_x**2, start.sigma_xp, start.sigma_p**2
@@ -348,9 +350,6 @@ class _LinearKernel:
             a * c * xx + (a * d + b * c) * xp + b * d * pp,
         )
         self.rows = list(zip(*(m.tolist() for m in series)))
-        if len(self.totals):
-            real = np.abs(state.values)
-            self.support = (_support_points(real >= SHEAR_FLOOR * real.max(), x, p), spectral)
 
     def advance(self, step: int, z: float) -> int:
         if step == len(self.totals):
@@ -366,7 +365,8 @@ class _LinearKernel:
         at = step  # the step an error names
         try:
             flip, shears = _shear_sequence(self.totals[step - 1].tolist(), grid)
-            if shears is not None and _shears_resolve(grid, self.support, flip, shears):
+            states = None if shears is None else _shear_states(grid, flip, shears)
+            if states is not None and _first_exit(self.support, grid, states, True) is None:
                 values = _shear_map(self.initial.values, grid, flip, shears)
             else:
                 if self.kernel is None:

@@ -378,11 +378,11 @@ def evolve_phase_space(
     negative values) and raises :class:`SolverError` naming the step.
 
     For a potential of degree at most 2 the run is mapped in closed form
-    (see the module docstring): the moments come from the composed step
-    matrices, only the snapshots are computed on the grid (sheared, or
-    stepped where the shears would leave the grid), and there the density
-    checks run; the other steps get the coefficient check, the kick guard
-    and the resolution prediction.  Either plan gives the same result.
+    (``linear_map``), alike for either plan: the moments come from the
+    composed step matrices, and only the snapshots are computed on the grid,
+    with the density checks; every step gets the coefficient check, the kick
+    guard and the support check, which refuses a beam carried to the box
+    edge (``grid.x_length``, ``grid.p_length``) or to a Nyquist line.
     """
     epsilon = check_positive("epsilon", epsilon, SolverError)
     # Classical transport preserves positivity; deformed transport does not.

@@ -147,12 +147,12 @@ def _guard_failures(config: ScenarioConfig, spec, rho=None) -> list[str]:
     The twm kinetic guard and the grid kick guard of step 1 depend only on
     the grid, the potential, dz and epsilon.  For a potential of degree at
     most 2 the grid engines map the run in closed form, so every step's
-    coefficient check and kick guard and the resolution prediction from
-    the initial density ``rho`` (built from ``config`` when None) are known
-    in advance too (see ``linear_map._linear_run``); both grid engines
-    share that result.  Guards at later steps of a z-dependent potential of
-    higher degree stay in the step loop.  A run without steps takes none,
-    so it checks no guard.
+    coefficient check, kick guard and support check (the initial density
+    ``rho``, built from ``config`` when None, kept in the box and short of
+    the Nyquist lines: ``grid.x_length``, ``grid.p_length``, ``grid.nx``,
+    ``grid.np``; see ``linear_map._linear_run``) are known in advance too.
+    Guards at later steps of a z-dependent potential of higher degree stay
+    in the step loop.  A run without steps takes none, so it checks none.
     """
     failures = []
     run = config.run

@@ -201,6 +201,34 @@ formats = csv
 """
 
 
+# Free space with the beam moving at p0 = 1: the grid engines map the run in
+# closed form, which carries the beam to the x edge of the box (12.7) near
+# step 348.  Stepped, the beam wrapped around the box without an error.
+WRAPPING_GRID_SCENARIO = """
+[grid]
+nx = 256
+np = 128
+x_length = 25.6
+p_length = 6.4
+
+[beam]
+sigma0 = 0.4
+p0 = 1.0
+
+[physics]
+epsilon = 0.1
+
+[run]
+dz = 0.02
+n_steps = 1000
+snapshot_every = 100
+engines = moyal, rays
+
+[output]
+directory = {outdir}
+formats = csv, grid-dump
+"""
+
 # A defocusing quartic: rays escape, and some overflow the moments while
 # still finite before they turn non-finite.
 DIVERGING_RAYS_SCENARIO = """
@@ -1008,6 +1036,29 @@ class TestFreeSpaceWrap:
         assert main(["run", str(ini), "--quiet"]) == 1
         assert capsys.readouterr().err == "error: " + warnings[0].removeprefix("warning: ") + "\n"
 
+
+class TestLinearMapWrap:
+    def test_run_refuses_the_beam_before_any_engine(self, tmp_path, capsys, monkeypatch):
+        outdir = tmp_path / "out"
+        ini = write_ini(tmp_path, WRAPPING_GRID_SCENARIO, outdir=outdir)
+        monkeypatch.setattr(runner, "_evolve_engine", lambda *args: pytest.fail("engine ran"))
+        assert main(["run", str(ini), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        found = re.match(r"error: engine moyal: step (\d+)/1000: grid\.x_length: ", err)
+        assert found, err
+        assert int(found.group(1)) < 380  # stepped, the emittance moves from about step 380
+        assert not outdir.exists()
+
+    def test_validate_warns_with_the_text_run_refuses_with(self, tmp_path, capsys):
+        ini = write_ini(tmp_path, WRAPPING_GRID_SCENARIO, outdir=tmp_path / "out")
+        assert main(["validate", str(ini)]) == 0
+        warnings = [
+            line for line in capsys.readouterr().out.splitlines() if line.startswith("warning:")
+        ]
+        assert len(warnings) == 1
+        assert re.match(r"warning: engine moyal: step \d+/1000: grid\.x_length: ", warnings[0])
+        assert main(["run", str(ini), "--quiet"]) == 1
+        assert capsys.readouterr().err == "error: " + warnings[0].removeprefix("warning: ") + "\n"
 
 class TestWignerSnapshotStream:
     """twm snapshots are transformed one at a time; only the densities a run needs stay alive."""

@@ -10,6 +10,7 @@ peak.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +28,8 @@ from beamphase import (
     free_space,
     gaussian_quasidist,
     linear_lens,
+    load_scenario,
+    run_scenario,
     superposition_quasidist,
 )
 from beamphase import linear_map, phasespace
@@ -335,3 +338,56 @@ class TestSteppingRefusalsStay:
         with pytest.raises(SolverError, match=pattern) as caught:
             evolve_phase_space(state, linear_lens(1.0), EPS, plan)
         assert int(caught.value.args[0].split("/")[0].split()[1]) <= stepped_step
+
+
+class TestBoxRefusal:
+    """The closed form refuses a beam that its maps carry to the edge of the periodic box.
+
+    Stepping these runs wraps the beam around the box without an error, and
+    without the box limits the closed form accepted them.  The bounds come
+    from where the Gaussian's 1e-8 contour meets the box edge (step 346 for
+    the drift, 300 for the lens), fixed before measuring.
+    """
+
+    def refused_step(self, state, spec, plan, pattern):
+        """The step the run is refused at, matching ``pattern``; no grid step is taken first."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_GridKernel, "advance", lambda *args: pytest.fail("stepped"))
+            with pytest.raises(SolverError, match=pattern) as caught:
+                evolve_phase_space(state, spec, EPS, plan)
+        return int(caught.value.args[0].split("/")[0].split()[1])
+
+    @pytest.mark.parametrize("order", [None, 1], ids=["moyal", "liouville"])
+    def test_free_drift_reaches_the_x_edge(self, order):
+        # Stepped, this run's emittance first moves at about step 380, and
+        # its final density measures mean_x -5.55 where the free law gives 20.
+        grid = PhaseGrid(AxisGrid(256, 25.6), AxisGrid(128, 6.4))
+        state = gaussian_quasidist(grid, 0.4, 0.125, p0=1.0)
+        plan = StepPlan(0.02, 1000, max_order=order)
+        pattern = r"^step \d+/1000: grid\.x_length: .* periodic box, x in \[-12\.8, 12\.7\]"
+        assert 330 <= self.refused_step(state, free_space(), plan, pattern) < 380
+
+    def test_lens_carries_the_tails_past_the_p_edge(self):
+        # The lens turns the beam at x0 = 3 toward p = -3 of a box that ends at -3.2.
+        grid = PhaseGrid(AxisGrid(256, 12.8), AxisGrid(128, 6.4))
+        state = gaussian_quasidist(grid, 0.4, 0.125, x0=3.0)
+        pattern = r"^step \d+/350: grid\.p_length: .* periodic box, p in \[-3\.2, 3\.15\]"
+        step = self.refused_step(state, linear_lens(1.0), StepPlan(2e-3, 350), pattern)
+        assert 285 <= step <= 315
+
+
+def test_lens_harmonic_bench_physics_takes_no_grid_step(monkeypatch):
+    # Every shear state of the bench lens stays in the box and short of both
+    # Nyquist lines, so no snapshot of either grid engine falls back to stepping.
+    config = load_scenario(Path(__file__).parents[1] / "bench" / "scenarios" / "lens_harmonic.ini")
+    sheared = []
+    shear_map = linear_map._shear_map
+
+    def counted(*args):
+        sheared.append(args)
+        return shear_map(*args)
+
+    monkeypatch.setattr(linear_map, "_shear_map", counted)
+    monkeypatch.setattr(_GridKernel, "advance", lambda *args: pytest.fail("stepped"))
+    run_scenario(config, emit=False)
+    assert len(sheared) == 2  # the final snapshot of moyal and of liouville
