@@ -31,7 +31,7 @@ from .exceptions import (
 )
 from .grids import AxisGrid, PhaseGrid
 from .outputs import emit_outputs, read_grid_dump, write_grid_dump, write_heatmap, write_moments_csv
-from .phasespace import StepPlan, Trajectory, evolve_phase_space, step_phase_space, trace_rays
+from .phasespace import StepPlan, Trajectory, evolve_phase_space, trace_rays
 from .potentials import (
     ConstantProfile,
     HarmonicProfile,
@@ -58,7 +58,7 @@ from .states import (
     superposition_wavefield,
 )
 from .transforms import Tomogram, momentum_wavefield, tomogram, tomogram_axis, wigner_transform
-from .twm import evolve_twm, free_gaussian_sigma, matched_width, step_twm
+from .twm import evolve_twm, free_gaussian_sigma, matched_width
 
 __version__ = "0.1.0"
 
@@ -113,8 +113,6 @@ __all__ = [
     "read_grid_dump",
     "run_scenario",
     "sample_rays",
-    "step_phase_space",
-    "step_twm",
     "superposition_quasidist",
     "superposition_wavefield",
     "tomogram",

@@ -6,12 +6,13 @@ Verbs:
 * ``compare <scenario>``: same, with engines forced to twm + moyal +
   liouville so the cross-engine distances are always recorded.
 * ``validate <scenario>``: parse, validate and echo the resolved config;
-  with twm among the engines, also check that the initial field passes the
-  Wigner transform the run compares it through.  Step-1 phase guards that
-  ``run`` would refuse, for a potential of degree <= 2 the grid engines'
-  closed-form guards and support check, and in free space the twm engine's
-  own closed-form run, are printed as ``warning:`` lines; a beam carried to
-  the box edge is named by ``grid.x_length`` or ``grid.p_length``.
+  a twm initial field that fails the Wigner transform the run compares it
+  through is refused with ``run``'s text (exit 2 here, 1 from ``run``).
+  Step-1 phase guards that ``run`` would refuse, for a potential of degree
+  <= 2 the grid engines' closed-form guards and support check, and in free
+  space the twm engine's own closed-form run (when no guard refuses twm),
+  are printed as ``warning:`` lines, one per engine; a beam carried to the
+  box edge is named by ``grid.x_length`` or ``grid.p_length``.
 * ``info <grid-dump>``: print the header and value statistics of a dump.
 
 Exit codes: 0 success, 2 configuration or validation problem, 1 runtime
@@ -25,9 +26,9 @@ import argparse
 import dataclasses
 import sys
 
-from .exceptions import BeamPhaseError, ConfigError, SolverError
+from .exceptions import BeamPhaseError, ConfigError, SolverError, TransformError
 from .outputs import read_grid_dump
-from .runner import RunReport, _engine_plan, _guard_failures, _preflight_wigner, run_scenario
+from .runner import RunReport, _engine_plan, _guard_failures, _initial_wigner, run_scenario
 from .scenario import ScenarioConfig, load_scenario
 from .twm import evolve_twm
 
@@ -98,23 +99,26 @@ def _cmd_run(args) -> int:
 
 def _cmd_validate(args) -> int:
     config = load_scenario(args.scenario)
-    _preflight_wigner(config)
     spec = config.potential.build()
     failures = _guard_failures(config, spec)
-    if "twm" in config.run.engines and spec.degree < 0:
-        # Free space maps the run in closed form (twm._FreeKernel), so the engine's
-        # own check of the box edge is cheap enough to run here.
-        plan, every = _engine_plan("twm", config), config.run.snapshot_every
+    if "twm" in config.run.engines:
+        psi = config.initial_wavefield()
         try:
-            evolve_twm(config.initial_wavefield(), spec, plan, every)
-        except SolverError as exc:
-            if f"engine twm: {exc}" not in failures:  # not the kinetic guard again
-                failures.append(f"engine twm: {exc}")
+            _initial_wigner(config, psi)
+        except TransformError as exc:
+            raise ConfigError(str(exc)) from None
+        if "twm" not in failures and spec.degree < 0:
+            # Free space maps the run in closed form (twm._FreeKernel), so the engine's
+            # own check of the box edge is cheap enough to run here.
+            try:
+                evolve_twm(psi, spec, _engine_plan("twm", config), config.run.snapshot_every)
+            except SolverError as exc:
+                failures["twm"] = f"engine twm: {exc}"
     if not args.quiet:
         print(f"scenario {args.scenario} is valid")
         for line in _echo_config(config):
             print(line)
-        for failure in failures:
+        for failure in failures.values():
             print(f"warning: {failure}")
     return 0
 

@@ -319,8 +319,9 @@ class _LinearKernel:
 
     The moments of step k are the measured initial ones carried by the
     cumulative map ``(M, d)``: ``mu_k = M mu_0 + d`` and ``Sigma_k = M
-    Sigma_0 M^T``.  Advancing from the last step that passes raises the
-    refusal of :func:`_linear_run`.  A snapshot one of whose
+    Sigma_0 M^T``.  A run that :func:`_linear_run` refuses is refused when
+    the kernel is built, with ``step k/n`` naming its first failing step, so
+    every step that ``advance`` reaches passes.  A snapshot one of whose
     :func:`_shear_states` is off the grid is stepped by the grid kernel
     from the snapshot before it; ``_evolve`` wraps outside its step errors,
     so ``wrap`` names its own: the snapshot's step, or the inner step that
@@ -337,7 +338,9 @@ class _LinearKernel:
         self.initial, self.kind, self.zs = state, kind, zs
         self.stepping = (state.grid, spec, epsilon, plan, kind)
         self.last = (0, state)  # the latest snapshot and its step
-        self.totals, self.failure, self.support = _linear_run(state, spec, plan, zs)
+        self.totals, failure, self.support = _linear_run(state, spec, plan, zs)
+        if failure is not None:
+            raise _step_error(len(self.totals) + 1, plan.n_steps, failure)
         x, p = state.grid.x_axis.points(), state.grid.p_axis.points()
         self.start = start = _grid_moments(state.values, zs[0], x, p, state.grid.cell_area)
         xx, xp, pp = start.sigma_x**2, start.sigma_xp, start.sigma_p**2
@@ -352,8 +355,6 @@ class _LinearKernel:
         self.rows = list(zip(*(m.tolist() for m in series)))
 
     def advance(self, step: int, z: float) -> int:
-        if step == len(self.totals):
-            raise self.failure
         return step + 1
 
     def measure(self, step: int, z: float) -> BeamMoments:

@@ -47,7 +47,7 @@ taken from them, and state objects are built only at snapshots.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, repeat
 
@@ -67,7 +67,6 @@ from .states import QuasiDistribution, RayEnsemble, _check_classical
 __all__ = [
     "StepPlan",
     "Trajectory",
-    "step_phase_space",
     "evolve_phase_space",
     "trace_rays",
 ]
@@ -344,20 +343,6 @@ def _check_residue(rho: np.ndarray, residue: float) -> None:
         )
 
 
-def step_phase_space(
-    state: QuasiDistribution, spec: PotentialSpec, epsilon: float, plan: StepPlan
-) -> QuasiDistribution:
-    """Advance a phase-space density by one step of size ``plan.dz``.
-
-    The kick phase must stay below pi in magnitude everywhere on the (x, y)
-    grid, else the step would alias and a :class:`SolverError` is raised.
-    The output is real (the Nyquist residue, see the module docstring, is
-    measured against the ``1e-8`` tolerance), keeps the grid, advances z by
-    dz, and keeps the ``classical`` tag only under ``max_order = 1``.
-    """
-    return evolve_phase_space(state, spec, epsilon, replace(plan, n_steps=1)).final
-
-
 def evolve_phase_space(
     state: QuasiDistribution,
     spec: PotentialSpec,
@@ -370,19 +355,20 @@ def evolve_phase_space(
     Moments are recorded at every step including the initial state.  Full
     states are kept every ``snapshot_every`` steps plus always the initial
     and final ones (default: only those two).  ``n_steps = 0`` returns the
-    input unchanged.  The result equals the composition of
-    :func:`step_phase_space` steps within round-off (a single step
-    transforms its input afresh; later steps of one run open from the
-    spectrum the previous step kept).  Every step checks the evolved density
-    for finite values and unit mass (and, when it stays classical, for
-    negative values) and raises :class:`SolverError` naming the step.
+    input unchanged.  The result equals the composition of one-step runs
+    within round-off (a one-step run transforms its input afresh; later
+    steps of one run open from the spectrum the previous step kept).  Every
+    step checks the evolved density for finite values and unit mass (and,
+    when it stays classical, for negative values) and raises
+    :class:`SolverError` naming the step.
 
     For a potential of degree at most 2 the run is mapped in closed form
     (``linear_map``), alike for either plan: the moments come from the
     composed step matrices, and only the snapshots are computed on the grid,
     with the density checks; every step gets the coefficient check, the kick
     guard and the support check, which refuses a beam carried to the box
-    edge (``grid.x_length``, ``grid.p_length``) or to a Nyquist line.
+    edge (``grid.x_length``, ``grid.p_length``) or to a Nyquist line.  A
+    refused run raises when this function starts, before any snapshot.
     """
     epsilon = check_positive("epsilon", epsilon, SolverError)
     # Classical transport preserves positivity; deformed transport does not.

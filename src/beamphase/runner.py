@@ -22,15 +22,8 @@ from .diagnostics import (
     negativity,
     truncation_ratio,
 )
-from .exceptions import ConfigError, SolverError, StateError, TransformError
-from .phasespace import (
-    StepPlan,
-    _preflight_kick,
-    _step_boundaries,
-    _step_error,
-    evolve_phase_space,
-    trace_rays,
-)
+from .exceptions import SolverError, StateError, TransformError
+from .phasespace import StepPlan, _preflight_kick, _step_boundaries, evolve_phase_space, trace_rays
 from .scenario import ScenarioConfig
 from .states import sample_rays
 from .transforms import _WignerMap
@@ -115,20 +108,18 @@ def build_initial_states(config: ScenarioConfig, rho=None):
     return {"psi": psi, "rho": rho, "rays": rays}
 
 
-def _preflight_wigner(config: ScenarioConfig) -> None:
-    """Raise :class:`ConfigError` if a twm run would fail its step-0 Wigner transform.
+def _initial_wigner(config: ScenarioConfig, psi):
+    """The run's one Wigner map and the density of the initial twm field ``psi``.
 
-    The comparison transform of the initial field depends only on the grid,
-    the beam and epsilon, so it is checked here without evolving anything
-    (and without building the grid or ray states).  A no-op without twm.
+    That transform depends only on the grid, the beam and epsilon, so its
+    failure raises a :class:`TransformError` naming the grid keys, which
+    ``run`` reports and ``validate`` raises as a configuration error.
     """
-    if "twm" not in config.run.engines:
-        return
-    psi = config.initial_wavefield()
     try:
-        _WignerMap(psi.grid, psi.epsilon, config.grid.p_axis())(psi, COMPARISON_MARGINAL_TOL)
+        wigner = _WignerMap(psi.grid, psi.epsilon, config.grid.p_axis())
+        return wigner, wigner(psi, COMPARISON_MARGINAL_TOL)
     except (TransformError, StateError) as exc:
-        raise ConfigError(
+        raise TransformError(
             "grid.x_length, grid.np, grid.p_length: the Wigner transform of the "
             f"initial twm field fails its check ({exc}); the shifts it correlates "
             "stop at x_length / 4 in steps of pi epsilon / p_length"
@@ -139,44 +130,47 @@ def _engine_plan(name: str, config: ScenarioConfig) -> StepPlan:
     return StepPlan(config.run.dz, config.run.n_steps, 1 if name == "liouville" else None)
 
 
-def _guard_failures(config: ScenarioConfig, spec, rho=None) -> list[str]:
-    """The guard errors of the requested engines that need no evolved state, in run order.
+def _guard_failures(config: ScenarioConfig, spec, rho=None) -> dict[str, str]:
+    """The guard errors of the requested engines that need no evolved state, by engine.
 
+    Maps each refused engine, in run order, to the text ``run`` reports:
     ``run_scenario`` refuses the first one before any engine starts and
-    ``validate`` reports each as a warning, with the text ``run`` reports.
-    The twm kinetic guard and the grid kick guard of step 1 depend only on
-    the grid, the potential, dz and epsilon.  For a potential of degree at
-    most 2 the grid engines map the run in closed form, so every step's
-    coefficient check, kick guard and support check (the initial density
-    ``rho``, built from ``config`` when None, kept in the box and short of
-    the Nyquist lines: ``grid.x_length``, ``grid.p_length``, ``grid.nx``,
-    ``grid.np``; see ``linear_map._linear_run``) are known in advance too.
+    ``validate`` prints each as a warning.  The twm kinetic guard and the
+    grid kick guard of step 1 depend only on the grid, the potential, dz and
+    epsilon.  For a potential of degree at most 2 the grid engines map the
+    run in closed form, and building that map (``linear_map._LinearKernel``
+    on the initial density ``rho``, built from ``config`` when None) runs
+    every step's coefficient check, kick guard and support check, which
+    keeps the beam in the box and short of the Nyquist lines
+    (``grid.x_length``, ``grid.p_length``, ``grid.nx``, ``grid.np``).
     Guards at later steps of a z-dependent potential of higher degree stay
     in the step loop.  A run without steps takes none, so it checks none.
     """
-    failures = []
+    failures = {}
     run = config.run
     if run.n_steps == 0:
         return failures
     linear = None  # both grid engines map a degree <= 2 run alike, so it is checked once
     if spec.kick_is_classical and set(GRID_ENGINES) & set(run.engines):
-        from .linear_map import _linear_run  # loaded by the runs that take it
+        from .linear_map import _LinearKernel  # loaded by the runs that take it
 
         rho = config.initial_density() if rho is None else rho
         plan = _engine_plan("moyal", config)
-        totals, linear, _ = _linear_run(rho, spec, plan, _step_boundaries(rho.z, plan))
+        try:
+            _LinearKernel(rho, spec, config.epsilon, plan, rho.kind, _step_boundaries(rho.z, plan))
+        except SolverError as exc:
+            linear = exc
     for name in run.engines:
         plan = _engine_plan(name, config)
         try:
             if name == "twm":
                 _kinetic_phase(config.grid.x_axis(), config.epsilon, plan.dz)
-            elif name in GRID_ENGINES and spec.kick_is_classical:
-                if linear is not None:
-                    raise _step_error(len(totals) + 1, plan.n_steps, linear)
-            elif name in GRID_ENGINES:
+            elif name in GRID_ENGINES and linear is not None:
+                raise linear
+            elif name in GRID_ENGINES and not spec.kick_is_classical:
                 _preflight_kick(config.grid.phase_grid(), spec, config.epsilon, plan)
         except SolverError as exc:
-            failures.append(f"engine {name}: {exc}")
+            failures[name] = f"engine {name}: {exc}"
     return failures
 
 
@@ -210,24 +204,22 @@ def _phase_space_snapshots(name: str, traj, spec, config: ScenarioConfig, warnin
     twm-only run holds one density however many snapshots it takes.  When an
     evolved snapshot fails its marginal or momentum-norm check, the engine
     is recorded without any (its moments stay valid) and a warning names the
-    snapshot.  A failure on the initial field is raised: the configured
-    momentum axis cannot hold the beam at all, which no evolution caused.
+    snapshot.  :func:`_initial_wigner` raises a failure on the initial
+    field, which no evolution caused.
     """
     if name not in GRID_ENGINES and name != "twm":
         return (), (), (), ()
     keep_all = any(engine in GRID_ENGINES for engine in config.run.engines)
     if name == "twm":
-        first = traj.snapshots[0]
-        wigner = _WignerMap(first.grid, first.epsilon, config.grid.p_axis())
+        wigner, first = _initial_wigner(config, traj.snapshots[0])
     densities, reports, ratios = [], [], []
     for step, state in zip(traj.snapshot_steps, traj.snapshots):
-        if name == "twm":
+        if name == "twm" and step == 0:
+            state, first = first, None  # held by the loop alone, so it goes with the next state
+        elif name == "twm":
             try:
                 state = wigner(state, COMPARISON_MARGINAL_TOL)
             except (TransformError, StateError) as exc:
-                if step == 0:
-                    message = f"engine twm: Wigner transform of the initial field: {exc}"
-                    raise TransformError(message) from None
                 warnings.append(
                     f"twm: Wigner transform of the step {step} snapshot failed ({exc}); "
                     "twm is left out of the distances, the final negativity and the grid "
@@ -259,7 +251,7 @@ def run_scenario(config: ScenarioConfig, emit: bool = True) -> RunReport:
     rho = config.initial_density() if set(DENSITY_ENGINES) & set(run.engines) else None
     failures = _guard_failures(config, spec, rho)
     if failures:
-        raise SolverError(failures[0])
+        raise SolverError(next(iter(failures.values())))
     states = build_initial_states(config, rho)
     warnings: list[str] = []
 

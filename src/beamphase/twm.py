@@ -22,7 +22,6 @@ engines and returns their :class:`~beamphase.phasespace.Trajectory` record.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -42,7 +41,6 @@ from .potentials import ConstantProfile, PotentialSpec, eval_potential
 from .states import WaveField
 
 __all__ = [
-    "step_twm",
     "evolve_twm",
     "matched_width",
     "free_gaussian_sigma",
@@ -165,16 +163,6 @@ class _FreeKernel:
             return WaveField(self.psi.grid, values, self.psi.epsilon, z)
         except (SolverError, StateError) as exc:
             raise _step_error(step, len(self.zs) - 1, exc) from None
-
-
-def step_twm(psi: WaveField, spec: PotentialSpec, plan: StepPlan) -> WaveField:
-    """Advance a wavefield by one Strang step of size ``plan.dz``.
-
-    The potential is sampled at the step midpoint for both half phases.
-    The kinetic phase at the largest wavenumber must stay below pi, else a
-    :class:`SolverError` is raised.  The norm is preserved to round-off.
-    """
-    return evolve_twm(psi, spec, replace(plan, n_steps=1)).final
 
 
 def evolve_twm(

@@ -29,7 +29,6 @@ from beamphase import (
     negativity,
     quartic_channel,
     sample_rays,
-    step_phase_space,
     superposition_quasidist,
     superposition_wavefield,
     tomogram,
@@ -188,8 +187,8 @@ def test_criterion_03_quadratic_equivalence(criterion):
         for rho, spec in ((free_rho, free_space()), (lens_rho, linear_lens(1.0))):
             full = truncated = rho
             for _ in range(1000):
-                full = step_phase_space(full, spec, EPS, full_plan)
-                truncated = step_phase_space(truncated, spec, EPS, truncated_plan)
+                full = evolve_phase_space(full, spec, EPS, full_plan).final
+                truncated = evolve_phase_space(truncated, spec, EPS, truncated_plan).final
                 assert float(np.abs(full.values - truncated.values).max()) <= 1e-12
 
 

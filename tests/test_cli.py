@@ -457,6 +457,20 @@ class TestGridDumpContract:
         with pytest.raises(ConfigError, match="expected"):
             read_grid_dump(path)
 
+    def test_missing_file_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot read"):
+            read_grid_dump(tmp_path / "absent.mbgd")
+
+    def test_invalid_grid_rejected(self, tmp_path):
+        # nx = 3 with a payload of 3 x 16 values passes the size check; the grid refuses it.
+        grid = PhaseGrid(AxisGrid(16, 12.0), AxisGrid(16, 12.0))
+        path = write_grid_dump(tmp_path / "state.mbgd", gaussian_quasidist(grid, 0.5, 0.5), 0.1)
+        blob = bytearray(path.read_bytes()[: -13 * 16 * 8])
+        blob[8:12] = struct.pack("<I", 3)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ConfigError, match="invalid grid-dump contents: axis point count"):
+            read_grid_dump(path)
+
     def test_heatmap_of_offcenter_peak(self, tmp_path):
         grid = PhaseGrid(AxisGrid(64, 32.0), AxisGrid(32, 1.6))
         rho = gaussian_quasidist(grid, 1.0, 0.05, x0=2.0, p0=0.1)
@@ -578,6 +592,20 @@ class TestVerbs:
         assert main(["run", str(ini), "--quiet"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_run_and_validate_refuse_a_failing_initial_wigner_alike(self, tmp_path, capsys):
+        outdir = tmp_path / "out"
+        text = FREE_SCENARIO.replace("x_length = 32.0", "x_length = 24.0")
+        ini = write_ini(tmp_path, text, outdir=outdir)
+        assert main(["run", str(ini), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: grid.x_length, grid.np, grid.p_length: the Wigner transform of the "
+            "initial twm field fails its check ("
+        )
+        assert not outdir.exists()
+        assert main(["validate", str(ini), "--quiet"]) == 2
+        assert capsys.readouterr().err == err
+
 
     def test_run_refuses_a_kick_guard_before_any_engine(self, tmp_path, capsys, monkeypatch):
         # dz = 2e-3 on the quartic channel trips moyal's kick guard at step
@@ -617,6 +645,15 @@ class TestVerbs:
             "warning: engine moyal: step 1/500: kick phase overflow: max |dz * G| = 1.716e+01"
         )
         assert warnings[1].startswith("warning: engine liouville: step 1/500: kick phase overflow")
+
+    def test_validate_warns_once_of_a_guarded_free_twm_run(self, tmp_path, capsys):
+        # dz = 0.5 trips twm's kinetic guard, which its free-space run would raise again.
+        text = FREE_SCENARIO.replace("dz = 0.05", "dz = 0.5")
+        ini = write_ini(tmp_path, text, outdir=tmp_path / "out")
+        assert main(["validate", str(ini)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        (warning,) = [line for line in lines if line.startswith("warning: engine twm:")]
+        assert warning.startswith("warning: engine twm: kinetic phase overflow")
 
     def test_zero_steps_check_no_step_guard(self, tmp_path, capsys):
         # dz = 0.5 trips twm's kinetic guard (see above); without steps no
@@ -683,6 +720,13 @@ class TestFlags:
         ini = write_ini(tmp_path, FREE_SCENARIO, outdir=tmp_path / "out")
         assert main(["run", str(ini), "--output-dir", "", "--quiet"]) == 2
         assert "--output-dir" in capsys.readouterr().err
+
+    def test_output_dir_below_a_file_is_a_runtime_failure(self, tmp_path, capsys):
+        ini = write_ini(tmp_path, FREE_SCENARIO, outdir=tmp_path / "out")
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["run", str(ini), "--output-dir", str(blocker / "out"), "--quiet"]) == 1
+        assert "cannot create output directory" in capsys.readouterr().err
 
 
 class TestDeterminism:
@@ -1098,6 +1142,11 @@ class TestWignerSnapshotStream:
         assert result.snapshot_steps == tuple(range(0, 41, 2))
         assert len(result.snapshot_negativity) == len(result.snapshot_r3) == 21
         assert report.final_negativity is not None
+
+    def test_twm_only_run_holds_no_density_across_transforms(self, tmp_path, tracked_maps):
+        run_scenario(load_scenario(self.stream_ini(tmp_path, "twm")), emit=False)
+        (wigner,) = tracked_maps
+        assert wigner.alive_at_call == [0] * 21
 
     def test_grid_engine_in_the_run_keeps_every_density(self, tmp_path, tracked_maps):
         report = run_scenario(

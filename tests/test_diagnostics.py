@@ -94,6 +94,10 @@ class TestMoments:
         assert mw.emittance == pytest.approx(mg.emittance, abs=1e-8)
         assert mw.sigma_xp == pytest.approx(mg.sigma_xp, abs=1e-8)
 
+    def test_unknown_state_type_rejected(self):
+        with pytest.raises(TypeError, match="cannot take beam moments of object"):
+            moments_of(object())
+
 
 def momentum_map_moments(values, grid, eps):
     """Wavefield moments with the momentum density from ``_MomentumMap``.
@@ -199,6 +203,13 @@ class TestTruncationRatio:
         mix = superposition_quasidist(self.GRID, 0.4, 0.4, 4.0)
         for spec in (free_space(), PotentialSpec(((0, ConstantProfile(2.0)),))):
             assert math.isnan(truncation_ratio(mix, spec, EPS))
+
+    @pytest.mark.parametrize(
+        "spec", [linear_lens(0.0), quartic_channel(0.0, 0.0)], ids=["row_scan", "general"]
+    )
+    def test_zero_force_scores_nan(self, spec):
+        mix = superposition_quasidist(self.GRID, 0.4, 0.4, 4.0)
+        assert math.isnan(truncation_ratio(mix, spec, EPS))
 
     @staticmethod
     def defined_ratio(state, spec, eps):

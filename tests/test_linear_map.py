@@ -367,6 +367,15 @@ class TestBoxRefusal:
         pattern = r"^step \d+/1000: grid\.x_length: .* periodic box, x in \[-12\.8, 12\.7\]"
         assert 330 <= self.refused_step(state, free_space(), plan, pattern) < 380
 
+    def test_refused_before_any_snapshot(self, monkeypatch):
+        # test_free_drift_reaches_the_x_edge's moyal run with snapshots every
+        # 10 steps: the map refuses it when it is built, so no snapshot is taken.
+        monkeypatch.setattr(linear_map._LinearKernel, "wrap", lambda *args: pytest.fail("wrapped"))
+        grid = PhaseGrid(AxisGrid(256, 25.6), AxisGrid(128, 6.4))
+        state = gaussian_quasidist(grid, 0.4, 0.125, p0=1.0)
+        with pytest.raises(SolverError, match=r"^step 348/1000: grid\.x_length"):
+            evolve_phase_space(state, free_space(), EPS, StepPlan(0.02, 1000), 10)
+
     def test_lens_carries_the_tails_past_the_p_edge(self):
         # The lens turns the beam at x0 = 3 toward p = -3 of a box that ends at -3.2.
         grid = PhaseGrid(AxisGrid(256, 12.8), AxisGrid(128, 6.4))

@@ -30,7 +30,6 @@ from beamphase import (
     moyal_generator_truncated,
     quartic_channel,
     sample_rays,
-    step_phase_space,
     superposition_quasidist,
     trace_rays,
 )
@@ -109,16 +108,16 @@ class TestQuadraticEquivalence:
         full = StepPlan(0.01, 1)
         trunc = StepPlan(0.01, 1, max_order=1)
         for _ in range(100):
-            rho_full = step_phase_space(rho_full, spec, EPS, full)
-            rho_trunc = step_phase_space(rho_trunc, spec, EPS, trunc)
+            rho_full = evolve_phase_space(rho_full, spec, EPS, full).final
+            rho_trunc = evolve_phase_space(rho_trunc, spec, EPS, trunc).final
             assert np.abs(rho_full.values - rho_trunc.values).max() <= 1e-12
 
     def test_kind_propagation(self):
         rho = gaussian_quasidist(LENS_GRID, 0.3, 0.12)
-        assert step_phase_space(rho, linear_lens(1.0), EPS, StepPlan(0.01, 1, max_order=1)).kind == "classical"
-        assert step_phase_space(rho, linear_lens(1.0), EPS, StepPlan(0.01, 1)).kind == "wigner"
+        assert evolve_phase_space(rho, linear_lens(1.0), EPS, StepPlan(0.01, 1, max_order=1)).final.kind == "classical"
+        assert evolve_phase_space(rho, linear_lens(1.0), EPS, StepPlan(0.01, 1)).final.kind == "wigner"
         rho_q = gaussian_quasidist(QUARTIC_GRID, 0.4, 0.25)
-        assert step_phase_space(rho_q, quartic_channel(1.0, 0.1), EPS, StepPlan(5e-4, 1, max_order=3)).kind == "wigner"
+        assert evolve_phase_space(rho_q, quartic_channel(1.0, 0.1), EPS, StepPlan(5e-4, 1, max_order=3)).final.kind == "wigner"
 
 
 class TestLens:
@@ -172,7 +171,7 @@ class TestQuartic:
     def test_kick_guard_overflow(self):
         rho = gaussian_quasidist(QUARTIC_GRID, 0.4, 0.25)
         with pytest.raises(SolverError, match="kick phase overflow"):
-            step_phase_space(rho, quartic_channel(1.0, 0.1), EPS, StepPlan(2e-3, 1))
+            evolve_phase_space(rho, quartic_channel(1.0, 0.1), EPS, StepPlan(2e-3, 1)).final
 
     def test_realness_monitor_detects_underresolved_momentum(self):
         # sigma_p = 0.25 on spacing 0.2 leaves visible content at the
@@ -199,7 +198,7 @@ class TestMoyalCorrection:
         for name, plan in (
             ("moyal", StepPlan(self.DZ, 1)), ("liouville", StepPlan(self.DZ, 1, max_order=1))
         ):
-            w_p = step_phase_space(rho, spec, epsilon, plan).values.sum(axis=0)
+            w_p = evolve_phase_space(rho, spec, epsilon, plan).final.values.sum(axis=0)
             moments[name] = [float(w_p @ p**k) * self.GRID.cell_area for k in (1, 2, 3)]
         return rho, moments
 

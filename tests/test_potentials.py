@@ -288,6 +288,10 @@ class TestPresets:
         with pytest.raises(BeamPhaseError):
             linear_lens(math.nan)
 
+    def test_quartic_contract(self):
+        with pytest.raises(BeamPhaseError, match="must be finite"):
+            quartic_channel(math.inf, 0.1)
+
     def test_quartic_degree(self):
         spec = quartic_channel(1.0, 0.1)
         assert spec.degree == 4

@@ -13,6 +13,7 @@ from beamphase import (
     RayEnsemble,
     SamplingError,
     StateError,
+    WaveField,
     gaussian_quasidist,
     gaussian_wavefield,
     moments_of,
@@ -203,6 +204,17 @@ class TestSampleRays:
         assert rays.algorithm == "pcg64"
         assert rays.seed == 0
         assert rays.count == 100
+
+
+class TestShapeContract:
+    def test_wavefield_shape_must_match_grid(self):
+        with pytest.raises(StateError, match=r"wavefield shape \(256,\) does not match grid"):
+            WaveField(XGRID, np.ones(256), 0.1)
+
+    def test_density_shape_must_match_grid(self):
+        grid = PhaseGrid(AxisGrid(16, 12.0), AxisGrid(16, 12.0))
+        with pytest.raises(StateError, match=r"density shape \(16, 8\) does not match grid"):
+            QuasiDistribution(grid, np.ones((16, 8)))
 
 
 class TestRayEnsemble:

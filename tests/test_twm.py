@@ -26,7 +26,6 @@ from beamphase import (
     matched_width,
     moments_of,
     quartic_channel,
-    step_twm,
     wigner_transform,
 )
 from beamphase import twm
@@ -172,7 +171,7 @@ class TestGuards:
     def test_kinetic_phase_overflow(self):
         psi = gaussian_wavefield(AxisGrid(512, 12.8), 0.4, EPS)
         with pytest.raises(SolverError, match="kinetic phase overflow"):
-            step_twm(psi, free_space(), StepPlan(1.0, 1))
+            evolve_twm(psi, free_space(), StepPlan(1.0, 1)).final
 
     def test_step_error_context(self):
         psi = gaussian_wavefield(AxisGrid(512, 12.8), 0.4, EPS)
@@ -362,7 +361,7 @@ class TestFreeSpaceBlocks:
         psi = gaussian_wavefield(self.GRID, 1.0, EPS, x0=0.5)
         plan = StepPlan(self.DZ, 1)
         _, fields = held_spectrum_steps(psi, plan)
-        assert step_twm(psi, free_space(), plan).values.tobytes() == fields[1].tobytes()
+        assert evolve_twm(psi, free_space(), plan).final.values.tobytes() == fields[1].tobytes()
 
     def plant(self, monkeypatch, from_step, factor):
         """Scale the field of every snapshot from step ``from_step`` on by ``factor``."""
