@@ -87,10 +87,10 @@ def _beam_moments(z, mean_x, mean_p, var_x, var_p, cov_xp) -> BeamMoments:
     return BeamMoments(z, mean_x, mean_p, math.sqrt(var_x), math.sqrt(var_p), cov_xp, emittance)
 
 
-def _grid_moments(
-    values: np.ndarray, z: float, x: np.ndarray, p: np.ndarray, cell_area: float
-) -> BeamMoments:
-    """Moments of a density array on the grid with points ``x`` and ``p``; checks its mass."""
+def _grid_central(
+    values: np.ndarray, x: np.ndarray, p: np.ndarray, cell_area: float
+) -> tuple[float, ...]:
+    """Central moments ``(mean_x, mean_p, var_x, var_p, cov_xp)`` of a density; checks its mass."""
     total = float(values.sum())
     _check_norm(total * cell_area, "density mass")
     w_x = values.sum(axis=1)
@@ -102,7 +102,14 @@ def _grid_moments(
     var_x = float(w_x @ dx**2) / total
     var_p = float(w_p @ dp**2) / total
     cov_xp = float(dx @ values @ dp) / total
-    return _beam_moments(z, mean_x, mean_p, var_x, var_p, cov_xp)
+    return mean_x, mean_p, var_x, var_p, cov_xp
+
+
+def _drifted(central: tuple, t: float) -> tuple[float, ...]:
+    """Central moments carried by the free drift ``x <- x + t p``, the classical drift law."""
+    mean_x, mean_p, var_x, var_p, cov_xp = central
+    var_x += t * (2.0 * cov_xp + t * var_p)
+    return mean_x + t * mean_p, mean_p, var_x, var_p, cov_xp + t * var_p
 
 
 class _WavefieldMoments:
@@ -178,10 +185,8 @@ def moments_of(state) -> BeamMoments:
     so all three representations of the same beam agree on every entry.
     """
     if isinstance(state, QuasiDistribution):
-        grid = state.grid
-        return _grid_moments(
-            state.values, state.z, grid.x_axis.points(), grid.p_axis.points(), grid.cell_area
-        )
+        x, p = state.grid.x_axis.points(), state.grid.p_axis.points()
+        return _beam_moments(state.z, *_grid_central(state.values, x, p, state.grid.cell_area))
     if isinstance(state, WaveField):
         return _WavefieldMoments(state.grid, state.epsilon)(state.values, state.z)
     if isinstance(state, RayEnsemble):

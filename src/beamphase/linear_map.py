@@ -38,7 +38,7 @@ import math
 
 import numpy as np
 
-from .diagnostics import BeamMoments, _beam_moments, _grid_moments
+from .diagnostics import BeamMoments, _beam_moments, _grid_central
 from .exceptions import SolverError, StateError
 from .grids import PhaseGrid
 from .phasespace import (
@@ -323,9 +323,9 @@ class _LinearKernel:
     the kernel is built, with ``step k/n`` naming its first failing step, so
     every step that ``advance`` reaches passes.  A snapshot one of whose
     :func:`_shear_states` is off the grid is stepped by the grid kernel
-    from the snapshot before it; ``_evolve`` wraps outside its step errors,
-    so ``wrap`` names its own: the snapshot's step, or the inner step that
-    failed.
+    from the snapshot before it, through the kernel's entry and closing
+    drift; an error there carries the inner step that failed as its
+    ``step``, which ``_evolve`` names.
     """
 
     lost = 0
@@ -342,12 +342,12 @@ class _LinearKernel:
         if failure is not None:
             raise _step_error(len(self.totals) + 1, plan.n_steps, failure)
         x, p = state.grid.x_axis.points(), state.grid.p_axis.points()
-        self.start = start = _grid_moments(state.values, zs[0], x, p, state.grid.cell_area)
-        xx, xp, pp = start.sigma_x**2, start.sigma_xp, start.sigma_p**2
+        mean_x, mean_p, xx, pp, xp = _grid_central(state.values, x, p, state.grid.cell_area)
+        self.start = _beam_moments(zs[0], mean_x, mean_p, xx, pp, xp)
         a, b, c, d, e, f = self.totals.T
         series = (
-            a * start.mean_x + b * start.mean_p + e,
-            c * start.mean_x + d * start.mean_p + f,
+            a * mean_x + b * mean_p + e,
+            c * mean_x + d * mean_p + f,
             a * a * xx + 2.0 * a * b * xp + b * b * pp,
             c * c * xx + 2.0 * c * d * xp + d * d * pp,
             a * c * xx + (a * d + b * c) * xp + b * d * pp,
@@ -363,20 +363,22 @@ class _LinearKernel:
     def wrap(self, step: int, z: float) -> QuasiDistribution:
         grid = self.initial.grid
         last, snapshot = self.last
-        at = step  # the step an error names
-        try:
-            flip, shears = _shear_sequence(self.totals[step - 1].tolist(), grid)
-            states = None if shears is None else _shear_states(grid, flip, shears)
-            if states is not None and _first_exit(self.support, grid, states, True) is None:
-                values = _shear_map(self.initial.values, grid, flip, shears)
-            else:
-                if self.kernel is None:
-                    self.kernel = _GridKernel(*self.stepping)
-                values = snapshot.values
+        flip, shears = _shear_sequence(self.totals[step - 1].tolist(), grid)
+        states = None if shears is None else _shear_states(grid, flip, shears)
+        if states is not None and _first_exit(self.support, grid, states, True) is None:
+            values = _shear_map(self.initial.values, grid, flip, shears)
+            snapshot = QuasiDistribution(grid, values, z, self.kind)
+        else:
+            if self.kernel is None:
+                self.kernel = _GridKernel(*self.stepping)
+            at = last + 1
+            try:
+                values = self.kernel.enter(snapshot.values)
                 for at in range(last + 1, step + 1):
                     values = self.kernel.advance(values, self.zs[at - 1])
-            snapshot = QuasiDistribution(grid, values, z, self.kind)
-        except (SolverError, StateError) as exc:
-            raise _step_error(at, len(self.zs) - 1, exc) from None
+                snapshot = self.kernel.wrap(values, z)
+            except (SolverError, StateError) as exc:
+                exc.step = at  # the inner step that failed
+                raise
         self.last = (step, snapshot)
         return snapshot

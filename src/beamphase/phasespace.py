@@ -11,6 +11,13 @@ and a second half drift.  With the generator truncated at first order the
 kick is the exact classical Liouville map, so one code path serves both the
 deformed and the classical engines.
 
+Adjacent half drifts are one drift, so N steps are ``D(dz/2) [K D(dz)]^(N-1)
+K D(dz/2)`` (Strang, SIAM J. Numer. Anal. 5 (1968) 506).  Between steps the
+kernel holds post-kick arrays, half a drift behind their step boundary: a
+run enters by a backward half drift of its initial array, a step's moments
+are its post-kick ones carried half a drift in closed form, and a snapshot
+takes the closing half drift.
+
 z-dependent potential coefficients are sampled at the midpoint of each
 step, which preserves the second-order accuracy of the splitting.
 
@@ -26,14 +33,10 @@ row (column): ``irfft`` drops the imaginary part that the multiplier
 rotates into it, where a complex transform would leave it as an
 imaginary residue of ``max|Im| / n``.  That residue signals a state whose
 content reaches the edge of the spectral axis, so each step sums it over
-its three sub-flows and refuses when the sum exceeds ``STEP_REALNESS_TOL``
-of the state's peak.
-
-A step ends with the ``irfft`` of the closing drift, and the next step
-would open with the ``rfft`` of that array.  The kernel keeps the closing
-drift's spectrum instead and opens the next step from it, with its Nyquist
-row made real, which is what that ``rfft`` gives in exact arithmetic: five
-transforms a step instead of six.
+its two sub-flows, and the entry and each snapshot's closing half drift
+check their own; each refuses when the residue exceeds
+``STEP_REALNESS_TOL`` of the state's peak.  A step takes four transforms:
+``rfft``/``irfft`` along x for the drift, and along p for the kick.
 
 Every engine runs through one step loop, ``_evolve``, and returns a
 :class:`Trajectory`: this grid solver, the ray tracer, the wavefield solver
@@ -53,7 +56,7 @@ from itertools import accumulate, repeat
 
 import numpy as np
 
-from .diagnostics import BeamMoments, _grid_moments, _ray_moments
+from .diagnostics import BeamMoments, _beam_moments, _drifted, _grid_central, _ray_moments
 from .exceptions import SolverError, StateError, check_count, check_positive
 from .grids import AxisGrid, PhaseGrid
 from .potentials import (
@@ -167,8 +170,10 @@ def _evolve(kernel, initial, values, zs: list[float], snapshot_every: int | None
     Moments are recorded at every step including the initial state; full
     states every ``snapshot_every`` steps plus always the initial and the
     final one (default: only those two).  The initial one is ``initial``,
-    or the state measured when measuring it dropped rays.  Step errors
-    carry ``step k/n``.
+    or the state measured when measuring it dropped rays.  Step errors,
+    snapshots' included, carry ``step k/n``; an error with a ``step``
+    attribute names that step instead (an inner step of a snapshot that a
+    closed form stepped from an earlier one).
     """
     n_steps = len(zs) - 1
     if snapshot_every is None:
@@ -181,84 +186,75 @@ def _evolve(kernel, initial, values, zs: list[float], snapshot_every: int | None
         try:
             values = kernel.advance(values, zs[step - 1])
             moments.append(kernel.measure(values, zs[step]))
+            if step % snapshot_every == 0 or step == n_steps:
+                snapshots.append(kernel.wrap(values, zs[step]))
+                snapshot_steps.append(step)
         except (SolverError, StateError) as exc:
-            raise _step_error(step, n_steps, exc) from None
-        if step % snapshot_every == 0 or step == n_steps:
-            snapshots.append(kernel.wrap(values, zs[step]))
-            snapshot_steps.append(step)
+            raise _step_error(getattr(exc, "step", step), n_steps, exc) from None
     return Trajectory(tuple(snapshots), tuple(snapshot_steps), tuple(moments), kernel.lost)
 
 
 class _GridKernel:
     """Real-data spectral operators for repeated steps of one plan on one grid.
 
-    The drift phase depends only on the grid and dz, so it is built once on
+    Its values are post-kick arrays (see the module docstring), and a step
+    depends only on its input and z.  The drift phases are built once on
     the ``nx/2 + 1`` non-negative kx rows.  The kick is built on the
-    ``np/2 + 1`` non-negative y columns, the Nyquist column at ``|y|``;
-    for z-independent potentials it is also reused.  ``kind`` tags the
-    evolved states; a ``"classical"`` state is checked for negative values
-    every step.
-
-    ``held`` pairs the array a step returned with its closing x spectrum; a
-    step handed that very array opens from the spectrum (see the module
-    docstring), multiplies it in place and drops it.
+    ``np/2 + 1`` non-negative y columns, the Nyquist column at ``|y|``; for
+    z-independent potentials it is also reused.  ``kind`` tags the evolved
+    states; a ``"classical"`` state is checked for negative values every step.
     """
 
     lost = 0
-    held = None
 
     def __init__(
         self, grid: PhaseGrid, spec: PotentialSpec, epsilon: float, plan: StepPlan,
         kind: str = "wigner",
     ):
         self.grid = grid
-        self.plan = plan
         self.kind = kind
+        self.half = 0.5 * plan.dz
         x_col, y_row = _kick_operands(grid)
         self.x = x_col[:, 0]
         self.p = grid.p_axis.points()
-        self.drift_phase = np.exp(
-            -1j * np.outer(_half_spectrum(grid.x_axis), self.p) * (0.5 * plan.dz)
-        )
+        kx_p = np.outer(_half_spectrum(grid.x_axis), self.p)
+        self.half_drift = np.exp(-1j * kx_p * self.half)
+        self.drift = np.exp(-1j * kx_p * plan.dz)
         # Not a bound method: a kernel that referred to itself would outlive
-        # its run, held arrays included, until the next garbage collection.
+        # its run until the next garbage collection.
         self.kick_at = _static_once(
             partial(_kick_multiplier, spec, x_col, y_row, epsilon, plan), spec
         )
 
-    def _x_spectrum(self, rho: np.ndarray) -> np.ndarray:
-        """``rfft(rho, axis=0)``, from the held spectrum when ``rho`` is the array last returned."""
-        held, self.held = self.held, None
-        if held is None or held[0] is not rho:
-            return np.fft.rfft(rho, axis=0)
-        spectrum = held[1]
-        spectrum.imag[-1] = 0.0  # irfft dropped it, so rfft(rho) has none
-        return spectrum
+    def enter(self, rho: np.ndarray) -> np.ndarray:
+        """The post-kick form of a step-boundary array: its backward half drift."""
+        return _drift(rho, np.conj(self.half_drift))
 
-    def apply(self, rho: np.ndarray, z: float) -> tuple[np.ndarray, float]:
-        """One Strang step of a real array: the new array and its Nyquist residue."""
-        kick = self.kick_at(z + 0.5 * self.plan.dz)
-        rho, residue = _spectral_flow(self._x_spectrum(rho), self.drift_phase, 0)
+    def advance(self, rho: np.ndarray, z: float) -> np.ndarray:
+        """One step from z: the full drift, then the kick at the step midpoint."""
+        kick = self.kick_at(z + self.half)
+        rho, residue = _spectral_flow(np.fft.rfft(rho, axis=0), self.drift, 0)
         if kick is not None:
             rho, kick_residue = _spectral_flow(np.fft.rfft(rho, axis=1), kick, 1)
             residue += kick_residue
-        spectrum = np.fft.rfft(rho, axis=0)
-        rho, drift_residue = _spectral_flow(spectrum, self.drift_phase, 0)
-        self.held = (rho, spectrum)
-        return rho, residue + drift_residue
-
-    def advance(self, rho: np.ndarray, z: float) -> np.ndarray:
-        rho, residue = self.apply(rho, z)
         _check_residue(rho, residue)
         return rho
 
     def measure(self, rho: np.ndarray, z: float) -> BeamMoments:
         if self.kind == "classical":
             _check_classical(rho)
-        return _grid_moments(rho, z, self.x, self.p, self.grid.cell_area)
+        central = _grid_central(rho, self.x, self.p, self.grid.cell_area)
+        return _beam_moments(z, *_drifted(central, self.half))
 
     def wrap(self, rho: np.ndarray, z: float) -> QuasiDistribution:
-        return QuasiDistribution(self.grid, rho, z, self.kind)
+        return QuasiDistribution(self.grid, _drift(rho, self.half_drift), z, self.kind)
+
+
+def _drift(rho: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """``rho`` drifted by the x-spectral ``phase``, its Nyquist residue checked."""
+    rho, residue = _spectral_flow(np.fft.rfft(rho, axis=0), phase, 0)
+    _check_residue(rho, residue)
+    return rho
 
 
 def _kick_multiplier(
@@ -355,12 +351,14 @@ def evolve_phase_space(
     Moments are recorded at every step including the initial state.  Full
     states are kept every ``snapshot_every`` steps plus always the initial
     and final ones (default: only those two).  ``n_steps = 0`` returns the
-    input unchanged.  The result equals the composition of one-step runs
-    within round-off (a one-step run transforms its input afresh; later
-    steps of one run open from the spectrum the previous step kept).  Every
-    step checks the evolved density for finite values and unit mass (and,
+    input unchanged.  A stepped run fuses the half drifts of adjacent steps
+    (see the module docstring): four transforms a step, plus one drift to
+    enter the run and one to close each snapshot.  Its moments are those of
+    the post-kick states carried half a drift forward in closed form, and
+    it equals the composition of one-step runs within round-off.  Every
+    step checks its post-kick density for finite values and unit mass (and,
     when it stays classical, for negative values) and raises
-    :class:`SolverError` naming the step.
+    :class:`SolverError` naming the step; every snapshot is checked too.
 
     For a potential of degree at most 2 the run is mapped in closed form
     (``linear_map``), alike for either plan: the moments come from the
@@ -379,7 +377,8 @@ def evolve_phase_space(
 
         kernel, values = _LinearKernel(state, spec, epsilon, plan, kind, zs), 0
     else:
-        kernel, values = _GridKernel(state.grid, spec, epsilon, plan, kind), state.values
+        kernel = _GridKernel(state.grid, spec, epsilon, plan, kind)
+        values = kernel.enter(state.values)
     return _evolve(kernel, state, values, zs, snapshot_every)
 
 

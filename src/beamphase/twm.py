@@ -26,8 +26,8 @@ from functools import partial
 
 import numpy as np
 
-from .diagnostics import BeamMoments, _beam_moments, _WavefieldMoments
-from .exceptions import BeamPhaseError, SolverError, StateError, check_positive
+from .diagnostics import BeamMoments, _beam_moments, _drifted, _WavefieldMoments
+from .exceptions import BeamPhaseError, SolverError, check_positive
 from .grids import AxisGrid
 from .phasespace import (
     StepPlan,
@@ -35,7 +35,6 @@ from .phasespace import (
     _evolve,
     _static_once,
     _step_boundaries,
-    _step_error,
 )
 from .potentials import ConstantProfile, PotentialSpec, eval_potential
 from .states import WaveField
@@ -113,8 +112,7 @@ class _FreeKernel:
     measured and refused when a moment departs from its closed-form row by
     more than ``FREE_LAW_TOL`` of its scale (a mean against the width on its
     axis, ``sigma_xp`` against ``sigma_x sigma_p``), which on the periodic
-    grid means the field has reached the edge of the box.  ``_evolve`` wraps
-    outside its step errors, so ``wrap`` names the snapshot's step itself.
+    grid means the field has reached the edge of the box.
     """
 
     lost = 0
@@ -138,31 +136,24 @@ class _FreeKernel:
         return step + 1
 
     def measure(self, step: int, z: float) -> BeamMoments:
-        mean_x, mean_p, var_x, var_p, cov_xp = self.start
-        if step:  # the drift law at t = z - z0
-            t = z - self.zs[0]
-            var_x += t * (2.0 * cov_xp + t * var_p)
-            mean_x, cov_xp = mean_x + t * mean_p, cov_xp + t * var_p
-        return _beam_moments(z, mean_x, mean_p, var_x, var_p, cov_xp)
+        central = _drifted(self.start, z - self.zs[0]) if step else self.start
+        return _beam_moments(z, *central)
 
     def wrap(self, step: int, z: float) -> WaveField:
         values, spectrum = self.field(z)
-        try:
-            got = _beam_moments(z, *self.moments.central(values, spectrum))
-            want = self.measure(step, z)
-            sx, sp = want.sigma_x, want.sigma_p
-            scales = {"mean_x": sx, "mean_p": sp, "sigma_x": sx, "sigma_p": sp, "sigma_xp": sx * sp}
-            for name, scale in scales.items():
-                deviation = abs(getattr(got, name) - getattr(want, name)) / scale
-                if deviation > FREE_LAW_TOL:
-                    raise SolverError(
-                        f"grid.x_length: the field's {name} departs from the free drift law by "
-                        f"{deviation:.3e} of its scale, above {FREE_LAW_TOL:g}: it has reached the "
-                        "edge of the periodic box; raise grid.x_length or shorten the run"
-                    )
-            return WaveField(self.psi.grid, values, self.psi.epsilon, z)
-        except (SolverError, StateError) as exc:
-            raise _step_error(step, len(self.zs) - 1, exc) from None
+        got = _beam_moments(z, *self.moments.central(values, spectrum))
+        want = self.measure(step, z)
+        sx, sp = want.sigma_x, want.sigma_p
+        scales = {"mean_x": sx, "mean_p": sp, "sigma_x": sx, "sigma_p": sp, "sigma_xp": sx * sp}
+        for name, scale in scales.items():
+            deviation = abs(getattr(got, name) - getattr(want, name)) / scale
+            if deviation > FREE_LAW_TOL:
+                raise SolverError(
+                    f"grid.x_length: the field's {name} departs from the free drift law by "
+                    f"{deviation:.3e} of its scale, above {FREE_LAW_TOL:g}: it has reached the "
+                    "edge of the periodic box; raise grid.x_length or shorten the run"
+                )
+        return WaveField(self.psi.grid, values, self.psi.epsilon, z)
 
 
 def evolve_twm(

@@ -76,7 +76,8 @@ def stepped(state, spec, plan, every=None):
     """The run stepped by the grid kernel: the path degree > 2 potentials take."""
     kind = state.kind if plan.is_classical else "wigner"
     kernel = _GridKernel(state.grid, spec, EPS, plan, kind)
-    return _evolve(kernel, state, state.values, _step_boundaries(state.z, plan), every)
+    zs = _step_boundaries(state.z, plan)
+    return _evolve(kernel, state, kernel.enter(state.values), zs, every)
 
 
 def mapped_run(state, spec, plan, every=None):
@@ -308,12 +309,13 @@ class TestSteppingRefusalsStay:
         assert int(caught.value.args[0].split("/")[0].split()[1]) <= 331
 
     def test_coarse_x_gaussian(self):
-        # 128 points over 25.6: stepped liouville refuses at step 84 (its
-        # density dips below the classical floor); moyal's minimum only
-        # worsens.  The prediction refuses both earlier, at the same step.
+        # 128 points over 25.6: stepped liouville refuses at step 85 (its
+        # post-kick density dips below the classical floor); moyal's minimum
+        # only worsens.  The prediction refuses both earlier, at the same
+        # step, before step 84, where the step-boundary density dips below it.
         grid = PhaseGrid(AxisGrid(128, 25.6), AxisGrid(128, 6.4))
         state = gaussian_quasidist(grid, 0.4, 0.125, x0=0.5)
-        with pytest.raises(SolverError, match=r"^step 84/100: classical density"):
+        with pytest.raises(SolverError, match=r"^step 85/100: classical density"):
             stepped(state, linear_lens(1.0), self.PLANS["liouville"](100))
         steps = set()
         for plan in self.PLANS.values():

@@ -35,7 +35,7 @@ from beamphase import (
 )
 from beamphase import phasespace
 from beamphase.diagnostics import _beam_moments
-from beamphase.phasespace import STEP_REALNESS_TOL, _GridKernel
+from beamphase.phasespace import STEP_REALNESS_TOL, _evolve, _GridKernel, _step_boundaries
 
 EPS = 0.1
 FREE_GRID = PhaseGrid(AxisGrid(256, 24.0), AxisGrid(64, 0.8))
@@ -239,6 +239,27 @@ class TestMoyalCorrection:
         assert 3.6 <= distance[0.2] / distance[0.1] <= 4.4
 
 
+def recorded_residues(monkeypatch) -> list:
+    """Patch the grid kernel's residue check to record each ``(residue, peak)`` it checks."""
+    checked = []
+    check = phasespace._check_residue
+
+    def recording(rho, residue):
+        checked.append((residue, float(np.abs(rho).max())))
+        check(rho, residue)
+
+    monkeypatch.setattr(phasespace, "_check_residue", recording)
+    return checked
+
+
+def stepped_final(kernel, values, plan):
+    """``values`` entered, stepped through ``plan`` from z = 0 and closed: the final array."""
+    values = kernel.enter(values)
+    for step in range(plan.n_steps):
+        values = kernel.advance(values, step * plan.dz)
+    return kernel.wrap(values, plan.n_steps * plan.dz).values
+
+
 def complex_reference(state, spec, epsilon, plan):
     """Complex-FFT Strang steps on the full spectrum, carried as a complex array.
 
@@ -294,17 +315,18 @@ class TestRealKernel:
         assert np.abs(final - reference.real).max() <= 1e-12 * peak
         assert np.abs(reference.imag).max() <= 1e-12 * peak
 
-    def test_deviation_bounded_by_nyquist_residue(self):
+    def test_deviation_bounded_by_nyquist_residue(self, monkeypatch):
         # With Nyquist content above round-off the real kernel drops what the
         # complex one keeps as an imaginary mode; the difference is bounded
-        # by the residue the monitor sums, and stays below its tolerance.
+        # by the residue the monitor sums (over every step, the entry and
+        # the closing drift), and stays below its tolerance.
         rho = gaussian_quasidist(LENS_GRID, 0.3, 0.12)
         plan = StepPlan(0.01, 50)
         kernel = _GridKernel(LENS_GRID, HARMONIC_LENS, EPS, plan)
-        values, total_residue = rho.values, 0.0
-        for step in range(plan.n_steps):
-            values, residue = kernel.apply(values, step * plan.dz)
-            total_residue += residue
+        checked = recorded_residues(monkeypatch)
+        values = stepped_final(kernel, rho.values, plan)
+        assert len(checked) == plan.n_steps + 2
+        total_residue = sum(residue for residue, _ in checked)
         reference = complex_reference(rho, HARMONIC_LENS, EPS, plan)
         peak = np.abs(reference.real).max()
         deviation = np.abs(values - reference.real).max()
@@ -318,47 +340,57 @@ class TestRealKernel:
         liouville = evolve_phase_space(rho, HARMONIC_LENS, EPS, StepPlan(0.01, 50, max_order=1))
         assert moyal.final.values.tobytes() == liouville.final.values.tobytes()
 
-    def test_nyquist_monitor_quiet_when_resolved(self):
+    def test_nyquist_monitor_quiet_when_resolved(self, monkeypatch):
         rho = gaussian_quasidist(QUARTIC_GRID, 0.4, 0.25)
         plan = StepPlan(5e-4, 200)
         kernel = _GridKernel(QUARTIC_GRID, quartic_channel(1.0, 0.1), EPS, plan)
-        values = rho.values
-        for step in range(plan.n_steps):
-            values, residue = kernel.apply(values, step * plan.dz)
-            assert residue <= 1e-6 * STEP_REALNESS_TOL * np.abs(values).max()
+        checked = recorded_residues(monkeypatch)
+        stepped_final(kernel, rho.values, plan)
+        assert len(checked) == plan.n_steps + 2
+        for residue, peak in checked:
+            assert residue <= 1e-6 * STEP_REALNESS_TOL * peak
 
 
-def retransform_reference(state, spec, epsilon, plan):
+def retransform_reference(state, spec, epsilon, plan, every=None):
     """Real-data Strang steps that take the ``rfft`` of every sub-flow's input.
 
-    This is the grid kernel before it kept the closing drift's spectrum
-    across the step boundary: six transforms a step.  Returns the moments
-    at every step and the final array.
+    Each step is ``D(dz/2) K D(dz/2)`` of the step-boundary array, six
+    transforms, with no spectrum or half drift carried across the step
+    boundary.  Returns the moments measured at every step boundary, and the
+    arrays at every ``every`` steps and at the last (by default only the
+    final one).
     """
     grid, dz = state.grid, plan.dz
     nx, n_p = grid.x_axis.n, grid.p_axis.n
+    every = every or plan.n_steps
     x = grid.x_axis.points()[:, None]
     y = np.abs(grid.p_axis.frequencies()[: n_p // 2 + 1])[None, :]
     kx = np.abs(grid.x_axis.frequencies()[: nx // 2 + 1])
     drift = np.exp(-1j * np.outer(kx, grid.p_axis.points()) * (0.5 * dz))
     zs = state.z + dz * np.arange(plan.n_steps + 1)
     rho = state.values
-    moments = [moments_of(state)]
-    for step in range(plan.n_steps):
-        kick = np.exp(1j * dz * moyal_generator(spec, x, y, zs[step] + 0.5 * dz, epsilon))
+    moments, snapshots = [moments_of(state)], []
+    for step in range(1, plan.n_steps + 1):
+        z_mid = zs[step - 1] + 0.5 * dz
+        if plan.max_order is None:
+            g = moyal_generator(spec, x, y, z_mid, epsilon)
+        else:
+            g = moyal_generator_truncated(spec, x, y, z_mid, epsilon, plan.max_order)
         rho = np.fft.irfft(np.fft.rfft(rho, axis=0) * drift, n=nx, axis=0)
-        rho = np.fft.irfft(np.fft.rfft(rho, axis=1) * kick, n=n_p, axis=1)
+        rho = np.fft.irfft(np.fft.rfft(rho, axis=1) * np.exp(1j * dz * g), n=n_p, axis=1)
         rho = np.fft.irfft(np.fft.rfft(rho, axis=0) * drift, n=nx, axis=0)
-        moments.append(moments_of(QuasiDistribution(grid, rho, zs[step + 1])))
-    return moments, rho
+        moments.append(moments_of(QuasiDistribution(grid, rho, zs[step], "wigner")))
+        if step % every == 0 or step == plan.n_steps:
+            snapshots.append(rho)
+    return moments, snapshots
 
 
 class TestHeldSpectrum:
-    # A step opens from the x spectrum its predecessor's closing drift kept,
-    # instead of transforming the array that drift returned.
+    # The stepped grid kernel: half drifts fused across the step boundary,
+    # nothing held between steps.
     @pytest.mark.parametrize(
         "spec, per_step",
-        [(HARMONIC_LENS, Counter(rfft=2, irfft=3)), (free_space(), Counter(rfft=1, irfft=2))],
+        [(HARMONIC_LENS, Counter(rfft=2, irfft=2)), (free_space(), Counter(rfft=1, irfft=1))],
         ids=["lens", "free"],
     )
     def test_ffts_per_step(self, monkeypatch, spec, per_step):
@@ -366,60 +398,55 @@ class TestHeldSpectrum:
         # these degree <= 2 potentials in closed form instead of stepping.
         rho = gaussian_quasidist(LENS_GRID, 0.3, 0.2)
         n = 20
-        kernel = _GridKernel(LENS_GRID, spec, EPS, StepPlan(0.01, n))
+        plan = StepPlan(0.01, n)
+        kernel = _GridKernel(LENS_GRID, spec, EPS, plan)
         calls = count_ffts(monkeypatch)
-        values = rho.values
-        for step in range(n):
-            values = kernel.advance(values, step * 0.01)
-        # One rfft opens the first step; after that a step with a force takes
-        # five transforms: the opening drift's irfft, then rfft + irfft for
-        # the kick and for the closing drift.
+        run = _evolve(kernel, rho, kernel.enter(rho.values), _step_boundaries(rho.z, plan), 7)
+        assert run.snapshot_steps == (0, 7, 14, 20)
+        # A step with a force takes four transforms: rfft + irfft for the
+        # full drift and for the kick.  The entry drift and the closing
+        # drift of each of the three snapshots after the initial one take
+        # one rfft + irfft each.
         expected = Counter({name: count * n for name, count in per_step.items()})
-        assert calls == expected + Counter(rfft=1)
+        assert calls == expected + Counter(rfft=4, irfft=4)
 
     def test_lens_run_matches_retransform_reference(self):
         grid = PhaseGrid(AxisGrid(256, 25.6), AxisGrid(128, 6.4))
         rho = gaussian_quasidist(grid, 0.4, EPS / 0.8, x0=0.5)
         plan = StepPlan(2e-3, 300)
         run = evolve_phase_space(rho, HARMONIC_LENS, EPS, plan)
-        moments, final = retransform_reference(rho, HARMONIC_LENS, EPS, plan)
+        moments, (final,) = retransform_reference(rho, HARMONIC_LENS, EPS, plan)
         assert_moments_close(run.moments, moments, 1e-11)
         assert np.abs(run.final.values - final).max() <= 1e-11 * np.abs(final).max()
 
-    def test_held_opening_matches_rfft_with_nyquist_content(self):
-        # sigma_x = 0.08 leaves 1.5e-8 of the peak in the x Nyquist row; the
-        # held spectrum must enter the next step as rfft of the returned array
-        # would, with that row real.
-        rho = gaussian_quasidist(LENS_GRID, 0.08, 0.2)
-        plan = StepPlan(0.01, 2)
-
-        def fresh_kernel():
-            return _GridKernel(LENS_GRID, HARMONIC_LENS, EPS, plan)
-
-        kernel = fresh_kernel()
-        values, _ = kernel.apply(rho.values, 0.0)
-        held, held_residue = kernel.apply(values, plan.dz)
-        values, _ = fresh_kernel().apply(rho.values, 0.0)
-        fresh, fresh_residue = fresh_kernel().apply(values, plan.dz)
-        peak = np.abs(fresh).max()
-        assert fresh_residue > 1e-9 * peak
-        assert np.abs(held - fresh).max() <= 1e-14 * peak
-        assert held_residue == pytest.approx(fresh_residue, rel=1e-6)
+    @pytest.mark.parametrize("order", [None, 1], ids=["moyal", "liouville"])
+    def test_quartic_run_matches_retransform_reference(self, order):
+        # Bounds fixed before measuring.  The cadence of 7 does not divide
+        # the 60 steps, so the final snapshot follows one of 4 steps.
+        rho = gaussian_quasidist(QUARTIC_GRID, 0.4, 0.25)
+        spec, plan = quartic_channel(1.0, 0.1), StepPlan(5e-4, 60, max_order=order)
+        run = evolve_phase_space(rho, spec, EPS, plan, snapshot_every=7)
+        moments, snapshots = retransform_reference(rho, spec, EPS, plan, every=7)
+        assert run.snapshot_steps == (0, 7, 14, 21, 28, 35, 42, 49, 56, 60)
+        assert_moments_close(run.moments, moments, 1e-12)
+        for got, want in zip(run.snapshots[1:], snapshots, strict=True):
+            assert np.abs(got.values - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("spec", [HARMONIC_LENS, free_space()], ids=["lens", "free"])
-    def test_copy_of_last_output_steps_as_in_a_fresh_kernel(self, spec):
+    def test_copy_of_last_output_steps_as_in_a_fresh_kernel(self, monkeypatch, spec):
         rho = gaussian_quasidist(LENS_GRID, 0.3, 0.12)
         plan = StepPlan(0.01, 10)
         kernel = _GridKernel(LENS_GRID, spec, EPS, plan)
-        values = rho.values
+        values = kernel.enter(rho.values)
         for step in range(5):
-            values, _ = kernel.apply(values, step * plan.dz)
+            values = kernel.advance(values, step * plan.dz)
         z = 5 * plan.dz
         copy = values.copy()
-        held, held_residue = kernel.apply(copy, z)
-        fresh, fresh_residue = _GridKernel(LENS_GRID, spec, EPS, plan).apply(copy, z)
-        assert held.tobytes() == fresh.tobytes()
-        assert held_residue == fresh_residue
+        checked = recorded_residues(monkeypatch)
+        again = kernel.advance(copy, z)
+        fresh = _GridKernel(LENS_GRID, spec, EPS, plan).advance(copy, z)
+        assert again.tobytes() == fresh.tobytes()
+        assert checked[0] == checked[1]
 
     @pytest.mark.parametrize(
         "spec", [HARMONIC_LENS, linear_lens(1.0)], ids=["z_dependent", "static"]
@@ -429,7 +456,7 @@ class TestHeldSpectrum:
 
         def two_steps():
             kernel = _GridKernel(LENS_GRID, spec, EPS, StepPlan(0.01, 2))
-            kernel.advance(kernel.advance(rho.values, 0.0), 0.01)
+            stepped_final(kernel, rho.values, StepPlan(0.01, 2))
             return kernel
 
         assert_freed_without_gc(two_steps)
@@ -448,6 +475,24 @@ class TestTrajectoryBookkeeping:
         rho = gaussian_quasidist(QUARTIC_GRID, 0.4, 0.25)
         with pytest.raises(SolverError, match=r"step 1/5"):
             evolve_phase_space(rho, quartic_channel(1.0, 0.1), EPS, StepPlan(2e-3, 5))
+
+    def test_snapshot_closing_drift_error_names_its_step(self, monkeypatch):
+        # Residue checks of a stepped run with snapshots every 2 steps: the
+        # entry, steps 1 and 2, then the closing half drift of the step-2
+        # snapshot, whose failure names step 2.
+        calls = []
+        check = phasespace._check_residue
+
+        def failing(rho, residue):
+            calls.append(None)
+            if len(calls) == 4:
+                raise SolverError("closing residue")
+            check(rho, residue)
+
+        monkeypatch.setattr(phasespace, "_check_residue", failing)
+        rho = gaussian_quasidist(QUARTIC_GRID, 0.4, 0.25)
+        with pytest.raises(SolverError, match=r"^step 2/4: closing residue$"):
+            evolve_phase_space(rho, quartic_channel(1.0, 0.1), EPS, StepPlan(5e-4, 4), 2)
 
 
 class TestNonFiniteStep:
