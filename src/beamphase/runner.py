@@ -4,12 +4,15 @@
 records moments at every step and full states at the snapshot cadence,
 computes cross-engine distances where the representations are comparable
 (grid engines directly, the wavefield engine through its Wigner transform)
-and emits the configured artifacts.  Everything is deterministic for a
-fixed config and seed.
+and emits the configured artifacts.  A run with rays and a grid engine
+evolves its grid engines on one worker thread while the rays are traced,
+and reports as if the engines had run one after another.  Everything is
+deterministic for a fixed config and seed.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
 
@@ -189,6 +192,73 @@ def _evolve_engine(name: str, states: dict, spec, config: ScenarioConfig):
     return evolve_phase_space(states["rho"], spec, config.epsilon, plan, every)
 
 
+def _evolve_timed(name: str, states: dict, spec, config: ScenarioConfig):
+    """One engine's trajectory and wall time; a solver error names the engine."""
+    started = time.perf_counter()
+    try:
+        traj = _evolve_engine(name, states, spec, config)
+    except SolverError as exc:
+        raise SolverError(f"engine {name}: {exc}") from None
+    return traj, time.perf_counter() - started
+
+
+def _overlapped(grid, states: dict, spec, config: ScenarioConfig) -> dict:
+    """The outcomes of the grid engines ``grid`` and of rays, run side by side.
+
+    The grid engines run in run order on one worker thread while this
+    thread traces the rays: the grid kernel's FFTs and the rays' ufunc
+    loops release the GIL and share no state, and the grid moments are the
+    only BLAS caller while both run.  Each outcome is ``(traj, seconds)``,
+    with the engine's own wall time, or the exception it raised.  The
+    worker stops at its first failure, which precedes every later grid
+    engine in run order, and is joined before this returns or raises.
+    """
+    outcomes: dict = {}
+
+    def attempt(name: str) -> bool:
+        try:
+            outcomes[name] = _evolve_timed(name, states, spec, config)
+            return True
+        except Exception as exc:
+            outcomes[name] = exc
+            return False
+
+    lane = threading.Thread(target=lambda: all(map(attempt, grid)), name="beamphase-grid")
+    lane.start()
+    try:
+        attempt("rays")
+    finally:
+        lane.join()
+    return outcomes
+
+
+def _trajectories(states: dict, spec, config: ScenarioConfig):
+    """Every engine's ``(name, traj, seconds)`` in run order.
+
+    Run order is ``scenario.ENGINES`` order, whatever order the file lists
+    the engines in: twm, moyal, liouville, rays.  A run with rays and a
+    grid engine takes the grid engines and rays through
+    :func:`_overlapped` when it reaches the first grid engine, so twm and
+    its Wigner snapshots are done before the worker starts.  An engine's
+    error is raised at its turn: the first engine in run order that fails
+    is the one reported, as when the engines run one after another.
+    """
+    engines = config.run.engines
+    grid = [name for name in engines if name in GRID_ENGINES]
+    lanes = bool(grid) and "rays" in engines
+    outcomes: dict = {}
+    for name in engines:
+        if lanes and name in GRID_ENGINES:
+            outcomes, lanes = _overlapped(grid, states, spec, config), False
+        if name in outcomes:
+            outcome = outcomes.pop(name)
+        else:
+            outcome = _evolve_timed(name, states, spec, config)
+        if isinstance(outcome, Exception):
+            raise outcome
+        yield name, *outcome
+
+
 def _phase_space_snapshots(name: str, traj, spec, config: ScenarioConfig, warnings: list[str]):
     """An engine's snapshot diagnostics and the phase-space densities the run keeps.
 
@@ -242,7 +312,8 @@ def run_scenario(config: ScenarioConfig, emit: bool = True) -> RunReport:
     configured output directory unless ``emit`` is false.  Solver errors
     carry the engine name and step context; a guard error that needs no
     evolved state (see ``_guard_failures``) is raised before any engine
-    starts.
+    starts, and otherwise the first engine in run order that fails is
+    reported (see ``_trajectories``).
     """
     spec = config.potential.build()
     run = config.run
@@ -269,13 +340,7 @@ def run_scenario(config: ScenarioConfig, emit: bool = True) -> RunReport:
     # final density unless a grid engine needs them all for the distances.
     phase_space: dict[str, tuple] = {}
 
-    for name in run.engines:
-        started = time.perf_counter()
-        try:
-            traj = _evolve_engine(name, states, spec, config)
-        except SolverError as exc:
-            raise SolverError(f"engine {name}: {exc}") from None
-        seconds = time.perf_counter() - started
+    for name, traj, seconds in _trajectories(states, spec, config):
         steps, densities, reports, ratios = _phase_space_snapshots(
             name, traj, spec, config, warnings
         )

@@ -9,6 +9,8 @@ import struct
 import subprocess
 import sys
 import textwrap
+import threading
+import time
 import weakref
 from pathlib import Path
 
@@ -258,6 +260,41 @@ ray_count = 2000
 [output]
 directory = {outdir}
 formats = csv
+"""
+
+
+# quartic_mixed's physics cut to 20 steps and 2000 rays; {engines} is the
+# file's engine list.
+QUARTIC_SIDE_SCENARIO = """
+[grid]
+nx = 256
+np = 128
+x_length = 12.8
+p_length = 6.4
+
+[beam]
+kind = superposition
+sigma0 = 0.4
+separation = 1.2
+
+[physics]
+epsilon = 0.1
+
+[potential]
+preset = quartic_channel
+k = 1.0
+lambda4 = 0.1
+
+[run]
+dz = 2e-4
+n_steps = 20
+snapshot_every = 10
+engines = {engines}
+ray_count = 2000
+
+[output]
+directory = {outdir}
+formats = csv, grid-dump
 """
 
 
@@ -1190,6 +1227,126 @@ class TestWignerSnapshotStream:
         assert len(rows) == 1 + 1001
         for row in rows[1:]:
             assert row.split(",")[-2:] == ["nan", "nan"]
+
+
+class TestGridLaneBesideRays:
+    """A run with rays and a grid engine evolves its grid engines on one
+    worker thread beside the rays and reports as if they ran one by one."""
+
+    @staticmethod
+    def ini(tmp_path, engines, name="scenario.ini"):
+        outdir = tmp_path / name.replace(".ini", "")
+        return write_ini(tmp_path, QUARTIC_SIDE_SCENARIO, name, engines=engines, outdir=outdir)
+
+    @pytest.fixture(scope="class")
+    def alone(self, tmp_path_factory):
+        """Each engine's artifacts from a run of that engine alone."""
+        tmp_path = tmp_path_factory.mktemp("alone")
+        for engine in scenario.ENGINES:
+            ini = self.ini(tmp_path, engine, f"{engine}.ini")
+            assert main(["run", str(ini), "--quiet"]) == 0
+        return tmp_path
+
+    @pytest.mark.parametrize(
+        "engines", ["twm, moyal, liouville, rays", "rays, moyal", "moyal, twm, rays"]
+    )
+    def test_each_engine_writes_what_it_writes_alone(self, tmp_path, capsys, alone, engines):
+        ini = self.ini(tmp_path, engines)
+        assert main(["run", str(ini)]) == 0
+        names = [name for name in scenario.ENGINES if name in engines]
+        out = capsys.readouterr().out
+        lines = [line for line in out.splitlines() if line.startswith("engine ")]
+        assert [line.split(":")[0] for line in lines] == [f"engine {name}" for name in names]
+        for name in names:
+            files = [f"moments_{name}.csv"] + ([f"state_{name}.mbgd"] if name != "rays" else [])
+            for file in files:
+                got = (tmp_path / "scenario" / file).read_bytes()
+                assert got == (alone / name / file).read_bytes(), file
+        report = run_scenario(load_scenario(ini), emit=False)
+        assert tuple(result.name for result in report.engines) == tuple(names)
+
+    @pytest.mark.parametrize(
+        "engines, on_worker",
+        [
+            ("twm, moyal, liouville, rays", True),
+            ("liouville, rays", True),
+            ("moyal, liouville", False),
+            ("twm, rays", False),
+        ],
+    )
+    def test_grid_engines_run_on_one_worker_beside_rays(
+        self, tmp_path, monkeypatch, engines, on_worker
+    ):
+        threads = {}
+        evolve, trace = runner.evolve_phase_space, runner.trace_rays
+
+        def recording(name, function):
+            def recorded(*args):
+                threads.setdefault(name, []).append(threading.current_thread())
+                return function(*args)
+
+            return recorded
+
+        monkeypatch.setattr(runner, "evolve_phase_space", recording("grid", evolve))
+        monkeypatch.setattr(runner, "trace_rays", recording("rays", trace))
+        run_scenario(load_scenario(self.ini(tmp_path, engines)), emit=False)
+        main_thread = threading.main_thread()
+        assert threads.get("rays", [main_thread]) == [main_thread]
+        grid = threads.get("grid", [])
+        assert len(grid) == sum(name in engines for name in ("moyal", "liouville"))
+        if on_worker:
+            assert len(set(grid)) == 1 and grid[0] is not main_thread
+        else:
+            assert all(thread is main_thread for thread in grid)
+
+    @pytest.mark.parametrize("engines", ["rays, moyal", "moyal, rays"])
+    @pytest.mark.parametrize(
+        "failing, named",
+        [(("rays",), "rays"), (("moyal",), "moyal"), (("moyal", "rays"), "moyal")],
+        ids=["rays", "moyal", "both"],
+    )
+    def test_first_failing_engine_in_run_order_is_reported(
+        self, tmp_path, capsys, monkeypatch, engines, failing, named
+    ):
+        def fail(*args):
+            raise SolverError("step 2/20: planted failure")
+
+        if "moyal" in failing:
+            monkeypatch.setattr(runner, "evolve_phase_space", fail)
+        if "rays" in failing:
+            monkeypatch.setattr(runner, "trace_rays", fail)
+        ini = self.ini(tmp_path, engines)
+        assert main(["run", str(ini), "--quiet"]) == 1
+        assert capsys.readouterr().err == f"error: engine {named}: step 2/20: planted failure\n"
+        assert not (tmp_path / "scenario").exists()
+
+    @pytest.mark.parametrize("failing", [None, "rays", "moyal", "interrupt"])
+    def test_no_thread_outlives_the_run(self, tmp_path, monkeypatch, failing):
+        # The grid engines take 0.2 s longer than the rays, so a worker that
+        # were not joined would still be alive when the run returns or raises.
+        evolve = runner.evolve_phase_space
+
+        def slow(*args):
+            time.sleep(0.2)
+            if failing == "moyal":
+                raise ValueError("planted failure")
+            return evolve(*args)
+
+        def fail(*args):
+            raise KeyboardInterrupt if failing == "interrupt" else SolverError("planted failure")
+
+        monkeypatch.setattr(runner, "evolve_phase_space", slow)
+        if failing in ("rays", "interrupt"):
+            monkeypatch.setattr(runner, "trace_rays", fail)
+        config = load_scenario(self.ini(tmp_path, "moyal, liouville, rays"))
+        before = threading.active_count()
+        if failing is None:
+            run_scenario(config, emit=False)
+        else:
+            expected = {"rays": SolverError, "moyal": ValueError, "interrupt": KeyboardInterrupt}
+            with pytest.raises(expected[failing]):
+                run_scenario(config, emit=False)
+        assert threading.active_count() == before
 
 
 class TestConsoleScript:
