@@ -5,14 +5,15 @@ Verbs:
 * ``run <scenario>``: execute a scenario file and write its artifacts.
 * ``compare <scenario>``: same, with engines forced to twm + moyal +
   liouville so the cross-engine distances are always recorded.
-* ``validate <scenario>``: parse, validate and echo the resolved config;
-  a twm initial field that fails the Wigner transform the run compares it
-  through is refused with ``run``'s text (exit 2 here, 1 from ``run``).
+* ``validate <scenario>``: parse, validate and echo the resolved config.
   Step-1 phase guards that ``run`` would refuse, for a potential of degree
   <= 2 the grid engines' closed-form guards and support check, and in free
   space the twm engine's own closed-form run (when no guard refuses twm),
   are printed as ``warning:`` lines, one per engine; a beam carried to the
-  box edge is named by ``grid.x_length`` or ``grid.p_length``.
+  box edge is named by ``grid.x_length`` or ``grid.p_length``.  When none
+  of these refuses, a twm initial field that fails the Wigner transform the
+  run compares it through is refused with ``run``'s text (exit 2 here, 1
+  from ``run``): ``validate`` reports the fault that ``run`` stops at.
 * ``info <grid-dump>``: print the header and value statistics of a dump.
 
 Exit codes: 0 success, 2 configuration or validation problem, 1 runtime
@@ -103,10 +104,6 @@ def _cmd_validate(args) -> int:
     failures = _guard_failures(config, spec)
     if "twm" in config.run.engines:
         psi = config.initial_wavefield()
-        try:
-            _initial_wigner(config, psi)
-        except TransformError as exc:
-            raise ConfigError(str(exc)) from None
         if "twm" not in failures and spec.degree < 0:
             # Free space maps the run in closed form (twm._FreeKernel), so the engine's
             # own check of the box edge is cheap enough to run here.
@@ -114,6 +111,13 @@ def _cmd_validate(args) -> int:
                 evolve_twm(psi, spec, _engine_plan("twm", config), config.run.snapshot_every)
             except SolverError as exc:
                 failures["twm"] = f"engine twm: {exc}"
+        # ``run`` reaches the initial field's Wigner transform only when no
+        # engine is refused and twm's own run passes.
+        if not failures:
+            try:
+                _initial_wigner(config, psi)
+            except TransformError as exc:
+                raise ConfigError(str(exc)) from None
     if not args.quiet:
         print(f"scenario {args.scenario} is valid")
         for line in _echo_config(config):

@@ -385,18 +385,20 @@ def evolve_phase_space(
 class _RayKernel:
     """Leapfrog on the position and momentum arrays of the rays still live.
 
-    The values are the list ``[x, p]``.  The arrays are updated in place; a
-    step that loses rays compacts them to the finite ones.  A ray can stay
-    finite and still overflow the moments (``x**2``, or the product of two
-    variances, past the float range): only when a step's moments come out
-    non-finite does ``measure`` drop the rays beyond ``RAY_CAP``, replacing
-    both arrays in the list, count them as lost and measure again.  Other
-    moment errors (fewer than two rays left) are raised as they are.
-    Kick-drift-kick is first-same-as-last: for a z-independent potential
-    the closing half-kick of one step is the opening half-kick of the next,
-    so it is kept in ``kick`` and each step evaluates the gradient once.  A
-    step that loses rays drops it; the next step recomputes it on the
-    survivors.
+    The values are the list ``[x, p]``, whose arrays ``advance`` updates in
+    place.  Losses are taken where the moments are measured: a ray that
+    turns non-finite always fails its step's moments (a finite sum has only
+    finite summands), and a ray can stay finite and still overflow them
+    (``x**2``, or the product of two variances, past the float range).  So
+    when a step's moments fail, ``measure`` drops the non-finite rays,
+    replacing both arrays in the list, counts them as lost and measures
+    again; if that fails too, it does the same with the rays beyond
+    ``RAY_CAP``.  Other moment errors (fewer than two rays left) are raised
+    as they are.  Kick-drift-kick is first-same-as-last: for a
+    z-independent potential the closing half-kick of one step is the
+    opening half-kick of the next, so it is kept in ``kick`` and each step
+    evaluates the gradient once.  A step that loses rays drops it; the next
+    step recomputes it on the survivors.
     """
 
     def __init__(self, ensemble: RayEnsemble, spec: PotentialSpec, plan: StepPlan):
@@ -414,19 +416,16 @@ class _RayKernel:
     def advance(self, values, z: float):
         x, p = values
         z_mid = z + 0.5 * self.dz
-        # Diverging anharmonic orbits overflow to inf before being pruned;
-        # that is the intended loss mechanism, not an arithmetic error.
+        # Diverging anharmonic orbits overflow to inf before ``measure`` drops
+        # them; that is the intended loss mechanism, not an arithmetic error.
         with np.errstate(over="ignore", invalid="ignore"):
             kick = self.kick if self.kick is not None else self._half_kick(x, z_mid)
             p -= kick
             x += self.dz * p
             kick = self._half_kick(x, z_mid)
             p -= kick
-            finite = np.isfinite(x) & np.isfinite(p)
         self.kick = kick if self.spec.is_static else None
-        if not finite.all():
-            x, p = self._drop(x, p, finite)
-        return [x, p]
+        return values
 
     def _drop(self, x: np.ndarray, p: np.ndarray, kept: np.ndarray):
         """The rays ``kept`` marks; the others count as lost."""
@@ -438,15 +437,16 @@ class _RayKernel:
         return x, p
 
     def measure(self, values: list, z: float) -> BeamMoments:
-        try:
-            return _ray_moments(*values, z)
-        except StateError:
-            x, p = values
-            kept = (np.abs(x) <= RAY_CAP) & (np.abs(p) <= RAY_CAP)
-            if kept.all():
-                raise
-            values[:] = self._drop(x, p, kept)
-            return _ray_moments(*values, z)
+        for inside in (np.isfinite, lambda a: np.abs(a) <= RAY_CAP, None):
+            try:
+                return _ray_moments(*values, z)
+            except StateError:
+                if inside is None:
+                    raise
+                x, p = values
+                kept = inside(x) & inside(p)
+                if not kept.all():
+                    values[:] = self._drop(x, p, kept)
 
     def wrap(self, values, z: float) -> RayEnsemble:
         return RayEnsemble(*values, z, self.ensemble.seed)
@@ -460,10 +460,11 @@ def trace_rays(ensemble: RayEnsemble, spec: PotentialSpec, plan: StepPlan) -> Tr
     for z-dependent potentials.  For a z-independent potential the map is
     first-same-as-last: the closing half-kick of a step is reused as the
     opening half-kick of the next, so a step evaluates the gradient once,
-    with results bitwise equal to two evaluations.  Rays that reach
-    non-finite coordinates (diverging anharmonic orbits), and at a step
-    whose moments overflow the rays beyond ``RAY_CAP``, are excluded from
-    the moments and from the final ensemble; ``lost`` reports how many.  The
+    with results bitwise equal to two evaluations.  Losses are taken where
+    the moments are measured: at a step whose moments fail, the rays with
+    non-finite coordinates (diverging anharmonic orbits), and if the
+    moments still fail the rays beyond ``RAY_CAP``, are excluded from the
+    moments and from the final ensemble; ``lost`` reports how many.  The
     snapshots are the initial ensemble whose moments were measured (without
     the rays those moments dropped) and the final one.
     """

@@ -4,10 +4,12 @@
 records moments at every step and full states at the snapshot cadence,
 computes cross-engine distances where the representations are comparable
 (grid engines directly, the wavefield engine through its Wigner transform)
-and emits the configured artifacts.  A run with rays and a grid engine
-evolves its grid engines on one worker thread while the rays are traced,
-and reports as if the engines had run one after another.  Everything is
-deterministic for a fixed config and seed.
+and emits the configured artifacts.  Each engine's outcome, its
+trajectory and wall time or the error it raised, is taken in one place
+(``_outcome``).  A run with rays and a grid engine evolves its grid
+engines on one worker thread while the rays are traced, and reports as if
+the engines had run one after another.  Everything is deterministic for a
+fixed config and seed.
 """
 
 from __future__ import annotations
@@ -192,68 +194,56 @@ def _evolve_engine(name: str, states: dict, spec, config: ScenarioConfig):
     return evolve_phase_space(states["rho"], spec, config.epsilon, plan, every)
 
 
-def _evolve_timed(name: str, states: dict, spec, config: ScenarioConfig):
-    """One engine's trajectory and wall time; a solver error names the engine."""
+def _outcome(name: str, states: dict, spec, config: ScenarioConfig):
+    """One engine's ``(traj, seconds)``, or the exception it raised.
+
+    ``seconds`` is the engine's own wall time; a solver error is renamed
+    ``engine <name>: ...``.
+    """
     started = time.perf_counter()
     try:
         traj = _evolve_engine(name, states, spec, config)
     except SolverError as exc:
-        raise SolverError(f"engine {name}: {exc}") from None
+        return SolverError(f"engine {name}: {exc}")
+    except Exception as exc:
+        return exc
     return traj, time.perf_counter() - started
-
-
-def _overlapped(grid, states: dict, spec, config: ScenarioConfig) -> dict:
-    """The outcomes of the grid engines ``grid`` and of rays, run side by side.
-
-    The grid engines run in run order on one worker thread while this
-    thread traces the rays: the grid kernel's FFTs and the rays' ufunc
-    loops release the GIL and share no state, and the grid moments are the
-    only BLAS caller while both run.  Each outcome is ``(traj, seconds)``,
-    with the engine's own wall time, or the exception it raised.  The
-    worker stops at its first failure, which precedes every later grid
-    engine in run order, and is joined before this returns or raises.
-    """
-    outcomes: dict = {}
-
-    def attempt(name: str) -> bool:
-        try:
-            outcomes[name] = _evolve_timed(name, states, spec, config)
-            return True
-        except Exception as exc:
-            outcomes[name] = exc
-            return False
-
-    lane = threading.Thread(target=lambda: all(map(attempt, grid)), name="beamphase-grid")
-    lane.start()
-    try:
-        attempt("rays")
-    finally:
-        lane.join()
-    return outcomes
 
 
 def _trajectories(states: dict, spec, config: ScenarioConfig):
     """Every engine's ``(name, traj, seconds)`` in run order.
 
     Run order is ``scenario.ENGINES`` order, whatever order the file lists
-    the engines in: twm, moyal, liouville, rays.  A run with rays and a
-    grid engine takes the grid engines and rays through
-    :func:`_overlapped` when it reaches the first grid engine, so twm and
-    its Wigner snapshots are done before the worker starts.  An engine's
-    error is raised at its turn: the first engine in run order that fails
-    is the one reported, as when the engines run one after another.
+    the engines in: twm, moyal, liouville, rays.  In a run with rays, the
+    first grid engine's turn starts one worker thread that evolves the grid
+    engines in run order, stopping at its first failure, while this thread
+    traces the rays; twm and its Wigner snapshots are done by then.  The
+    grid kernel's FFTs and the rays' ufunc loops release the GIL and share
+    no state, and the grid moments are the only BLAS caller while both run.
+    The worker is joined before any outcome is read.  Each outcome is
+    raised or yielded at its engine's turn, so the first engine in run
+    order that fails is the one reported, as when the engines run one
+    after another.
     """
     engines = config.run.engines
     grid = [name for name in engines if name in GRID_ENGINES]
-    lanes = bool(grid) and "rays" in engines
     outcomes: dict = {}
+
+    def lane():
+        for name in grid:
+            outcomes[name] = _outcome(name, states, spec, config)
+            if isinstance(outcomes[name], Exception):
+                return
+
     for name in engines:
-        if lanes and name in GRID_ENGINES:
-            outcomes, lanes = _overlapped(grid, states, spec, config), False
-        if name in outcomes:
-            outcome = outcomes.pop(name)
-        else:
-            outcome = _evolve_timed(name, states, spec, config)
+        if name in grid[:1] and "rays" in engines:
+            worker = threading.Thread(target=lane, name="beamphase-grid")
+            worker.start()
+            try:
+                outcomes["rays"] = _outcome("rays", states, spec, config)
+            finally:
+                worker.join()
+        outcome = outcomes.pop(name) if name in outcomes else _outcome(name, states, spec, config)
         if isinstance(outcome, Exception):
             raise outcome
         yield name, *outcome

@@ -643,6 +643,23 @@ class TestVerbs:
         assert main(["validate", str(ini), "--quiet"]) == 2
         assert capsys.readouterr().err == err
 
+    def test_validate_warns_of_the_twm_refusal_that_run_stops_at(self, tmp_path, capsys):
+        # The initial field fails its Wigner check, but run stops first, at
+        # the step where the free-space twm beam reaches the box edge; so
+        # validate warns of that refusal and does not reach the check.
+        text = FREE_SCENARIO.replace("x_length = 32.0", "x_length = 24.0")
+        text = text.replace("n_steps = 4", "n_steps = 1000")
+        text = text.replace("snapshot_every = 2", "snapshot_every = 100")
+        text = text.replace("engines = twm, moyal, liouville, rays", "engines = twm, rays")
+        ini = write_ini(tmp_path, text, outdir=tmp_path / "out")
+        assert main(["run", str(ini), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: engine twm: step 600/1000: grid.x_length: ")
+        assert main(["validate", str(ini)]) == 0
+        out = capsys.readouterr().out
+        warnings = [line for line in out.splitlines() if line.startswith("warning:")]
+        assert warnings == ["warning:" + err.removeprefix("error:").rstrip("\n")]
+
 
     def test_run_refuses_a_kick_guard_before_any_engine(self, tmp_path, capsys, monkeypatch):
         # dz = 2e-3 on the quartic channel trips moyal's kick guard at step

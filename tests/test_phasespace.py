@@ -601,6 +601,19 @@ class TestTraceRays:
         assert math.isfinite(out.moments[0].sigma_p)
         assert out.moments[1:] == alone.moments[1:]
 
+    def test_both_loss_rules_fire_in_one_step(self):
+        # At step 1 the 2e99 ray turns non-finite, and the 1e54 ray, still
+        # finite but beyond RAY_CAP, overflows the moments of the rest; both
+        # are dropped there and the three near rays go on as if alone.
+        spec, plan = quartic_channel(0.0, 1e10), StepPlan(1.0, 3)
+        near = RayEnsemble(np.array([1e-6, -1e-6, 2e-6]), np.zeros(3))
+        rays = RayEnsemble(np.array([1e-6, -1e-6, 2e-6, 2e99, 0.0]), np.array([0, 0, 0, 0, 1e54]))
+        out = trace_rays(rays, spec, plan)
+        alone = trace_rays(near, spec, plan)
+        assert out.lost == 2
+        assert math.isfinite(out.moments[0].sigma_p)
+        assert out.moments[1:] == alone.moments[1:]
+
     def test_initial_rays_overflowing_the_moments_leave_snapshot_0(self):
         # The far ray's square overflows the step-0 moments, so it is lost
         # before any step; snapshot 0 is the ensemble those moments measured.
