@@ -1,12 +1,12 @@
-"""Exception taxonomy for beamphase, and the two input rules every module shares.
+"""Exception taxonomy for beamphase, and the input rules every module shares.
 
 Configuration problems (bad scenario files, bad CLI input) raise
 :class:`ConfigError`, which the CLI maps to exit code 2.  Everything else
 derives from :class:`BeamPhaseError` and maps to exit code 1.
 
-:func:`check_positive` and :func:`check_count` validate library inputs at
-the boundary; each raises the error type its caller names, so a grid
-refuses with :class:`GridError` and a step plan with :class:`SolverError`.
+:func:`check_positive`, :func:`check_finite` and :func:`check_count`
+validate library inputs at the boundary; each raises its caller's error
+type, so a grid refuses with :class:`GridError`, a plan with :class:`SolverError`.
 """
 
 import math
@@ -45,6 +45,13 @@ def check_positive(name: str, value, error: type[BeamPhaseError]) -> float:
     """``value`` as a float; raises ``error`` unless it is a positive, finite real number."""
     if not (isinstance(value, Real) and math.isfinite(value) and value > 0.0):
         raise error(f"{name} must be positive and finite, got {value!r}")
+    return float(value)
+
+
+def check_finite(name: str, value, error: type[BeamPhaseError]) -> float:
+    """``value`` as a float; raises ``error`` unless it is a finite real number."""
+    if not (isinstance(value, Real) and math.isfinite(value)):
+        raise error(f"{name} must be finite, got {value!r}")
     return float(value)
 
 

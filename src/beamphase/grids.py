@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import GridError, check_count, check_positive
+from .exceptions import GridError, check_count, check_finite, check_positive
 
 __all__ = ["AxisGrid", "PhaseGrid"]
 
@@ -47,11 +47,10 @@ class AxisGrid:
         if not _is_point_count(n):
             raise GridError(f"axis point count must be a power of two >= 8, got {n}")
         length = check_positive("axis length", self.length, GridError)
-        if not math.isfinite(self.center):
-            raise GridError(f"axis center must be finite, got {self.center}")
+        center = check_finite("axis center", self.center, GridError)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "length", length)
-        object.__setattr__(self, "center", float(self.center))
+        object.__setattr__(self, "center", center)
 
     @property
     def spacing(self) -> float:

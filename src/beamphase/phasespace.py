@@ -52,7 +52,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -469,7 +468,5 @@ def trace_rays(ensemble: RayEnsemble, spec: PotentialSpec, plan: StepPlan) -> Tr
     the rays those moments dropped) and the final one.
     """
     values = [np.array(ensemble.positions, dtype=float), np.array(ensemble.momenta, dtype=float)]
-    # Rays advance z by repeated addition of dz (the grids use z0 + k dz); keeping
-    # that keeps their z column, and so their artifacts, bit-identical.
-    zs = list(accumulate(repeat(plan.dz, plan.n_steps), initial=ensemble.z))
+    zs = _step_boundaries(ensemble.z, plan)
     return _evolve(_RayKernel(ensemble, spec, plan), ensemble, values, zs, None)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import BeamPhaseError, check_count, check_positive
+from .exceptions import BeamPhaseError, check_count, check_finite, check_positive
 
 __all__ = [
     "ConstantProfile",
@@ -65,10 +65,10 @@ class PiecewiseProfile:
     def __post_init__(self):
         if not self.breaks:
             raise BeamPhaseError("piecewise profile needs at least one segment")
-        zs = [z for z, _ in self.breaks]
+        zs = [check_finite("piecewise breakpoint", z, BeamPhaseError) for z, _ in self.breaks]
         if any(b <= a for a, b in zip(zs, zs[1:])):
             raise BeamPhaseError("piecewise profile breakpoints must be strictly increasing")
-        object.__setattr__(self, "breaks", tuple((float(z), float(v)) for z, v in self.breaks))
+        object.__setattr__(self, "breaks", tuple(zip(zs, (float(v) for _, v in self.breaks))))
 
     def __call__(self, z: float) -> float:
         value = self.breaks[0][1]
@@ -151,17 +151,14 @@ def free_space() -> PotentialSpec:
 
 def linear_lens(k_strength: float) -> PotentialSpec:
     """Linear focusing channel, U = K * x**2 / 2."""
-    if not math.isfinite(k_strength):
-        raise BeamPhaseError(f"lens strength must be finite, got {k_strength}")
+    k_strength = check_finite("lens strength", k_strength, BeamPhaseError)
     return PotentialSpec(((2, ConstantProfile(k_strength / 2.0)),))
 
 
 def quartic_channel(k_strength: float, lambda4: float) -> PotentialSpec:
     """Quartic anharmonic channel, U = K * x**2 / 2 + lambda4 * x**4."""
-    if not (math.isfinite(k_strength) and math.isfinite(lambda4)):
-        raise BeamPhaseError(
-            f"channel coefficients must be finite, got K={k_strength}, lambda={lambda4}"
-        )
+    k_strength = check_finite("channel K", k_strength, BeamPhaseError)
+    lambda4 = check_finite("channel lambda4", lambda4, BeamPhaseError)
     return PotentialSpec(
         ((2, ConstantProfile(k_strength / 2.0)), (4, ConstantProfile(lambda4)))
     )

@@ -30,7 +30,7 @@ import numpy as np
 
 from dataclasses import dataclass
 
-from .exceptions import TransformError
+from .exceptions import TransformError, check_finite
 from .grids import AxisGrid, PhaseGrid
 from .states import QuasiDistribution, WaveField
 
@@ -249,10 +249,10 @@ def tomogram(
     inherits the mass of ``rho`` exactly; for (mu, nu) = (1, 0) or (0, 1) it
     reduces to the corresponding marginal.
     """
+    mu = check_finite("tomogram mu", mu, TransformError)
+    nu = check_finite("tomogram nu", nu, TransformError)
     if mu == 0.0 and nu == 0.0:
         raise TransformError("tomogram direction (mu, nu) must not be (0, 0)")
-    if not (math.isfinite(mu) and math.isfinite(nu)):
-        raise TransformError(f"tomogram direction must be finite, got ({mu}, {nu})")
     if axis is None:
         axis = tomogram_axis(rho.grid, mu, nu)
     x = rho.grid.x_axis.points()
@@ -278,4 +278,4 @@ def tomogram(
     # Invert onto the requested axis: w(X_i) = (1/2 pi) integral e^{i xi X}.
     x_first = axis.points()[0]
     values = np.fft.ifft(slice_values * np.exp(1j * xi * x_first)) / axis.spacing
-    return Tomogram(float(mu), float(nu), axis, _real_part(values, "tomogram"))
+    return Tomogram(mu, nu, axis, _real_part(values, "tomogram"))

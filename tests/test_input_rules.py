@@ -10,10 +10,12 @@ from beamphase import (
     BeamPhaseError,
     GridError,
     PhaseGrid,
+    PiecewiseProfile,
     SamplingError,
     SolverError,
     StateError,
     StepPlan,
+    TransformError,
     emittance_from_thermal,
     free_gaussian_sigma,
     gaussian_quasidist,
@@ -22,13 +24,17 @@ from beamphase import (
     matched_width,
     moyal_generator,
     moyal_generator_truncated,
+    quartic_channel,
     sample_rays,
+    tomogram,
 )
 
 GRID = PhaseGrid(AxisGrid(64, 16.0), AxisGrid(64, 8.0))
 
 ENTRY_POINTS = {
     "AxisGrid": (lambda bad: AxisGrid(8, bad), GridError),
+    "AxisGrid center": (lambda bad: AxisGrid(8, 1.0, bad), GridError),
+    "PiecewiseProfile": (lambda bad: PiecewiseProfile(((0.0, 1.0), (bad, 2.0))), BeamPhaseError),
     "StepPlan": (lambda bad: StepPlan(bad, 10), SolverError),
     "gaussian_wavefield": (lambda bad: gaussian_wavefield(GRID.x_axis, bad, 0.1), StateError),
     "moyal_generator": (
@@ -36,6 +42,12 @@ ENTRY_POINTS = {
         BeamPhaseError,
     ),
     "matched_width": (lambda bad: matched_width(linear_lens(1.0), bad), BeamPhaseError),
+    "linear_lens": (lambda bad: linear_lens(bad), BeamPhaseError),
+    "quartic_channel": (lambda bad: quartic_channel(1.0, bad), BeamPhaseError),
+    "tomogram": (
+        lambda bad: tomogram(gaussian_quasidist(GRID, 1.0, 0.5), bad, 0.0),
+        TransformError,
+    ),
     "free_gaussian_sigma": (lambda bad: free_gaussian_sigma(bad, 0.1, 1.0), BeamPhaseError),
     "emittance_from_thermal": (lambda bad: emittance_from_thermal(bad, 1.0), StateError),
     "sample_rays": (
@@ -58,6 +70,7 @@ def test_bad_scalar_raises_the_entry_points_own_error(entry, bad):
     "call, message",
     [
         (lambda: AxisGrid(8, "1"), "axis length must be positive and finite, got '1'"),
+        (lambda: AxisGrid(8, 1.0, math.inf), "axis center must be finite, got inf"),
         (lambda: AxisGrid(-8, 1.0), "axis point count must be a power of two >= 8, got -8"),
         (lambda: AxisGrid(8.0, 1.0), "axis point count must be an integer, got 8.0"),
         (lambda: StepPlan(0.1, 10, max_order=2), "max_order must be odd, got 2"),
@@ -76,6 +89,7 @@ def test_bad_scalar_raises_the_entry_points_own_error(entry, bad):
     ],
     ids=[
         "axis-length-string",
+        "axis-center-inf",
         "axis-count-negative",
         "axis-count-float",
         "plan-even-order",

@@ -658,6 +658,7 @@ def textbook_ray_moments(x, p, z):
 def two_gradient_leapfrog(ensemble, spec, plan):
     """Textbook kick-drift-kick with two gradient evaluations per step.
 
+    Step k runs from ``z0 + k dz``, the step boundaries of every engine.
     Returns the moments of every step, the final surviving positions and
     momenta, and the number of rays lost to non-finite values.
     """
@@ -665,17 +666,16 @@ def two_gradient_leapfrog(ensemble, spec, plan):
     p = np.array(ensemble.momenta, dtype=float)
     alive = np.ones(x.size, dtype=bool)
     half = 0.5 * plan.dz
-    z = ensemble.z
-    moments = [textbook_ray_moments(x, p, z)]
-    for _ in range(plan.n_steps):
-        z_mid = z + half
+    z0 = ensemble.z
+    moments = [textbook_ray_moments(x, p, z0)]
+    for k in range(plan.n_steps):
+        z_mid = z0 + plan.dz * k + half
         with np.errstate(over="ignore", invalid="ignore"):
             p[alive] -= half * eval_gradient(spec, x[alive], z_mid)
             x[alive] += plan.dz * p[alive]
             p[alive] -= half * eval_gradient(spec, x[alive], z_mid)
         alive = np.isfinite(x) & np.isfinite(p)
-        z += plan.dz
-        moments.append(textbook_ray_moments(x[alive], p[alive], z))
+        moments.append(textbook_ray_moments(x[alive], p[alive], z0 + plan.dz * (k + 1)))
     return moments, x[alive], p[alive], int(alive.size - np.count_nonzero(alive))
 
 
@@ -755,3 +755,73 @@ class TestLeapfrogSymplectic:
         x, p = out.final.positions, out.final.momenta
         area = (x[1] - x[0]) * (p[2] - p[0]) - (x[2] - x[0]) * (p[1] - p[0])
         assert area / (h * h) == pytest.approx(1.0, abs=1e-6)
+
+
+class TestOneStepGrid:
+    """Every engine labels step k with the same double, ``z0 + k dz``."""
+
+    def test_rays_share_the_z_of_the_grid_and_twm(self):
+        plan = StepPlan(2e-4, 300)
+        zs = _step_boundaries(0.0, plan)
+        running = [0.0]
+        for _ in range(plan.n_steps):
+            running.append(running[-1] + plan.dz)
+        # A running sum of dz would label most steps with another double.
+        assert sum(a != b for a, b in zip(running, zs)) == 284
+        rho = gaussian_quasidist(FREE_GRID, 1.0, 0.05)
+        runs = [
+            trace_rays(sample_rays(rho, 100, seed=1), free_space(), plan),
+            evolve_phase_space(rho, free_space(), EPS, plan),
+            evolve_twm(gaussian_wavefield(FREE_GRID.x_axis, 1.0, EPS), free_space(), plan),
+        ]
+        for run in runs:
+            assert [m.z for m in run.moments] == zs
+            assert run.final.z == zs[-1]
+
+
+class TestSecondOrderConvergence:
+    """Strang splitting stays second order when the profiles depend on z.
+
+    The error of the final state against a dz/8 reference falls by
+    ``(1 - 1/64) / (1/4 - 1/64) = 4.2`` when dz halves, for a pure
+    second-order error (Strang, SIAM J. Numer. Anal. 5 (1968) 506).
+    """
+
+    SPEC = PotentialSpec(((2, HarmonicProfile(0.5, 3.0, 0.2)), (4, HarmonicProfile(0.1, 2.0))))
+
+    @staticmethod
+    def assert_second_order(run, dz, z_end):
+        coarse, half, reference = (run(StepPlan(dz / m, round(m * z_end / dz))) for m in (1, 2, 8))
+        ratio = np.abs(coarse - reference).max() / np.abs(half - reference).max()
+        assert 3.7 <= ratio <= 4.7
+
+    @staticmethod
+    def grid_final(rho, spec, plan):
+        out = evolve_phase_space(rho, spec, EPS, plan, snapshot_every=plan.n_steps // 4)
+        assert max(abs(s.mass - 1.0) for s in out.snapshots) <= 1e-12
+        return out.final.values
+
+    @pytest.mark.parametrize("engine", ["moyal", "liouville", "twm", "rays"])
+    def test_z_dependent_quartic(self, engine):
+        rho = gaussian_quasidist(QUARTIC_GRID, 0.4, 0.25)
+
+        def run(plan):
+            if engine == "moyal":
+                return self.grid_final(rho, self.SPEC, plan)
+            if engine == "liouville":
+                plan = StepPlan(plan.dz, plan.n_steps, max_order=1)
+                return self.grid_final(rho, self.SPEC, plan)
+            if engine == "twm":
+                psi = gaussian_wavefield(QUARTIC_GRID.x_axis, 0.4, EPS)
+                out = evolve_twm(psi, self.SPEC, plan, snapshot_every=plan.n_steps // 4)
+                norms = [s.density().sum() * s.grid.spacing for s in out.snapshots]
+                assert max(abs(n - 1.0) for n in norms) <= 1e-12
+                return out.final.values
+            out = trace_rays(sample_rays(rho, 2000, seed=3), self.SPEC, plan)
+            return np.concatenate([out.final.positions, out.final.momenta])
+
+        self.assert_second_order(run, 5e-4, 0.1)
+
+    def test_harmonic_lens_closed_form(self):
+        rho = gaussian_quasidist(LENS_GRID, 0.3, 0.2)
+        self.assert_second_order(lambda plan: self.grid_final(rho, HARMONIC_LENS, plan), 5e-3, 0.5)
