@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import StateError, check_positive
+from .exceptions import BeamPhaseError, StateError, check_positive
 from .grids import AxisGrid
 from .potentials import PotentialSpec, _shift_series, eval_gradient
 from .states import QuasiDistribution, RayEnsemble, WaveField, _check_norm
@@ -252,6 +252,7 @@ def truncation_ratio(
     undefined, returned as ``nan``.  Scales as epsilon**2 for a quartic
     potential (the series terminates at the cubic shift term).
     """
+    epsilon = check_positive("epsilon", epsilon, BeamPhaseError)
     if spec.degree < 1:
         # Free space or a constant potential: no force anywhere, so G1 = 0.
         return float("nan")

@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -137,24 +136,6 @@ def _step_boundaries(z0: float, plan: StepPlan) -> list[float]:
     return (z0 + plan.dz * np.arange(plan.n_steps + 1)).tolist()
 
 
-def _static_once(build, spec: PotentialSpec):
-    """``build`` itself, or for a z-independent ``spec`` its first result at every z.
-
-    The one build happens at the first call, inside the step loop, so an
-    error it raises names step 1.
-    """
-    if not spec.is_static:
-        return build
-    built = []
-
-    def once(z: float):
-        if not built:
-            built.append(build(z))
-        return built[0]
-
-    return once
-
-
 def _step_error(step: int, n_steps: int, exc: Exception) -> SolverError:
     return SolverError(f"step {step}/{n_steps}: {exc}")
 
@@ -197,11 +178,13 @@ class _GridKernel:
     """Real-data spectral operators for repeated steps of one plan on one grid.
 
     Its values are post-kick arrays (see the module docstring), and a step
-    depends only on its input and z.  The drift phases are built once on
-    the ``nx/2 + 1`` non-negative kx rows.  The kick is built on the
-    ``np/2 + 1`` non-negative y columns, the Nyquist column at ``|y|``; for
-    z-independent potentials it is also reused.  ``kind`` tags the evolved
-    states; a ``"classical"`` state is checked for negative values every step.
+    depends only on its input and z.  Construction builds the drift phases
+    on the ``nx/2 + 1`` non-negative kx rows and, for a z-independent
+    potential, every step's kick (:func:`_first_kick`); for a z-dependent one
+    ``advance`` builds the kick at the step midpoint.  A kick covers the
+    ``np/2 + 1`` non-negative y columns, the Nyquist column at ``|y|``.
+    ``kind`` tags the evolved states; a ``"classical"`` state is checked for
+    negative values every step.
     """
 
     lost = 0
@@ -219,11 +202,9 @@ class _GridKernel:
         kx_p = np.outer(_half_spectrum(grid.x_axis), self.p)
         self.half_drift = np.exp(-1j * kx_p * self.half)
         self.drift = np.exp(-1j * kx_p * plan.dz)
-        # Not a bound method: a kernel that referred to itself would outlive
-        # its run until the next garbage collection.
-        self.kick_at = _static_once(
-            partial(_kick_multiplier, spec, x_col, y_row, epsilon, plan), spec
-        )
+        self.static = spec.is_static
+        self.kick = _first_kick(grid, spec, epsilon, plan) if self.static and plan.n_steps else None
+        self.kick_args = (spec, x_col, y_row, epsilon, plan)
 
     def enter(self, rho: np.ndarray) -> np.ndarray:
         """The post-kick form of a step-boundary array: its backward half drift."""
@@ -231,7 +212,7 @@ class _GridKernel:
 
     def advance(self, rho: np.ndarray, z: float) -> np.ndarray:
         """One step from z: the full drift, then the kick at the step midpoint."""
-        kick = self.kick_at(z + self.half)
+        kick = self.kick if self.static else _kick_multiplier(*self.kick_args, z + self.half)
         rho, residue = _spectral_flow(np.fft.rfft(rho, axis=0), self.drift, 0)
         if kick is not None:
             rho, kick_residue = _spectral_flow(np.fft.rfft(rho, axis=1), kick, 1)
@@ -290,14 +271,13 @@ def _unit_phase(angle: np.ndarray) -> np.ndarray:
     return out
 
 
-def _preflight_kick(grid: PhaseGrid, spec: PotentialSpec, epsilon: float, plan: StepPlan) -> None:
-    """Raise the kick-guard error that step 1 of a grid run from z = 0 would raise.
+def _first_kick(grid: PhaseGrid, spec: PotentialSpec, epsilon: float, plan: StepPlan):
+    """Step 1's kick of a grid run from z = 0 (None without a force); its guard names step 1.
 
-    It needs no state, so a caller can refuse a plan with steps before any
-    engine starts; the step loop still checks every later step.
+    It needs no state, so a caller can refuse a plan before any engine starts.
     """
     try:
-        _kick_multiplier(spec, *_kick_operands(grid), epsilon, plan, 0.5 * plan.dz)
+        return _kick_multiplier(spec, *_kick_operands(grid), epsilon, plan, 0.5 * plan.dz)
     except SolverError as exc:
         raise _step_error(1, plan.n_steps, exc) from None
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -41,11 +42,20 @@ __all__ = [
 ]
 
 
+def _check_real_fields(profile) -> None:
+    """Refuse a parameter that is not a real number; the engines refuse NaN and inf per step."""
+    for name, value in vars(profile).items():
+        if not isinstance(value, Real):
+            raise BeamPhaseError(f"{type(profile).__name__} {name} must be real, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ConstantProfile:
     """Coefficient that does not depend on z."""
 
     value: float
+
+    __post_init__ = _check_real_fields
 
     def __call__(self, z: float) -> float:
         return self.value
@@ -86,6 +96,8 @@ class HarmonicProfile:
     amplitude: float
     omega: float
     phase: float = 0.0
+
+    __post_init__ = _check_real_fields
 
     def __call__(self, z: float) -> float:
         return self.amplitude * math.cos(self.omega * z + self.phase)

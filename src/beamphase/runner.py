@@ -28,7 +28,7 @@ from .diagnostics import (
     truncation_ratio,
 )
 from .exceptions import SolverError, StateError, TransformError
-from .phasespace import StepPlan, _preflight_kick, _step_boundaries, evolve_phase_space, trace_rays
+from .phasespace import StepPlan, _first_kick, _step_boundaries, evolve_phase_space, trace_rays
 from .scenario import ScenarioConfig
 from .states import sample_rays
 from .transforms import _WignerMap
@@ -173,7 +173,7 @@ def _guard_failures(config: ScenarioConfig, spec, rho=None) -> dict[str, str]:
             elif name in GRID_ENGINES and linear is not None:
                 raise linear
             elif name in GRID_ENGINES and not spec.kick_is_classical:
-                _preflight_kick(config.grid.phase_grid(), spec, config.epsilon, plan)
+                _first_kick(config.grid.phase_grid(), spec, config.epsilon, plan)
         except SolverError as exc:
             failures[name] = f"engine {name}: {exc}"
     return failures

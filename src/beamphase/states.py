@@ -291,6 +291,7 @@ def sample_rays(quasidist: QuasiDistribution, count: int, seed: int) -> RayEnsem
     over cell masses, then a uniform jitter inside the selected cell.
     """
     count = check_count(count, "ray count", 1, SamplingError)
+    seed = check_count(seed, "seed", 0, SamplingError)
     if quasidist.kind != "classical":
         raise SamplingError(
             "refusing to sample a wigner-kind quasi-distribution; "
@@ -315,4 +316,4 @@ def sample_rays(quasidist: QuasiDistribution, count: int, seed: int) -> RayEnsem
     p_axis = quasidist.grid.p_axis
     x = x_axis.points()[ix] + (rng.random(count) - 0.5) * x_axis.spacing
     p = p_axis.points()[ip] + (rng.random(count) - 0.5) * p_axis.spacing
-    return RayEnsemble(positions=x, momenta=p, z=quasidist.z, seed=int(seed))
+    return RayEnsemble(positions=x, momenta=p, z=quasidist.z, seed=seed)

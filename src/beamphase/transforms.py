@@ -230,8 +230,18 @@ class Tomogram:
         return float(self.values.sum()) * self.axis.spacing
 
 
+def _direction(mu: float, nu: float) -> tuple[float, float]:
+    """A tomogram direction as floats; raises unless both are finite and not both zero."""
+    mu = check_finite("tomogram mu", mu, TransformError)
+    nu = check_finite("tomogram nu", nu, TransformError)
+    if mu == 0.0 and nu == 0.0:
+        raise TransformError("tomogram direction (mu, nu) must not be (0, 0)")
+    return mu, nu
+
+
 def tomogram_axis(grid: PhaseGrid, mu: float, nu: float) -> AxisGrid:
     """Default output axis: the projection of the phase-space box, on 1024 points."""
+    mu, nu = _direction(mu, nu)
     length = abs(mu) * grid.x_axis.length + abs(nu) * grid.p_axis.length
     center = mu * grid.x_axis.center + nu * grid.p_axis.center
     return AxisGrid(1024, length, center)
@@ -249,10 +259,7 @@ def tomogram(
     inherits the mass of ``rho`` exactly; for (mu, nu) = (1, 0) or (0, 1) it
     reduces to the corresponding marginal.
     """
-    mu = check_finite("tomogram mu", mu, TransformError)
-    nu = check_finite("tomogram nu", nu, TransformError)
-    if mu == 0.0 and nu == 0.0:
-        raise TransformError("tomogram direction (mu, nu) must not be (0, 0)")
+    mu, nu = _direction(mu, nu)
     if axis is None:
         axis = tomogram_axis(rho.grid, mu, nu)
     x = rho.grid.x_axis.points()

@@ -22,7 +22,6 @@ engines and returns their :class:`~beamphase.phasespace.Trajectory` record.
 from __future__ import annotations
 
 import math
-from functools import partial
 
 import numpy as np
 
@@ -33,7 +32,6 @@ from .phasespace import (
     StepPlan,
     Trajectory,
     _evolve,
-    _static_once,
     _step_boundaries,
 )
 from .potentials import ConstantProfile, PotentialSpec, eval_potential
@@ -68,23 +66,24 @@ def _half_phase(spec: PotentialSpec, x: np.ndarray, scale: float, z_mid: float) 
 
 
 class _TwmKernel:
-    """Spectral phases and moment constants for repeated Strang steps of one plan on one grid."""
+    """Strang steps of one plan on one grid, from spectral phases and moment constants.
+
+    For a plan with steps, construction builds and guards the kinetic phase and
+    builds a z-independent half potential phase; ``advance`` builds a z-dependent one.
+    """
 
     lost = 0
 
     def __init__(self, psi: WaveField, spec: PotentialSpec, plan: StepPlan):
-        self.plan, self.psi = plan, psi
-        # A plan without steps applies no kinetic phase, so it is neither built nor guarded.
+        self.dz, self.psi = plan.dz, psi
         if plan.n_steps:
             self.kinetic_phase = _kinetic_phase(psi.grid, psi.epsilon, plan.dz)
-        # Not a bound method, so the kernel is freed as soon as its run returns.
-        self.half_at = _static_once(
-            partial(_half_phase, spec, psi.grid.points(), 0.5 * plan.dz / psi.epsilon), spec
-        )
+        self.half_args = (spec, psi.grid.points(), 0.5 * plan.dz / psi.epsilon)
+        self.half = _half_phase(*self.half_args, psi.z) if spec.is_static and plan.n_steps else None
         self.moments = _WavefieldMoments(psi.grid, psi.epsilon)
 
     def advance(self, psi: np.ndarray, z: float) -> np.ndarray:
-        half = self.half_at(z + 0.5 * self.plan.dz)
+        half = _half_phase(*self.half_args, z + 0.5 * self.dz) if self.half is None else self.half
         spectrum = np.fft.fft(psi * half)
         spectrum *= self.kinetic_phase
         psi = np.fft.ifft(spectrum)

@@ -700,6 +700,34 @@ class TestVerbs:
         )
         assert warnings[1].startswith("warning: engine liouville: step 1/500: kick phase overflow")
 
+    def test_z_dependent_quartic_kick_guard_refused_before_any_engine(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The pre-flight of a z-dependent potential of degree > 2 checks step
+        # 1's kick; the step loop checks the later ones.
+        entered = []
+        monkeypatch.setattr(runner, "evolve_twm", lambda *args: entered.append("twm"))
+        outdir = tmp_path / "out"
+        text = OUTGROWN_WIGNER_SCENARIO.replace(
+            "lambda4 = 0.1", "lambda4 = 0.1\nprofile = harmonic\nomega = 3.0"
+        ).replace("engines = twm", "engines = twm, moyal, liouville")
+        ini = write_ini(tmp_path, text, outdir=outdir)
+        assert main(["run", str(ini), "--quiet"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: engine moyal: step 1/500: kick phase overflow: max |dz * G| = 1.716e+01 >= pi"
+        )
+        assert entered == []
+        assert not outdir.exists()
+        assert main(["validate", str(ini)]) == 0
+        warnings = [line for line in capsys.readouterr().out.splitlines() if "warning" in line]
+        assert len(warnings) == 2
+        assert warnings[0].startswith(
+            "warning: engine moyal: step 1/500: kick phase overflow: max |dz * G| = 1.716e+01"
+        )
+        assert warnings[1].startswith(
+            "warning: engine liouville: step 1/500: kick phase overflow: max |dz * G| = 1.398e+01"
+        )
+
     def test_validate_warns_once_of_a_guarded_free_twm_run(self, tmp_path, capsys):
         # dz = 0.5 trips twm's kinetic guard, which its free-space run would raise again.
         text = FREE_SCENARIO.replace("dz = 0.05", "dz = 0.5")

@@ -27,6 +27,8 @@ from beamphase import (
     quartic_channel,
     sample_rays,
     tomogram,
+    tomogram_axis,
+    truncation_ratio,
 )
 
 GRID = PhaseGrid(AxisGrid(64, 16.0), AxisGrid(64, 8.0))
@@ -53,6 +55,15 @@ ENTRY_POINTS = {
     "sample_rays": (
         lambda bad: sample_rays(gaussian_quasidist(GRID, 1.0, 0.5), bad, 0),
         SamplingError,
+    ),
+    "sample_rays seed": (
+        lambda bad: sample_rays(gaussian_quasidist(GRID, 1.0, 0.5), 10, bad),
+        SamplingError,
+    ),
+    "tomogram_axis": (lambda bad: tomogram_axis(GRID, bad, 0.0), TransformError),
+    "truncation_ratio": (
+        lambda bad: truncation_ratio(gaussian_quasidist(GRID, 1.0, 0.5), linear_lens(1.0), bad),
+        BeamPhaseError,
     ),
 }
 
@@ -86,6 +97,18 @@ def test_bad_scalar_raises_the_entry_points_own_error(entry, bad):
             lambda: sample_rays(gaussian_quasidist(GRID, 1.0, 0.5), np.int64(0), 0),
             "ray count must be >= 1, got 0",
         ),
+        (
+            lambda: sample_rays(gaussian_quasidist(GRID, 1.0, 0.5), 10, -1),
+            "seed must be >= 0, got -1",
+        ),
+        (
+            lambda: sample_rays(gaussian_quasidist(GRID, 1.0, 0.5), 10, 1.5),
+            "seed must be an integer, got 1.5",
+        ),
+        (
+            lambda: tomogram_axis(GRID, 0.0, 0.0),
+            "tomogram direction (mu, nu) must not be (0, 0)",
+        ),
     ],
     ids=[
         "axis-length-string",
@@ -96,6 +119,9 @@ def test_bad_scalar_raises_the_entry_points_own_error(entry, bad):
         "truncated-even-order",
         "ray-count-zero",
         "ray-count-numpy-zero",
+        "seed-negative",
+        "seed-float",
+        "tomogram-axis-zero-direction",
     ],
 )
 def test_messages(call, message):

@@ -33,7 +33,7 @@ from beamphase import (
     superposition_quasidist,
     trace_rays,
 )
-from beamphase import phasespace
+from beamphase import phasespace, twm
 from beamphase.diagnostics import _beam_moments
 from beamphase.phasespace import STEP_REALNESS_TOL, _evolve, _GridKernel, _step_boundaries
 
@@ -825,3 +825,47 @@ class TestSecondOrderConvergence:
     def test_harmonic_lens_closed_form(self):
         rho = gaussian_quasidist(LENS_GRID, 0.3, 0.2)
         self.assert_second_order(lambda plan: self.grid_final(rho, HARMONIC_LENS, plan), 5e-3, 0.5)
+
+
+class TestStaticOperators:
+    """A z-independent potential's kick and twm half phase are built once a run."""
+
+    GRID = PhaseGrid(AxisGrid(256, 12.8), AxisGrid(128, 6.4))
+    Z_DEPENDENT = PotentialSpec(
+        ((2, HarmonicProfile(0.5, 3.0, 0.2)), (4, HarmonicProfile(0.1, 2.0)))
+    )
+
+    @pytest.mark.parametrize(
+        "spec, builds", [(quartic_channel(1.0, 0.1), 1), (Z_DEPENDENT, 20)], ids=["static", "z"]
+    )
+    @pytest.mark.parametrize("engine", ["moyal", "liouville", "twm"])
+    def test_builds_per_run(self, monkeypatch, engine, spec, builds):
+        module, name = {
+            "moyal": (phasespace, "moyal_generator"),
+            "liouville": (phasespace, "moyal_generator_truncated"),
+            "twm": (twm, "eval_potential"),
+        }[engine]
+        calls = []
+        build = getattr(module, name)
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(module, name, counted)
+        plan = StepPlan(2e-4, 20, max_order=1 if engine == "liouville" else None)
+        if engine == "twm":
+            evolve_twm(gaussian_wavefield(AxisGrid(256, 12.8), 0.4, EPS), spec, plan)
+        else:
+            evolve_phase_space(gaussian_quasidist(self.GRID, 0.4, 0.25), spec, EPS, plan)
+        assert len(calls) == builds
+
+    def test_static_kick_guard_names_step_1(self):
+        rho = gaussian_quasidist(self.GRID, 0.4, 0.25)
+        with pytest.raises(
+            SolverError, match=r"^step 1/5: kick phase overflow: max \|dz \* G\| = 1\.716e\+01"
+        ):
+            evolve_phase_space(rho, quartic_channel(1.0, 0.1), EPS, StepPlan(2e-3, 5))
+        # A plan without steps takes no kick, so it checks none.
+        run = evolve_phase_space(rho, quartic_channel(1.0, 0.1), EPS, StepPlan(2e-3, 0))
+        assert len(run.moments) == 1

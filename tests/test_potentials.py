@@ -111,6 +111,26 @@ class TestProfiles:
         prof = HarmonicProfile(2.0, omega=3.0, phase=0.5)
         assert prof(1.2) == pytest.approx(2.0 * math.cos(3.0 * 1.2 + 0.5))
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ConstantProfile("0.5"),
+            lambda: ConstantProfile(None),
+            lambda: HarmonicProfile("0.5", 2.0),
+            lambda: HarmonicProfile(0.5, "2.0"),
+            lambda: HarmonicProfile(0.5, 2.0, "0"),
+        ],
+        ids=["constant-string", "constant-none", "amplitude", "omega", "phase"],
+    )
+    def test_non_real_parameter_refused_when_built(self, build):
+        with pytest.raises(BeamPhaseError, match="must be real, got"):
+            build()
+
+    def test_non_finite_parameter_left_to_the_engines(self):
+        # The engines refuse a non-finite coefficient at the step that meets it.
+        assert math.isnan(ConstantProfile(math.nan)(0.0))
+        assert HarmonicProfile(math.inf, 2.0).amplitude == math.inf
+
     def test_piecewise_lattice(self):
         prof = PiecewiseProfile(((0.0, 1.0), (2.0, -1.0), (4.0, 0.0)))
         assert prof(-1.0) == 1.0
