@@ -42,9 +42,9 @@ __all__ = [
 ]
 
 
-def _check_real_fields(profile) -> None:
+def _check_real_fields(profile, fields=None) -> None:
     """Refuse a parameter that is not a real number; the engines refuse NaN and inf per step."""
-    for name, value in vars(profile).items():
+    for name, value in fields or vars(profile).items():
         if not isinstance(value, Real):
             raise BeamPhaseError(f"{type(profile).__name__} {name} must be real, got {value!r}")
 
@@ -78,6 +78,7 @@ class PiecewiseProfile:
         zs = [check_finite("piecewise breakpoint", z, BeamPhaseError) for z, _ in self.breaks]
         if any(b <= a for a, b in zip(zs, zs[1:])):
             raise BeamPhaseError("piecewise profile breakpoints must be strictly increasing")
+        _check_real_fields(self, [("value", v) for _, v in self.breaks])
         object.__setattr__(self, "breaks", tuple(zip(zs, (float(v) for _, v in self.breaks))))
 
     def __call__(self, z: float) -> float:

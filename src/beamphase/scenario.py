@@ -17,7 +17,7 @@ import os
 from dataclasses import dataclass, replace
 
 from .diagnostics import emittance_from_thermal
-from .exceptions import ConfigError, GridError, StateError
+from .exceptions import ConfigError, GridError, StateError, check_count
 from .grids import AxisGrid, PhaseGrid, _is_point_count
 from .potentials import (
     ConstantProfile,
@@ -196,65 +196,62 @@ class ScenarioConfig:
         )
 
 
+_REQUIRED = object()  # the default of a key that every scenario must give
+
+
+def _number(raw: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ValueError(f"not a number: {raw!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {raw!r}")
+    return value
+
+
+def _integer(raw: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"not an integer: {raw!r}") from None
+
+
+def _words(raw: str) -> tuple[str, ...]:
+    words = tuple(raw.replace(",", " ").split())
+    if not words:
+        raise ValueError("empty list")
+    return words
+
+
 class _Section:
-    """One config section with typed getters that name section.key on error."""
+    """One config section; :meth:`get` reads every key and names section.key on error."""
 
     def __init__(self, name: str, items: dict[str, str]):
         self.name = name
         self.items = items
         self.seen: set[str] = set()
 
-    def _raw(self, key: str):
+    def get(self, key: str, parse, default=None):
+        """``parse`` of the key's text; ``default`` if absent, refused if that is ``_REQUIRED``."""
         self.seen.add(key)
-        return self.items.get(key)
-
-    def get_float(self, key: str, default: float | None = None) -> float | None:
-        raw = self._raw(key)
+        raw = self.items.get(key)
         if raw is None:
+            if default is _REQUIRED:
+                raise self.missing(key)
             return default
         try:
-            value = float(raw)
-        except ValueError:
-            raise ConfigError(f"{self.name}.{key}: not a number: {raw!r}") from None
-        if not math.isfinite(value):
-            raise ConfigError(f"{self.name}.{key}: must be finite, got {raw!r}")
-        return value
+            return parse(raw)
+        except ValueError as exc:
+            raise ConfigError(f"{self.name}.{key}: {exc}") from None
 
-    def get_int(self, key: str, default: int | None = None) -> int | None:
-        raw = self._raw(key)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"{self.name}.{key}: not an integer: {raw!r}") from None
-
-    def get_str(self, key: str, default: str | None = None) -> str | None:
-        raw = self._raw(key)
-        if raw is None:
-            return default
-        return raw.strip()
-
-    def get_list(self, key: str, default: tuple[str, ...] | None = None):
-        raw = self._raw(key)
-        if raw is None:
-            return default
-        parts = tuple(part for part in raw.replace(",", " ").split() if part)
-        if not parts:
-            raise ConfigError(f"{self.name}.{key}: empty list")
-        return parts
+    def missing(self, key: str) -> ConfigError:
+        return ConfigError(f"{self.name}.{key}: required key is missing")
 
     def check_unknown(self):
         unknown = set(self.items) - self.seen
         if unknown:
             key = sorted(unknown)[0]
             raise ConfigError(f"{self.name}.{key}: unknown key")
-
-
-def _require(section: _Section, key: str, value):
-    if value is None:
-        raise ConfigError(f"{section.name}.{key}: required key is missing")
-    return value
 
 
 def _canonical_engines(engines) -> tuple[str, ...]:
@@ -270,128 +267,118 @@ def _canonical_engines(engines) -> tuple[str, ...]:
     return tuple(name for name in ENGINES if name in requested)
 
 
-def _positive(section: str, key: str, value: float) -> float:
+def _positive(sec: _Section, key: str, value: float) -> float:
     if not value > 0.0:
-        raise ConfigError(f"{section}.{key}: must be positive, got {value}")
+        raise ConfigError(f"{sec.name}.{key}: must be positive, got {value}")
     return value
 
 
-def _power_of_two(section: str, key: str, value: int) -> int:
-    if not _is_point_count(value):
-        raise ConfigError(f"{section}.{key}: must be a power of two >= 8, got {value}")
-    return value
+def _at_least(sec: _Section, key: str, minimum: int, default) -> int:
+    value = sec.get(key, _integer, default)
+    return check_count(value, f"{sec.name}.{key}:", minimum, ConfigError)
+
+
+def _point_count(sec: _Section, key: str, default: int) -> int:
+    count = sec.get(key, _integer, default)
+    if not _is_point_count(count):
+        raise ConfigError(f"{sec.name}.{key}: must be a power of two >= 8, got {count}")
+    return count
+
+
+def _choice(sec: _Section, key: str, choices: tuple[str, ...], default: str) -> str:
+    word = sec.get(key, str.strip, default)
+    if word not in choices:
+        raise ConfigError(f"{sec.name}.{key}: must be one of {', '.join(choices)}, got {word!r}")
+    return word
 
 
 def _parse_grid(sec: _Section) -> GridSection:
-    nx = _power_of_two(sec.name, "nx", sec.get_int("nx", DEFAULT_NX))
-    n_p = _power_of_two(sec.name, "np", sec.get_int("np", DEFAULT_NP))
-    x_length = _positive(sec.name, "x_length", _require(sec, "x_length", sec.get_float("x_length")))
-    p_length = _positive(sec.name, "p_length", _require(sec, "p_length", sec.get_float("p_length")))
-    x_center = sec.get_float("x_center", 0.0)
-    p_center = sec.get_float("p_center", 0.0)
-    return GridSection(nx, n_p, x_length, p_length, x_center, p_center)
+    return GridSection(
+        _point_count(sec, "nx", DEFAULT_NX),
+        _point_count(sec, "np", DEFAULT_NP),
+        _positive(sec, "x_length", sec.get("x_length", _number, _REQUIRED)),
+        _positive(sec, "p_length", sec.get("p_length", _number, _REQUIRED)),
+        sec.get("x_center", _number, 0.0),
+        sec.get("p_center", _number, 0.0),
+    )
 
 
 def _parse_beam(sec: _Section) -> BeamSection:
-    kind = sec.get_str("kind", "gaussian")
-    if kind not in BEAM_KINDS:
-        raise ConfigError(f"beam.kind: must be one of {', '.join(BEAM_KINDS)}, got {kind!r}")
-    sigma0 = _positive(sec.name, "sigma0", _require(sec, "sigma0", sec.get_float("sigma0")))
-    x0 = sec.get_float("x0", 0.0)
-    p0 = sec.get_float("p0", 0.0)
-    separation = sec.get_float("separation", 0.0)
+    kind = _choice(sec, "kind", BEAM_KINDS, "gaussian")
+    sigma0 = _positive(sec, "sigma0", sec.get("sigma0", _number, _REQUIRED))
+    x0, p0, separation = (sec.get(key, _number, 0.0) for key in ("x0", "p0", "separation"))
     if kind == "superposition":
-        _positive(sec.name, "separation", separation)
+        _positive(sec, "separation", separation)
     elif separation:
         raise ConfigError("beam.separation: only meaningful for kind = superposition")
     return BeamSection(kind, sigma0, x0, p0, separation)
 
 
 def _parse_physics(sec: _Section) -> PhysicsSection:
-    epsilon = sec.get_float("epsilon")
-    vth = sec.get_float("vth_over_c")
-    sigma0 = sec.get_float("sigma0")
-    thermal = vth is not None or sigma0 is not None
-    if epsilon is not None and thermal:
+    epsilon, vth, sigma0 = (sec.get(key, _number) for key in ("epsilon", "vth_over_c", "sigma0"))
+    if epsilon is not None and (vth is not None or sigma0 is not None):
         raise ConfigError(
             "physics.epsilon: give either epsilon or the pair vth_over_c + sigma0, not both"
         )
     if epsilon is not None:
-        return PhysicsSection(_positive(sec.name, "epsilon", epsilon))
+        return PhysicsSection(_positive(sec, "epsilon", epsilon))
     if vth is None or sigma0 is None:
-        raise ConfigError(
-            "physics: either epsilon or both of vth_over_c and sigma0 are required"
-        )
-    _positive(sec.name, "vth_over_c", vth)
-    _positive(sec.name, "sigma0", sigma0)
+        raise ConfigError("physics: either epsilon or both of vth_over_c and sigma0 are required")
+    _positive(sec, "vth_over_c", vth)
+    _positive(sec, "sigma0", sigma0)
     return PhysicsSection(emittance_from_thermal(vth, sigma0).epsilon, vth, sigma0)
 
 
 def _parse_potential(sec: _Section) -> PotentialSection:
-    preset = sec.get_str("preset", "free_space")
-    if preset not in PRESETS:
-        raise ConfigError(
-            f"potential.preset: must be one of {', '.join(PRESETS)}, got {preset!r}"
-        )
-    k = sec.get_float("k")
-    lambda4 = sec.get_float("lambda4")
+    # Each coefficient is parsed before the preset or profile says whether it
+    # is required, so a malformed one is reported ahead of a missing one.
+    preset = _choice(sec, "preset", PRESETS, "free_space")
+    k, lambda4 = (sec.get(key, _number) for key in ("k", "lambda4"))
     if preset == "free_space":
         if k is not None or lambda4 is not None:
             raise ConfigError("potential.k: free_space takes no coefficients")
-        k, lambda4 = 0.0, 0.0
+    elif k is None:
+        raise sec.missing("k")
     elif preset == "linear_lens":
-        k = _require(sec, "k", k)
         if lambda4 is not None:
             raise ConfigError("potential.lambda4: only meaningful for quartic_channel")
-        lambda4 = 0.0
-    else:
-        k = _require(sec, "k", k)
-        lambda4 = _require(sec, "lambda4", lambda4)
-    profile = sec.get_str("profile", "constant")
-    if profile not in PROFILES:
-        raise ConfigError(
-            f"potential.profile: must be one of {', '.join(PROFILES)}, got {profile!r}"
-        )
-    omega = sec.get_float("omega")
-    phase = sec.get_float("phase")
+    elif lambda4 is None:
+        raise sec.missing("lambda4")
+    profile = _choice(sec, "profile", PROFILES, "constant")
+    omega, phase = (sec.get(key, _number) for key in ("omega", "phase"))
     if profile == "harmonic":
-        omega = _require(sec, "omega", omega)
-        phase = 0.0 if phase is None else phase
+        if omega is None:
+            raise sec.missing("omega")
     else:
         for key, value in (("omega", omega), ("phase", phase)):
             if value is not None:
                 raise ConfigError(f"potential.{key}: only meaningful for profile = harmonic")
-        omega, phase = 0.0, 0.0
+    # An absent coefficient is 0.0; ``is None`` keeps a given -0.0.
+    k, lambda4, omega, phase = (0.0 if v is None else v for v in (k, lambda4, omega, phase))
     section = PotentialSection(preset, k, lambda4, profile, omega, phase)
     section.build()  # surfaces coefficient problems at load time
     return section
 
 
 def _parse_run(sec: _Section) -> RunSection:
-    dz = _positive(sec.name, "dz", _require(sec, "dz", sec.get_float("dz")))
-    n_steps = _require(sec, "n_steps", sec.get_int("n_steps"))
-    if n_steps < 0:
-        raise ConfigError(f"run.n_steps: must be >= 0, got {n_steps}")
-    snapshot_every = sec.get_int("snapshot_every", max(n_steps, 1))
-    if snapshot_every < 1:
-        raise ConfigError(f"run.snapshot_every: must be >= 1, got {snapshot_every}")
-    engines = _canonical_engines(sec.get_list("engines", ("moyal",)))
-    ray_count = sec.get_int("ray_count", DEFAULT_RAY_COUNT)
+    dz = _positive(sec, "dz", sec.get("dz", _number, _REQUIRED))
+    n_steps = _at_least(sec, "n_steps", 0, _REQUIRED)
+    snapshot_every = _at_least(sec, "snapshot_every", 1, max(n_steps, 1))
+    engines = _canonical_engines(sec.get("engines", _words, ("moyal",)))
+    ray_count = sec.get("ray_count", _integer, DEFAULT_RAY_COUNT)
     if ray_count < 2:
         raise ConfigError(f"run.ray_count: moments need at least two rays, got {ray_count}")
-    seed = sec.get_int("seed", DEFAULT_SEED)
-    if seed < 0:
-        raise ConfigError(f"run.seed: must be >= 0, got {seed}")
+    seed = _at_least(sec, "seed", 0, DEFAULT_SEED)
     return RunSection(dz, n_steps, snapshot_every, engines, ray_count, seed)
 
 
 def _parse_output(sec: _Section) -> OutputSection:
-    directory = sec.get_str("directory")
+    directory = sec.get("directory", str.strip)
     if directory is None:
         directory = os.environ.get(OUTPUT_DIR_ENV, DEFAULT_OUTPUT_DIR)
     if not directory:
         raise ConfigError("output.directory: must not be empty")
-    formats = sec.get_list("formats", ("csv",))
+    formats = sec.get("formats", _words, ("csv",))
     unknown = set(formats) - set(FORMATS)
     if unknown:
         raise ConfigError(
@@ -444,14 +431,7 @@ def load_scenario(path) -> ScenarioConfig:
         parsed[name] = parse(section)
         section.check_unknown()
 
-    config = ScenarioConfig(
-        grid=parsed["grid"],
-        beam=parsed["beam"],
-        physics=parsed["physics"],
-        potential=parsed["potential"],
-        run=parsed["run"],
-        output=parsed["output"],
-    )
+    config = ScenarioConfig(**parsed)
     _cross_validate(config)
     return config
 

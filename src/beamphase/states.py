@@ -26,7 +26,8 @@ from functools import reduce
 
 import numpy as np
 
-from .exceptions import GridError, SamplingError, StateError, check_count, check_positive
+from .exceptions import GridError, SamplingError, StateError
+from .exceptions import check_count, check_finite, check_positive
 from .grids import AxisGrid, PhaseGrid
 
 __all__ = [
@@ -99,6 +100,7 @@ class WaveField:
                 f"wavefield shape {values.shape} does not match grid ({self.grid.n},)"
             )
         check_positive("epsilon", self.epsilon, StateError)
+        check_finite("z", self.z, StateError)
         _check_norm(float(np.sum(np.abs(values) ** 2)) * self.grid.spacing, "wavefield norm")
         _frozen_array(self, "values", values)
 
@@ -129,6 +131,7 @@ class QuasiDistribution:
             )
         if self.kind not in ("classical", "wigner"):
             raise StateError(f"kind must be 'classical' or 'wigner', got {self.kind!r}")
+        check_finite("z", self.z, StateError)
         _check_norm(float(np.sum(values)) * self.grid.cell_area, "density mass")
         if self.kind == "classical":
             _check_classical(values)
@@ -160,6 +163,7 @@ class RayEnsemble:
             raise StateError("ray ensemble must contain at least one ray")
         if not (np.all(np.isfinite(positions)) and np.all(np.isfinite(momenta))):
             raise StateError("ray ensemble contains non-finite values")
+        check_finite("z", self.z, StateError)
         _frozen_array(self, "positions", positions)
         _frozen_array(self, "momenta", momenta)
 
@@ -186,6 +190,10 @@ def _check_boundary_decay(magnitudes: np.ndarray, what: str):
 
 def _coherent_peaks(grid, sigma, epsilon, x0, p0, offsets, name) -> WaveField:
     """Coherent sum of Gaussian envelopes centred at ``x0 + offset``, unit norm, at z = 0."""
+    check_positive("sigma", sigma, StateError)
+    check_positive("epsilon", epsilon, StateError)
+    check_finite("x0", x0, StateError)
+    check_finite("p0", p0, StateError)
     dx = grid.points() - x0
     envelope = reduce(np.add, (np.exp(-((dx - c) ** 2) / (4.0 * sigma**2)) for c in offsets))
     _check_boundary_decay(envelope, f"{name} wavefield")
@@ -208,8 +216,6 @@ def gaussian_wavefield(
     normalized on the grid.  The implied momentum spread is
     ``epsilon / (2 sigma)``, i.e. the minimum-uncertainty value.
     """
-    check_positive("sigma", sigma, StateError)
-    check_positive("epsilon", epsilon, StateError)
     return _coherent_peaks(grid, sigma, epsilon, x0, p0, (0.0,), "gaussian")
 
 
@@ -222,15 +228,15 @@ def superposition_wavefield(
     p0: float = 0.0,
 ) -> WaveField:
     """Coherent superposition of two Gaussians with peak-to-peak separation."""
-    check_positive("sigma", sigma, StateError)
-    check_positive("separation", separation, StateError)
-    check_positive("epsilon", epsilon, StateError)
-    half = 0.5 * separation
+    half = 0.5 * check_positive("separation", separation, StateError)
     return _coherent_peaks(grid, sigma, epsilon, x0, p0, (half, -half), "superposition")
 
 
-def _gaussian_peaks(grid, sigma_x, sigma_p, sigma_xp, centres, p0, name):
-    """Classical sum of Gaussians centred at ``(c, p0)``, c in ``centres``, unit mass, at z = 0."""
+def _gaussian_peaks(grid, sigma_x, sigma_p, sigma_xp, x0, p0, offsets, name):
+    """Classical sum of Gaussians centred at ``(x0 + offset, p0)``, unit mass, at z = 0."""
+    scalars = {"sigma_x": sigma_x, "sigma_p": sigma_p, "sigma_xp": sigma_xp, "x0": x0, "p0": p0}
+    for label, value in scalars.items():
+        check_finite(label, value, StateError)
     det = sigma_x**2 * sigma_p**2 - sigma_xp**2
     if not (det > 0.0 and sigma_x > 0.0 and sigma_p > 0.0):
         raise StateError(
@@ -239,13 +245,13 @@ def _gaussian_peaks(grid, sigma_x, sigma_p, sigma_xp, centres, p0, name):
         )
     x, p = grid.meshes()
 
-    def peak(x0):
-        dx = x - x0
+    def peak(offset):
+        dx = x - (x0 + offset)
         dp = p - p0
         quad = (sigma_p**2 * dx**2 - 2.0 * sigma_xp * dx * dp + sigma_x**2 * dp**2) / det
         return np.exp(-0.5 * quad)
 
-    values = reduce(np.add, map(peak, centres))
+    values = reduce(np.add, map(peak, offsets))
     _check_boundary_decay(values.max(axis=1), f"{name} quasi-distribution (x axis)")
     _check_boundary_decay(values.max(axis=0), f"{name} quasi-distribution (p axis)")
     values /= float(np.sum(values)) * grid.cell_area
@@ -261,7 +267,7 @@ def gaussian_quasidist(
     p0: float = 0.0,
 ) -> QuasiDistribution:
     """Bivariate Gaussian density, normalized to unit mass on the grid."""
-    return _gaussian_peaks(grid, sigma_x, sigma_p, sigma_xp, (x0,), p0, "gaussian")
+    return _gaussian_peaks(grid, sigma_x, sigma_p, sigma_xp, x0, p0, (0.0,), "gaussian")
 
 
 def superposition_quasidist(
@@ -277,8 +283,8 @@ def superposition_quasidist(
     This is the classical analogue of :func:`superposition_wavefield`: same
     peak locations, no interference fringes.
     """
-    half = 0.5 * separation
-    return _gaussian_peaks(grid, sigma_x, sigma_p, 0.0, (x0 - half, x0 + half), p0, "superposition")
+    half = 0.5 * check_positive("separation", separation, StateError)
+    return _gaussian_peaks(grid, sigma_x, sigma_p, 0.0, x0, p0, (-half, half), "superposition")
 
 
 def sample_rays(quasidist: QuasiDistribution, count: int, seed: int) -> RayEnsemble:

@@ -40,7 +40,7 @@ from beamphase import (
 )
 from beamphase import phasespace, runner, scenario
 from beamphase.cli import main
-from beamphase.outputs import CSV_COLUMNS, write_moments_csv
+from beamphase.outputs import CSV_COLUMNS, MBGD_HEADER, MBGD_MAGIC, MBGD_VERSION, write_moments_csv
 
 FREE_SCENARIO = """
 [grid]
@@ -506,6 +506,18 @@ class TestGridDumpContract:
         blob[8:12] = struct.pack("<I", 3)
         path.write_bytes(bytes(blob))
         with pytest.raises(ConfigError, match="invalid grid-dump contents: axis point count"):
+            read_grid_dump(path)
+
+    def test_non_finite_z_rejected(self, tmp_path):
+        # No state holds a NaN z, so the header is packed by hand around a valid payload.
+        grid = PhaseGrid(AxisGrid(16, 12.0), AxisGrid(16, 12.0))
+        rho = gaussian_quasidist(grid, 0.5, 0.5)
+        header = MBGD_HEADER.pack(
+            MBGD_MAGIC, MBGD_VERSION, 16, 16, 12.0, 12.0, 0.0, 0.0, math.nan, 0.1
+        )
+        path = tmp_path / "state.mbgd"
+        path.write_bytes(header + rho.values.astype("<f8").tobytes())
+        with pytest.raises(ConfigError, match="invalid grid-dump contents: z must be finite"):
             read_grid_dump(path)
 
     def test_heatmap_of_offcenter_peak(self, tmp_path):

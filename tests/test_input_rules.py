@@ -1,5 +1,6 @@
 """The shared input rules: each entry point refuses a bad scalar with its own error type."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from beamphase import (
     GridError,
     PhaseGrid,
     PiecewiseProfile,
+    RayEnsemble,
     SamplingError,
     SolverError,
     StateError,
@@ -26,6 +28,7 @@ from beamphase import (
     moyal_generator_truncated,
     quartic_channel,
     sample_rays,
+    superposition_quasidist,
     tomogram,
     tomogram_axis,
     truncation_ratio,
@@ -39,6 +42,28 @@ ENTRY_POINTS = {
     "PiecewiseProfile": (lambda bad: PiecewiseProfile(((0.0, 1.0), (bad, 2.0))), BeamPhaseError),
     "StepPlan": (lambda bad: StepPlan(bad, 10), SolverError),
     "gaussian_wavefield": (lambda bad: gaussian_wavefield(GRID.x_axis, bad, 0.1), StateError),
+    "gaussian_wavefield x0": (
+        lambda bad: gaussian_wavefield(GRID.x_axis, 0.5, 0.1, bad),
+        StateError,
+    ),
+    "gaussian_quasidist": (lambda bad: gaussian_quasidist(GRID, bad, 0.5), StateError),
+    "gaussian_quasidist x0": (
+        lambda bad: gaussian_quasidist(GRID, 1.0, 0.5, 0.0, bad),
+        StateError,
+    ),
+    "superposition_quasidist": (
+        lambda bad: superposition_quasidist(GRID, 1.0, 0.5, bad),
+        StateError,
+    ),
+    "WaveField z": (
+        lambda bad: dataclasses.replace(gaussian_wavefield(GRID.x_axis, 0.5, 0.1), z=bad),
+        StateError,
+    ),
+    "QuasiDistribution z": (
+        lambda bad: dataclasses.replace(gaussian_quasidist(GRID, 1.0, 0.5), z=bad),
+        StateError,
+    ),
+    "RayEnsemble z": (lambda bad: RayEnsemble([0.0, 1.0], [0.5, -0.5], bad), StateError),
     "moyal_generator": (
         lambda bad: moyal_generator(linear_lens(1.0), 0.5, 1.0, 0.0, bad),
         BeamPhaseError,
@@ -109,6 +134,10 @@ def test_bad_scalar_raises_the_entry_points_own_error(entry, bad):
             lambda: tomogram_axis(GRID, 0.0, 0.0),
             "tomogram direction (mu, nu) must not be (0, 0)",
         ),
+        (
+            lambda: superposition_quasidist(GRID, 1.0, 0.5, 0.0),
+            "separation must be positive and finite, got 0.0",
+        ),
     ],
     ids=[
         "axis-length-string",
@@ -122,6 +151,7 @@ def test_bad_scalar_raises_the_entry_points_own_error(entry, bad):
         "seed-negative",
         "seed-float",
         "tomogram-axis-zero-direction",
+        "superposition-quasidist-zero-separation",
     ],
 )
 def test_messages(call, message):

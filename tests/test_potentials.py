@@ -119,8 +119,20 @@ class TestProfiles:
             lambda: HarmonicProfile("0.5", 2.0),
             lambda: HarmonicProfile(0.5, "2.0"),
             lambda: HarmonicProfile(0.5, 2.0, "0"),
+            lambda: PiecewiseProfile(((0.0, "0.5"),)),
+            lambda: PiecewiseProfile(((0.0, None),)),
+            lambda: PiecewiseProfile(((0.0, 1.0), (2.0, "abc"))),
         ],
-        ids=["constant-string", "constant-none", "amplitude", "omega", "phase"],
+        ids=[
+            "constant-string",
+            "constant-none",
+            "amplitude",
+            "omega",
+            "phase",
+            "piecewise-string",
+            "piecewise-none",
+            "piecewise-word",
+        ],
     )
     def test_non_real_parameter_refused_when_built(self, build):
         with pytest.raises(BeamPhaseError, match="must be real, got"):

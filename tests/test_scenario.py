@@ -205,6 +205,23 @@ class TestPotential:
             spec.coefficients(z), [0.0, 0.0, 1.0 * scale, 0.0, 0.1 * scale], rtol=1e-15
         )
 
+    def test_malformed_lambda4_reported_before_missing_k(self, tmp_path):
+        text = MINIMAL + "\n[potential]\npreset = quartic_channel\nlambda4 = abc\n"
+        with pytest.raises(ConfigError) as info:
+            load_text(tmp_path, text)
+        assert str(info.value) == "potential.lambda4: not a number: 'abc'"
+
+    def test_malformed_phase_reported_before_missing_omega(self, tmp_path):
+        text = MINIMAL + "\n[potential]\npreset = linear_lens\nk = 1.0\nprofile = harmonic\n"
+        with pytest.raises(ConfigError) as info:
+            load_text(tmp_path, text + "phase = abc\n")
+        assert str(info.value) == "potential.phase: not a number: 'abc'"
+
+    def test_negative_zero_coefficient_keeps_its_sign(self, tmp_path):
+        text = MINIMAL + "\n[potential]\npreset = quartic_channel\nk = 1.0\nlambda4 = -0.0\n"
+        lambda4 = load_text(tmp_path, text).potential.lambda4
+        assert lambda4 == 0.0 and math.copysign(1.0, lambda4) == -1.0
+
     def test_piecewise_profile_not_accepted_in_files(self, tmp_path):
         text = MINIMAL + "\n[potential]\npreset = linear_lens\nk = 1.0\nprofile = piecewise\n"
         with pytest.raises(ConfigError, match="potential.profile"):
