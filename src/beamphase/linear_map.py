@@ -1,4 +1,4 @@
-"""Closed-form grid transport for linear optics: three Fourier shears of the composed step map.
+"""Closed-form grid transport for linear optics: Fourier shears of the composed step maps.
 
 Linear optics do not step the grid at all.  For a potential of degree at
 most 2 (``PotentialSpec.kick_is_classical``) the generator is ``U'(x) y``
@@ -9,13 +9,11 @@ under either plan, and a Strang step is the affine symplectic map
 them through the step loop of every engine, ``phasespace._evolve``, as
 :class:`_LinearKernel`, whose values between steps are step numbers: the
 moments follow ``mu <- M_k mu + d_k`` and ``Sigma <- M_k Sigma M_k^T`` from
-the measured initial moments, and each snapshot is the initial array
-carried by the cumulative map in at most three Fourier shears, the same
-sub-flows as a step (Paeth's raster rotation; Courant & Snyder for the
-matrices).  ``D K D`` is used when ``|M21| >= |M12|``, else ``K D K``; a
-map with a negative trace first takes ``-I``, an index reversal about the
-grid centre, which keeps the shear parameters bounded (at most 1 for a
-rotation), and the translation rides in the shear offsets.  Every step
+the measured initial moments, and each snapshot is the snapshot before it
+carried by the map between them, ``M_k M_j^-1``, in at most three Fourier
+shears, the same sub-flows as a step (Paeth's raster rotation; Courant &
+Snyder for the matrices).  ``D K D`` is used when ``|M21| >= |M12|``, else
+``K D K``, and the translation rides in the shear offsets.  Every step
 still refuses non-finite coefficients and runs the kick guard.  The grid
 checks of the steps that are not computed become one rule, which one
 scan (:func:`_first_exit`) applies to the initial density's support in
@@ -26,10 +24,11 @@ lines.  Each step's end state, its cumulative map, is checked at
 one no step transforms along p), and the run is refused at the first
 step that fails, naming ``grid.x_length``, ``grid.p_length``, ``grid.nx``
 or ``grid.np``.  The states between two shears are not states of the
-run, and far from a rotation (a squeeze, say) a shear rate grows without
-bound.  So each state a shear takes is checked at ``SHEAR_FLOOR``
-against the box and both lines, and a snapshot whose shears fail is
-stepped by the grid kernel from the snapshot before it instead.
+run, and far from a small rotation (a squeeze, or a map past a quarter
+turn) a shear rate grows without bound.  So each state a shear takes is
+checked at ``SHEAR_FLOOR`` against the box and both lines, and a map whose
+shears fail, or which has none, is split at its middle step, recursively;
+a single step is not split.
 """
 
 from __future__ import annotations
@@ -39,13 +38,12 @@ import math
 import numpy as np
 
 from .diagnostics import BeamMoments, _beam_moments, _grid_central
-from .exceptions import SolverError, StateError
+from .exceptions import SolverError
 from .grids import PhaseGrid
 from .phasespace import (
     StepPlan,
     _check_kick_phase,
     _check_residue,
-    _GridKernel,
     _half_spectrum,
     _kick_operands,
     _spectral_flow,
@@ -66,6 +64,8 @@ SUPPORT_FLOOR = 1e-8
 # With SUPPORT_FLOOR here, a snapshot of the tests whose shears aliased the
 # content between the two floors missed stepping by 2.9e-9 of the peak.
 SHEAR_FLOOR = 1e-10
+
+_IDENTITY = (1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
 
 
 def _linear_steps(spec: PotentialSpec, grid: PhaseGrid, plan: StepPlan, zs: list[float]):
@@ -115,7 +115,7 @@ def _linear_steps(spec: PotentialSpec, grid: PhaseGrid, plan: StepPlan, zs: list
     f = plan.dz * c1
     diagonal = 1.0 - q * half
     steps = (diagonal, half * (1.0 + diagonal), -q, -half * f, -f)
-    totals, total = [], (1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
+    totals, total = [], _IDENTITY
     # Step k, [[sa, sb], [sc, sa]] with offset (se, sf), after the map of steps 1..k-1.
     for sa, sb, sc, se, sf in zip(*(step.tolist() for step in steps)):
         total = _compose((sa, sb, sc, sa, se, sf), total)
@@ -233,52 +233,50 @@ def _linear_run(state: QuasiDistribution, spec: PotentialSpec, plan: StepPlan, z
     return totals, failure, shear_support
 
 
-def _shear_sequence(total, grid: PhaseGrid) -> tuple[bool, tuple | None]:
-    """The shears that carry a state by the affine map ``total``: ``(flip, shears)``.
+def _inverse(total: tuple) -> tuple:
+    """The inverse of the affine map ``total`` (det M = 1), a row of :func:`_linear_steps`."""
+    a, b, c, d, e, f = total
+    return (d, -b, -c, a, b * f - d * e, c * e - a * f)
+
+
+def _shear_sequence(total) -> tuple | None:
+    """The shears that carry a state by the affine map ``total``, or None for a squeeze.
 
     With ``X(t): x <- x + t p`` and ``P(s): p <- p + s x``, a matrix of unit
     determinant is ``X(t1) P(c) X(t2)`` with ``t2 = (d-1)/c`` and ``t1 = b -
     a t2`` (that is ``(a-1)/c``), or ``P(s1) X(b) P(s2)`` with ``s1 =
     (d-1)/b`` and ``s2 = c - a s1``; the one with the larger of |b| and |c|
-    keeps the shear parameters bounded near a rotation.  Both forms
+    keeps the shear parameters bounded near a small rotation.  Both forms
     reproduce b, c and d and leave the round-off of ``det M - 1`` in a
     alone, where ``(a-1)/c`` would put it in b divided by c: near the
-    identity c is small.  ``flip`` is true when a map with a negative trace
-    first takes ``-I`` about the grid centre.  ``shears`` lists ``(axis,
-    rate, offset)`` in the order applied, axis 0 for x and 1 for p: the
-    line along ``axis`` at coordinate ``u`` of the other axis moves by
-    ``rate u + offset``; the map's offset rides in the second and third
-    shears.  ``shears`` is None for a squeeze ``diag(a, 1/a)``, a ``!= 1``,
-    which has no three-shear form.
+    identity c is small.  The result lists ``(axis, rate, offset)`` in the
+    order applied, axis 0 for x and 1 for p: the line along ``axis`` at
+    coordinate ``u`` of the other axis moves by ``rate u + offset``; the
+    map's offset rides in the second and third shears.  A squeeze ``diag(a,
+    1/a)``, a ``!= 1``, has no three-shear form.
     """
     a, b, c, d, e, f = total
-    flip = a + d < 0.0
-    if flip:  # (x, p) -> 2 centre - (x, p), then the map
-        cx, cp = grid.x_axis.center, grid.p_axis.center
-        a, b, c, d, e, f = _compose(total, (-1.0, 0.0, 0.0, -1.0, 2.0 * cx, 2.0 * cp))
     if abs(c) >= abs(b) and c != 0.0:
         t2 = (d - 1.0) / c
         t1 = b - a * t2
-        return flip, ((0, t2, 0.0), (1, c, f), (0, t1, e - t1 * f))
+        return ((0, t2, 0.0), (1, c, f), (0, t1, e - t1 * f))
     if b != 0.0:
         s1 = (d - 1.0) / b
         s2 = c - a * s1
-        return flip, ((1, s2, 0.0), (0, b, e), (1, s1, f - s1 * e))
+        return ((1, s2, 0.0), (0, b, e), (1, s1, f - s1 * e))
     if (a, d) != (1.0, 1.0):
-        return flip, None
-    return flip, ((0, 0.0, e), (1, 0.0, f))
+        return None
+    return ((0, 0.0, e), (1, 0.0, f))
 
 
-def _shear_states(grid: PhaseGrid, flip: bool, shears) -> np.ndarray:
+def _shear_states(total: tuple, shears) -> np.ndarray:
     """The affine maps that carry the initial state to the states the ``shears`` take.
 
-    The first is ``-I`` about the grid centre with ``flip``, else the
-    identity; each next one composes the shear before it, ``x <- x + rate
-    p + offset`` (axis 0) or ``p <- p + rate x + offset`` (axis 1).  A
-    shear that moves nothing takes no state.  Rows as :func:`_linear_steps`.
+    The first is ``total``, the map of the state the shears start from; each
+    next one composes the shear before it, ``x <- x + rate p + offset``
+    (axis 0) or ``p <- p + rate x + offset`` (axis 1).  A shear that moves
+    nothing takes no state.  Rows as :func:`_linear_steps`.
     """
-    cx, cp = grid.x_axis.center, grid.p_axis.center
-    total = (-1.0, 0.0, 0.0, -1.0, 2.0 * cx, 2.0 * cp) if flip else (1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
     states = []
     for axis, rate, offset in shears:
         if rate != 0.0 or offset != 0.0:
@@ -288,16 +286,12 @@ def _shear_states(grid: PhaseGrid, flip: bool, shears) -> np.ndarray:
     return np.array(states, dtype=float).reshape(-1, 6)
 
 
-def _shear_map(values: np.ndarray, grid: PhaseGrid, flip: bool, shears) -> np.ndarray:
+def _shear_map(values: np.ndarray, grid: PhaseGrid, shears) -> np.ndarray:
     """``values`` carried by the shears of :func:`_shear_sequence`.
 
-    ``-I`` about the grid centre is an index reversal on the periodic grid.
     A shear makes each line along ``axis``, at ``v`` on the other axis,
     ``rho(u - rate v - offset)``: one sub-flow, its Nyquist residue checked.
     """
-    if flip:
-        # (x, p) -> 2 centre - (x, p) maps grid point j to n - j (mod n) on each axis.
-        values = np.roll(values[::-1, ::-1], 1, axis=(0, 1))
     # The line coordinate and the half spectrum of the shears along x (0) and along p (1).
     axes = (
         (grid.p_axis.points(), _half_spectrum(grid.x_axis)),
@@ -321,22 +315,15 @@ class _LinearKernel:
     cumulative map ``(M, d)``: ``mu_k = M mu_0 + d`` and ``Sigma_k = M
     Sigma_0 M^T``.  A run that :func:`_linear_run` refuses is refused when
     the kernel is built, with ``step k/n`` naming its first failing step, so
-    every step that ``advance`` reaches passes.  A snapshot one of whose
-    :func:`_shear_states` is off the grid is stepped by the grid kernel
-    from the snapshot before it, through the kernel's entry and closing
-    drift; an error there carries the inner step that failed as its
-    ``step``, which ``_evolve`` names.
+    every step that ``advance`` reaches passes.  Each snapshot is the one
+    before it carried by the shears of the map between them (:meth:`_carry`).
     """
 
     lost = 0
-    kernel = None  # steps the snapshots the shears cannot carry
 
-    def __init__(
-        self, state: QuasiDistribution, spec: PotentialSpec, epsilon: float, plan: StepPlan,
-        kind: str, zs: list[float],
-    ):
-        self.initial, self.kind, self.zs = state, kind, zs
-        self.stepping = (state.grid, spec, epsilon, plan, kind)
+    def __init__(self, state: QuasiDistribution, spec: PotentialSpec, plan: StepPlan, kind: str,
+                 zs: list[float]):
+        self.grid, self.kind = state.grid, kind
         self.last = (0, state)  # the latest snapshot and its step
         self.totals, failure, self.support = _linear_run(state, spec, plan, zs)
         if failure is not None:
@@ -361,24 +348,24 @@ class _LinearKernel:
         return _beam_moments(z, *self.rows[step - 1]) if step else self.start
 
     def wrap(self, step: int, z: float) -> QuasiDistribution:
-        grid = self.initial.grid
         last, snapshot = self.last
-        flip, shears = _shear_sequence(self.totals[step - 1].tolist(), grid)
-        states = None if shears is None else _shear_states(grid, flip, shears)
-        if states is not None and _first_exit(self.support, grid, states, True) is None:
-            values = _shear_map(self.initial.values, grid, flip, shears)
-            snapshot = QuasiDistribution(grid, values, z, self.kind)
-        else:
-            if self.kernel is None:
-                self.kernel = _GridKernel(*self.stepping)
-            at = last + 1
-            try:
-                values = self.kernel.enter(snapshot.values)
-                for at in range(last + 1, step + 1):
-                    values = self.kernel.advance(values, self.zs[at - 1])
-                snapshot = self.kernel.wrap(values, z)
-            except (SolverError, StateError) as exc:
-                exc.step = at  # the inner step that failed
-                raise
+        snapshot = QuasiDistribution(self.grid, self._carry(snapshot.values, last, step), z, self.kind)
         self.last = (step, snapshot)
         return snapshot
+
+    def _carry(self, values: np.ndarray, start: int, end: int) -> np.ndarray:
+        """``values`` of step ``start`` carried to step ``end`` by the shears of ``M_end M_start^-1``.
+
+        Where the map has no three-shear form, or a state its shears take
+        (:func:`_shear_states`) leaves the grid, the steps are split at
+        the middle one, recursively; a single step is not split.
+        """
+        begin = tuple(self.totals[start - 1].tolist()) if start else _IDENTITY
+        shears = _shear_sequence(_compose(tuple(self.totals[end - 1].tolist()), _inverse(begin)))
+        if end - start > 1 and (
+            shears is None
+            or _first_exit(self.support, self.grid, _shear_states(begin, shears), True) is not None
+        ):
+            middle = (start + end) // 2
+            return self._carry(self._carry(values, start, middle), middle, end)
+        return _shear_map(values, self.grid, shears)

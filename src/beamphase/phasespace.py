@@ -151,9 +151,7 @@ def _evolve(kernel, initial, values, zs: list[float], snapshot_every: int | None
     states every ``snapshot_every`` steps plus always the initial and the
     final one (default: only those two).  The initial one is ``initial``,
     or the state measured when measuring it dropped rays.  Step errors,
-    snapshots' included, carry ``step k/n``; an error with a ``step``
-    attribute names that step instead (an inner step of a snapshot that a
-    closed form stepped from an earlier one).
+    snapshots' included, carry ``step k/n``.
     """
     n_steps = len(zs) - 1
     if snapshot_every is None:
@@ -170,7 +168,7 @@ def _evolve(kernel, initial, values, zs: list[float], snapshot_every: int | None
                 snapshots.append(kernel.wrap(values, zs[step]))
                 snapshot_steps.append(step)
         except (SolverError, StateError) as exc:
-            raise _step_error(getattr(exc, "step", step), n_steps, exc) from None
+            raise _step_error(step, n_steps, exc) from None
     return Trajectory(tuple(snapshots), tuple(snapshot_steps), tuple(moments), kernel.lost)
 
 
@@ -354,7 +352,7 @@ def evolve_phase_space(
     if spec.kick_is_classical:
         from .linear_map import _LinearKernel  # loaded by the runs that take it
 
-        kernel, values = _LinearKernel(state, spec, epsilon, plan, kind, zs), 0
+        kernel, values = _LinearKernel(state, spec, plan, kind, zs), 0
     else:
         kernel = _GridKernel(state.grid, spec, epsilon, plan, kind)
         values = kernel.enter(state.values)

@@ -162,7 +162,7 @@ def _guard_failures(config: ScenarioConfig, spec, rho=None) -> dict[str, str]:
         rho = config.initial_density() if rho is None else rho
         plan = _engine_plan("moyal", config)
         try:
-            _LinearKernel(rho, spec, config.epsilon, plan, rho.kind, _step_boundaries(rho.z, plan))
+            _LinearKernel(rho, spec, plan, rho.kind, _step_boundaries(rho.z, plan))
         except SolverError as exc:
             linear = exc
     for name in run.engines:

@@ -1,10 +1,11 @@
 """Linear optics in one shot: ``evolve_phase_space`` against stepping the grid kernel.
 
 For a potential of degree <= 2 ``evolve_phase_space`` maps a run in closed
-form: moments from the composed 2x2 step maps, snapshots from at most three
-Fourier shears of the cumulative map, or stepped where those shears would
-leave the grid.  Stepping ``_GridKernel`` through ``_evolve`` is its
-reference.  The bounds were fixed before measuring:
+form: moments from the composed 2x2 step maps, and each snapshot from the
+one before it by at most three Fourier shears of the map between them,
+split at its middle step where those shears would leave the grid.  No
+closed-form run steps the grid.  Stepping ``_GridKernel`` through
+``_evolve`` is its reference.  The bounds were fixed before measuring:
 moments within 1e-10 of their scale, the final state within 1e-9 of the
 peak.
 """
@@ -33,13 +34,19 @@ from beamphase import (
     superposition_quasidist,
 )
 from beamphase import linear_map, phasespace
-from beamphase.linear_map import _linear_run, _shear_sequence
+from beamphase.linear_map import (
+    _IDENTITY,
+    _first_exit,
+    _linear_run,
+    _shear_sequence,
+    _shear_states,
+)
 from beamphase.phasespace import _evolve, _GridKernel, _step_boundaries
 
 EPS = 0.1
 # The beams below stay within 7 widths of every edge while they rotate.
 LENS_GRID = PhaseGrid(AxisGrid(128, 6.4), AxisGrid(64, 5.12))
-# Off-centre axes: the -I branch reverses indices about the grid centre.
+# Off-centre axes: the maps carry the offsets of the grid centre.
 SHIFTED_GRID = PhaseGrid(AxisGrid(128, 6.4, 0.35), AxisGrid(64, 5.12, -0.1))
 HARMONIC_LENS = PotentialSpec(((2, HarmonicProfile(0.5, 3.0)),))
 LENS_WITH_X1 = PotentialSpec(((1, HarmonicProfile(0.3, 2.0)), (2, ConstantProfile(0.5))))
@@ -80,23 +87,30 @@ def stepped(state, spec, plan, every=None):
     return _evolve(kernel, state, kernel.enter(state.values), zs, every)
 
 
+def count_shear_maps(patch) -> list:
+    """Record the arguments of every ``_shear_map`` call; fail on any grid step."""
+    sheared = []
+    shear_map = linear_map._shear_map
+
+    def counted(*args):
+        sheared.append(args)
+        return shear_map(*args)
+
+    patch.setattr(linear_map, "_shear_map", counted)
+    patch.setattr(_GridKernel, "advance", lambda *args: pytest.fail("stepped"))
+    return sheared
+
+
 def mapped_run(state, spec, plan, every=None):
-    """``evolve_phase_space`` of the run, and how many steps the grid kernel took in it."""
-    steps = []
-    advance = _GridKernel.advance
-
-    def counted(kernel, values, z):
-        steps.append(z)
-        return advance(kernel, values, z)
-
+    """``evolve_phase_space`` of the run, which takes no grid step, and its count of shear maps."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_GridKernel, "advance", counted)
-        return evolve_phase_space(state, spec, EPS, plan, every), len(steps)
+        sheared = count_shear_maps(patch)
+        return evolve_phase_space(state, spec, EPS, plan, every), len(sheared)
 
 
-def assert_matches_stepping(state, spec, plan, every=None, stepped_steps=0):
-    """The closed form matches stepping; ``stepped_steps`` of its steps were stepped too."""
-    mapped, count = mapped_run(state, spec, plan, every)
+def assert_matches_stepping(state, spec, plan, every=None):
+    """The closed form matches stepping; returns its run and its count of shear maps."""
+    mapped, shear_maps = mapped_run(state, spec, plan, every)
     reference = stepped(state, spec, plan, every)
     assert mapped.snapshot_steps == reference.snapshot_steps
     assert_moments_close(mapped.moments, reference.moments, 1e-10)
@@ -104,8 +118,7 @@ def assert_matches_stepping(state, spec, plan, every=None, stepped_steps=0):
         assert got.z == want.z
         peak = np.abs(want.values).max()
         assert np.abs(got.values - want.values).max() <= 1e-9 * peak
-    assert count == stepped_steps
-    return mapped
+    return mapped, shear_maps
 
 
 def final_map(state, spec, plan):
@@ -130,19 +143,21 @@ def test_rotation_angles_match_stepping(angle, beam, grid):
     plan = ANGLES[angle]
     a, b, c, d, _, _ = final_map(state, linear_lens(1.0), plan)
     if angle == "past_quarter_turn":
-        assert a + d < 0.0  # the -I branch
+        assert a + d < 0.0
     elif angle == "full_period":
         assert max(abs(a - 1.0), abs(b), abs(c), abs(d - 1.0)) <= 1e-3  # near the identity
     else:
         assert a + d > 0.0
-    assert_matches_stepping(state, linear_lens(1.0), plan)
+    _, shear_maps = assert_matches_stepping(state, linear_lens(1.0), plan)
+    # The map past a quarter turn is split at its middle step; the others are sheared whole.
+    assert shear_maps == (2 if angle == "past_quarter_turn" else 1)
 
 
 @pytest.mark.parametrize("n_steps", [0, 1])
 @pytest.mark.parametrize("potential", sorted(POTENTIALS))
 def test_short_runs_match_stepping(potential, n_steps):
     state = BEAMS["gaussian"](LENS_GRID)
-    mapped = assert_matches_stepping(state, POTENTIALS[potential], StepPlan(0.01, n_steps))
+    mapped, _ = assert_matches_stepping(state, POTENTIALS[potential], StepPlan(0.01, n_steps))
     if n_steps == 0:
         assert mapped.final is state
 
@@ -217,37 +232,61 @@ def test_nan_coefficient_names_its_step():
         stepped(state, spec, StepPlan(0.01, 5))
 
 
-@pytest.mark.parametrize("beam, stepped_snapshots", [("gaussian", 3), ("superposition", 4)])
-def test_squeezing_snapshots_are_stepped(beam, stepped_snapshots):
-    # Snapshots every 40 steps.  At steps 440 and 480 the first shear would
-    # carry the spectrum past the y Nyquist line (a rate near 100 at step
-    # 480), and near the quarter turn of the first lens (step 320, and 280
-    # for the wider spectrum of the superposition) it would carry the part
-    # above SHEAR_FLOOR there.  Those snapshots are stepped from the one
-    # before, 40 steps each; the others are sheared.
+def far_snapshots(state, spec, plan, every):
+    """The snapshot steps whose maps from the initial state leave the grid between shears."""
+    totals, _, support = _linear_run(state, spec, plan, _step_boundaries(state.z, plan))
+    far = []
+    for step in range(every, plan.n_steps + 1, every):
+        shears = _shear_sequence(tuple(totals[step - 1].tolist()))
+        states = _shear_states(_IDENTITY, shears)
+        if _first_exit(support, state.grid, states, True) is not None:
+            far.append(step)
+    return far
+
+
+@pytest.mark.parametrize("beam, far", [("gaussian", 5), ("superposition", 6)])
+def test_squeezing_snapshots_are_stepped(beam, far):
+    # Snapshots every 40 steps.  From step 320 on (280 for the wider
+    # spectrum of the superposition) the shears of the map from the
+    # initial state would carry the state off the grid: past the quarter
+    # turn of the first lens, and at steps 440 and 480 (a first-shear rate
+    # near 100) past the y Nyquist line.  The 40-step map from the snapshot
+    # before stays on the grid, so each snapshot takes one shear map.
     state = BEAMS[beam](TALL_GRID)
     plan = StepPlan(math.pi / 640, 480)
     a, b, c, d, _, _ = final_map(state, TWO_LENSES, plan)
     assert max(abs(a + 0.5), abs(b), abs(c), abs(d + 2.0)) <= 1e-4
-    assert_matches_stepping(state, TWO_LENSES, plan, 40, stepped_steps=40 * stepped_snapshots)
+    assert len(far_snapshots(state, TWO_LENSES, plan, 40)) == far
+    _, shear_maps = assert_matches_stepping(state, TWO_LENSES, plan, 40)
+    assert shear_maps == 12
+
+
+def test_every_squeezing_step_takes_one_shear_map():
+    # test_squeezing_snapshots_are_stepped's Gaussian with a snapshot at every
+    # step: one single-step map per snapshot, none split.
+    state = BEAMS["gaussian"](TALL_GRID)
+    _, shear_maps = assert_matches_stepping(state, TWO_LENSES, StepPlan(math.pi / 640, 480), 1)
+    assert shear_maps == 480
+
+
+# A round beam that fills its box, turned by nearly a quarter in 200 steps.
+WRAP_GRID = PhaseGrid(AxisGrid(128, 6.4), AxisGrid(128, 6.4))
+WRAP_PLAN = StepPlan((0.5 * math.pi - 0.1) / 200, 200)
 
 
 def test_wrapping_shear_is_stepped():
-    # A round beam that fills its box, turned by nearly a quarter: the first
-    # shear would push its tails across the x edge, where the three shears
-    # miss stepping by 7.5e-9 of the peak.  The final state is stepped instead.
-    grid = PhaseGrid(AxisGrid(128, 6.4), AxisGrid(128, 6.4))
-    state = gaussian_quasidist(grid, 0.42, 0.42)
-    plan = StepPlan((0.5 * math.pi - 0.1) / 200, 200)
-    assert_matches_stepping(state, linear_lens(1.0), plan, stepped_steps=200)
+    # The first shear of the whole map would push the beam's tails across
+    # the x edge, where the three shears miss stepping by 7.5e-9 of the
+    # peak.  The map is split at step 100 instead, and each half stays on
+    # the grid.
+    state = gaussian_quasidist(WRAP_GRID, 0.42, 0.42)
+    assert far_snapshots(state, linear_lens(1.0), WRAP_PLAN, 200) == [200]
+    _, shear_maps = assert_matches_stepping(state, linear_lens(1.0), WRAP_PLAN)
+    assert shear_maps == 2
 
 
 def test_a_squeeze_has_no_three_shear_form():
-    assert _shear_sequence((2.0, 0.0, 0.0, 0.5, 0.0, 0.0), LENS_GRID) == (False, None)
-    # -I is an index reversal and nothing more.
-    assert _shear_sequence((-1.0, 0.0, 0.0, -1.0, 0.0, 0.0), LENS_GRID) == (
-        True, ((0, 0.0, 0.0), (1, 0.0, 0.0))
-    )
+    assert _shear_sequence((2.0, 0.0, 0.0, 0.5, 0.0, 0.0)) is None
 
 
 def test_failing_shear_names_its_snapshot(monkeypatch):
@@ -270,21 +309,19 @@ def test_failing_shear_names_its_snapshot(monkeypatch):
         evolve_phase_space(state, linear_lens(1.0), EPS, StepPlan(0.01, 100), 40)
 
 
-def test_failing_stepped_snapshot_names_the_inner_step(monkeypatch):
-    # test_squeezing_snapshots_are_stepped's Gaussian: the step-320 snapshot
-    # is stepped from step 280, and the grid kernel fails at inner step 300.
-    state, plan = BEAMS["gaussian"](TALL_GRID), StepPlan(math.pi / 640, 480)
-    fail_at = _step_boundaries(state.z, plan)[300 - 1]
-    advance = _GridKernel.advance
+def test_failing_shear_in_a_split_map_names_its_snapshot(monkeypatch):
+    # The past-quarter-turn run's one snapshot (step 250) is split at step
+    # 125, and the shears of its first half fail their residue check.
+    sheared = count_shear_maps(monkeypatch)
 
-    def failing(kernel, values, z):
-        if z == fail_at:
-            raise SolverError("stepping failed")
-        return advance(kernel, values, z)
+    def failing(values, residue):
+        raise SolverError("shear residue")
 
-    monkeypatch.setattr(_GridKernel, "advance", failing)
-    with pytest.raises(SolverError, match=r"^step 300/480: stepping failed$"):
-        evolve_phase_space(state, TWO_LENSES, EPS, plan, 40)
+    monkeypatch.setattr(linear_map, "_check_residue", failing)
+    state = BEAMS["gaussian"](LENS_GRID)
+    with pytest.raises(SolverError, match=r"^step 250/250: shear residue$"):
+        evolve_phase_space(state, linear_lens(1.0), EPS, ANGLES["past_quarter_turn"])
+    assert len(sheared) == 1
 
 
 class TestSteppingRefusalsStay:
@@ -389,16 +426,48 @@ class TestBoxRefusal:
 
 def test_lens_harmonic_bench_physics_takes_no_grid_step(monkeypatch):
     # Every shear state of the bench lens stays in the box and short of both
-    # Nyquist lines, so no snapshot of either grid engine falls back to stepping.
+    # Nyquist lines, so each grid engine's one snapshot is one shear map.
     config = load_scenario(Path(__file__).parents[1] / "bench" / "scenarios" / "lens_harmonic.ini")
-    sheared = []
-    shear_map = linear_map._shear_map
-
-    def counted(*args):
-        sheared.append(args)
-        return shear_map(*args)
-
-    monkeypatch.setattr(linear_map, "_shear_map", counted)
-    monkeypatch.setattr(_GridKernel, "advance", lambda *args: pytest.fail("stepped"))
+    sheared = count_shear_maps(monkeypatch)
     run_scenario(config, emit=False)
     assert len(sheared) == 2  # the final snapshot of moyal and of liouville
+
+
+# test_wrapping_shear_is_stepped's run as a scenario: epsilon = 2 sigma0^2
+# makes the beam round.
+WRAP_SCENARIO = """
+[grid]
+nx = 128
+np = 128
+x_length = 6.4
+p_length = 6.4
+
+[beam]
+sigma0 = 0.42
+
+[physics]
+epsilon = 0.3528
+
+[potential]
+preset = linear_lens
+k = 1.0
+
+[run]
+dz = {dz!r}
+n_steps = 200
+engines = moyal, liouville
+
+[output]
+directory = {outdir}
+formats = grid-dump
+"""
+
+
+def test_wrapping_scenario_takes_no_grid_step(monkeypatch, tmp_path):
+    path, outdir = tmp_path / "wrap.ini", tmp_path / "out"
+    path.write_text(WRAP_SCENARIO.format(dz=WRAP_PLAN.dz, outdir=outdir))
+    sheared = count_shear_maps(monkeypatch)
+    run_scenario(load_scenario(path))
+    assert len(sheared) == 4  # each engine's final snapshot, split in two
+    moyal, liouville = (outdir / f"state_{name}.mbgd" for name in ("moyal", "liouville"))
+    assert moyal.read_bytes() == liouville.read_bytes()
