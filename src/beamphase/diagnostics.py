@@ -212,7 +212,7 @@ def emittance_from_thermal(vth_over_c: float, sigma0: float) -> ThermalEmittance
 def uncertainty_check(moments: BeamMoments, epsilon: float) -> UncertaintyReport:
     """Check sigma_x * sigma_p >= epsilon / 2 (up to 1e-9 relative slack)."""
     product = moments.sigma_x * moments.sigma_p
-    bound = 0.5 * epsilon
+    bound = 0.5 * check_positive("epsilon", epsilon, BeamPhaseError)
     return UncertaintyReport(product, bound, product >= bound * (1.0 - 1e-9))
 
 

@@ -349,12 +349,12 @@ class _LinearKernel:
 
     def wrap(self, step: int, z: float) -> QuasiDistribution:
         last, snapshot = self.last
-        snapshot = QuasiDistribution(self.grid, self._carry(snapshot.values, last, step), z, self.kind)
-        self.last = (step, snapshot)
-        return snapshot
+        values = self._carry(snapshot.values, last, step)
+        self.last = (step, QuasiDistribution(self.grid, values, z, self.kind))
+        return self.last[1]
 
     def _carry(self, values: np.ndarray, start: int, end: int) -> np.ndarray:
-        """``values`` of step ``start`` carried to step ``end`` by the shears of ``M_end M_start^-1``.
+        """Step ``start``'s ``values`` carried to step ``end`` by the shears of ``M_end M_start^-1``.
 
         Where the map has no three-shear form, or a state its shears take
         (:func:`_shear_states`) leaves the grid, the steps are split at

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .exceptions import BeamPhaseError, ConfigError
+from .exceptions import BeamPhaseError, ConfigError, check_positive
 from .grids import AxisGrid, PhaseGrid
 from .states import QuasiDistribution
 
@@ -95,6 +95,7 @@ def write_moments_csv(path, result) -> Path:
 
 def write_grid_dump(path, state: QuasiDistribution, epsilon: float) -> Path:
     path = Path(path)
+    epsilon = check_positive("epsilon", epsilon, BeamPhaseError)
     grid = state.grid
     header = MBGD_HEADER.pack(
         MBGD_MAGIC,
@@ -135,9 +136,10 @@ def read_grid_dump(path) -> tuple[QuasiDistribution, float]:
     try:
         grid = PhaseGrid(AxisGrid(nx, x_length, x_center), AxisGrid(n_p, p_length, p_center))
         state = QuasiDistribution(grid, values.astype(float), z, "wigner")
+        epsilon = check_positive("epsilon", epsilon, ConfigError)
     except BeamPhaseError as exc:
         raise ConfigError(f"{path}: invalid grid-dump contents: {exc}") from None
-    return state, float(epsilon)
+    return state, epsilon
 
 
 def write_heatmap(path, state: QuasiDistribution) -> Path:

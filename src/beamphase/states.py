@@ -194,8 +194,15 @@ def _coherent_peaks(grid, sigma, epsilon, x0, p0, offsets, name) -> WaveField:
     check_positive("epsilon", epsilon, StateError)
     check_finite("x0", x0, StateError)
     check_finite("p0", p0, StateError)
+    try:
+        spread = 4.0 * sigma**2
+    except OverflowError:
+        spread = math.inf
+    if not 0.0 < spread < math.inf:
+        raise StateError(f"sigma**2 is out of floating-point range, got sigma={sigma!r}")
     dx = grid.points() - x0
-    envelope = reduce(np.add, (np.exp(-((dx - c) ** 2) / (4.0 * sigma**2)) for c in offsets))
+    with np.errstate(over="ignore"):  # an overflowing exponent gives exp's limit, 0
+        envelope = reduce(np.add, (np.exp(-((dx - c) ** 2) / spread) for c in offsets))
     _check_boundary_decay(envelope, f"{name} wavefield")
     values = envelope * np.exp(1j * p0 * dx / epsilon)
     values /= math.sqrt(float(np.sum(np.abs(values) ** 2)) * grid.spacing)
@@ -237,10 +244,13 @@ def _gaussian_peaks(grid, sigma_x, sigma_p, sigma_xp, x0, p0, offsets, name):
     scalars = {"sigma_x": sigma_x, "sigma_p": sigma_p, "sigma_xp": sigma_xp, "x0": x0, "p0": p0}
     for label, value in scalars.items():
         check_finite(label, value, StateError)
-    det = sigma_x**2 * sigma_p**2 - sigma_xp**2
-    if not (det > 0.0 and sigma_x > 0.0 and sigma_p > 0.0):
+    try:
+        det = sigma_x**2 * sigma_p**2 - sigma_xp**2
+    except OverflowError:  # a square out of floating-point range
+        det = math.nan
+    if not (0.0 < det < math.inf and sigma_x > 0.0 and sigma_p > 0.0):
         raise StateError(
-            "covariance matrix must be positive definite "
+            "covariance matrix must be positive definite, its determinant in floating-point range "
             f"(sigma_x={sigma_x}, sigma_p={sigma_p}, sigma_xp={sigma_xp})"
         )
     x, p = grid.meshes()
@@ -251,7 +261,8 @@ def _gaussian_peaks(grid, sigma_x, sigma_p, sigma_xp, x0, p0, offsets, name):
         quad = (sigma_p**2 * dx**2 - 2.0 * sigma_xp * dx * dp + sigma_x**2 * dp**2) / det
         return np.exp(-0.5 * quad)
 
-    values = reduce(np.add, map(peak, offsets))
+    with np.errstate(over="ignore"):  # an overflowing exponent gives exp's limit, 0
+        values = reduce(np.add, map(peak, offsets))
     _check_boundary_decay(values.max(axis=1), f"{name} quasi-distribution (x axis)")
     _check_boundary_decay(values.max(axis=0), f"{name} quasi-distribution (p axis)")
     values /= float(np.sum(values)) * grid.cell_area

@@ -30,7 +30,7 @@ import numpy as np
 
 from dataclasses import dataclass
 
-from .exceptions import TransformError, check_finite
+from .exceptions import TransformError, check_finite, check_positive
 from .grids import AxisGrid, PhaseGrid
 from .states import QuasiDistribution, WaveField
 
@@ -208,6 +208,7 @@ def wigner_transform(
     Each call builds and drops its own shift table and momentum map; the
     runner builds them once per run and reuses them for every snapshot.
     """
+    marginal_tol = check_positive("marginal_tol", marginal_tol, TransformError)
     return _WignerMap(psi.grid, psi.epsilon, p_axis)(psi, marginal_tol)
 
 

@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from .diagnostics import BeamMoments, _beam_moments, _drifted, _WavefieldMoments
-from .exceptions import BeamPhaseError, SolverError, check_positive
+from .exceptions import BeamPhaseError, SolverError, check_finite, check_positive
 from .grids import AxisGrid
 from .phasespace import (
     StepPlan,
@@ -198,5 +198,9 @@ def matched_width(spec: PotentialSpec, epsilon: float) -> float:
 def free_gaussian_sigma(sigma0: float, epsilon: float, z: float) -> float:
     """Width of a free coherent Gaussian: sigma0 sqrt(1 + (eps z / 2 sigma0^2)^2)."""
     sigma0 = check_positive("sigma0", sigma0, BeamPhaseError)
+    epsilon = check_finite("epsilon", epsilon, BeamPhaseError)
+    if epsilon < 0.0:
+        raise BeamPhaseError(f"epsilon must be >= 0, got {epsilon!r}")
+    z = check_finite("z", z, BeamPhaseError)
     spread = epsilon * z / (2.0 * sigma0**2)
     return sigma0 * math.sqrt(1.0 + spread * spread)

@@ -520,6 +520,28 @@ class TestGridDumpContract:
         with pytest.raises(ConfigError, match="invalid grid-dump contents: z must be finite"):
             read_grid_dump(path)
 
+    @pytest.mark.parametrize("epsilon", ["a", math.nan, 0.0, -0.1])
+    def test_write_refuses_a_bad_epsilon(self, tmp_path, epsilon):
+        rho = gaussian_quasidist(PhaseGrid(AxisGrid(16, 12.0), AxisGrid(16, 12.0)), 0.5, 0.5)
+        path = tmp_path / "state.mbgd"
+        with pytest.raises(BeamPhaseError, match="^epsilon must be positive and finite"):
+            write_grid_dump(path, rho, epsilon)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, 0.0, -0.1])
+    def test_bad_epsilon_rejected(self, tmp_path, epsilon):
+        # No writer stores such an epsilon, so the header is packed by hand.
+        grid = PhaseGrid(AxisGrid(16, 12.0), AxisGrid(16, 12.0))
+        rho = gaussian_quasidist(grid, 0.5, 0.5)
+        header = MBGD_HEADER.pack(
+            MBGD_MAGIC, MBGD_VERSION, 16, 16, 12.0, 12.0, 0.0, 0.0, 0.0, epsilon
+        )
+        path = tmp_path / "state.mbgd"
+        path.write_bytes(header + rho.values.astype("<f8").tobytes())
+        pattern = "invalid grid-dump contents: epsilon must be positive and finite"
+        with pytest.raises(ConfigError, match=pattern):
+            read_grid_dump(path)
+
     def test_heatmap_of_offcenter_peak(self, tmp_path):
         grid = PhaseGrid(AxisGrid(64, 32.0), AxisGrid(32, 1.6))
         rho = gaussian_quasidist(grid, 1.0, 0.05, x0=2.0, p0=0.1)
@@ -566,6 +588,16 @@ class TestVerbs:
         path.write_text("[grid]\nx_length = 16.0\np_length = 0.8\n")
         assert main(["validate", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_validate_refuses_a_beam_whose_spread_overflows(self, tmp_path, capsys):
+        # sigma0 = 1e-300 makes the momentum spread epsilon / (2 sigma0) overflow when squared.
+        bench = Path(__file__).parents[1] / "bench" / "scenarios" / "quartic_mixed.ini"
+        path = tmp_path / "tiny.ini"
+        path.write_text(bench.read_text().replace("sigma0 = 0.4", "sigma0 = 1e-300"))
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "covariance matrix must be positive definite" in err
 
     def test_missing_scenario_is_a_config_error(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.ini")]) == 2

@@ -2,12 +2,14 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 from beamphase import (
     AxisGrid,
+    BeamMoments,
     BeamPhaseError,
     GridError,
     PhaseGrid,
@@ -32,9 +34,13 @@ from beamphase import (
     tomogram,
     tomogram_axis,
     truncation_ratio,
+    uncertainty_check,
+    wigner_transform,
 )
 
 GRID = PhaseGrid(AxisGrid(64, 16.0), AxisGrid(64, 8.0))
+MOMENTS = BeamMoments(0.0, 0.0, 0.0, 1.0, 0.05, 0.0, 0.05)
+FIELD = gaussian_wavefield(GRID.x_axis, 0.5, 0.5)  # resolved on GRID's p axis
 
 ENTRY_POINTS = {
     "AxisGrid": (lambda bad: AxisGrid(8, bad), GridError),
@@ -76,6 +82,13 @@ ENTRY_POINTS = {
         TransformError,
     ),
     "free_gaussian_sigma": (lambda bad: free_gaussian_sigma(bad, 0.1, 1.0), BeamPhaseError),
+    "free_gaussian_sigma epsilon": (
+        lambda bad: free_gaussian_sigma(1.0, bad, 1.0),
+        BeamPhaseError,
+    ),
+    "free_gaussian_sigma z": (lambda bad: free_gaussian_sigma(1.0, 0.1, bad), BeamPhaseError),
+    "uncertainty_check": (lambda bad: uncertainty_check(MOMENTS, bad), BeamPhaseError),
+    "wigner_transform": (lambda bad: wigner_transform(FIELD, GRID.p_axis, bad), TransformError),
     "emittance_from_thermal": (lambda bad: emittance_from_thermal(bad, 1.0), StateError),
     "sample_rays": (
         lambda bad: sample_rays(gaussian_quasidist(GRID, 1.0, 0.5), bad, 0),
@@ -138,6 +151,12 @@ def test_bad_scalar_raises_the_entry_points_own_error(entry, bad):
             lambda: superposition_quasidist(GRID, 1.0, 0.5, 0.0),
             "separation must be positive and finite, got 0.0",
         ),
+        (lambda: free_gaussian_sigma(1.0, -0.1, 1.0), "epsilon must be >= 0, got -0.1"),
+        (lambda: uncertainty_check(MOMENTS, 0.0), "epsilon must be positive and finite, got 0.0"),
+        (
+            lambda: wigner_transform(FIELD, GRID.p_axis, -1.0),
+            "marginal_tol must be positive and finite, got -1.0",
+        ),
     ],
     ids=[
         "axis-length-string",
@@ -152,6 +171,9 @@ def test_bad_scalar_raises_the_entry_points_own_error(entry, bad):
         "seed-float",
         "tomogram-axis-zero-direction",
         "superposition-quasidist-zero-separation",
+        "free-gaussian-sigma-negative-epsilon",
+        "uncertainty-check-zero-epsilon",
+        "wigner-transform-negative-tolerance",
     ],
 )
 def test_messages(call, message):
@@ -166,3 +188,21 @@ def test_cleaned_values_are_plain_numbers():
     plan = StepPlan(np.float64(0.1), np.int32(5), max_order=np.int64(3))
     assert (type(plan.dz), type(plan.n_steps), type(plan.max_order)) == (float, int, int)
     assert sample_rays(gaussian_quasidist(GRID, 1.0, 0.5), np.int64(5), 0).count == 5
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: gaussian_wavefield(GRID.x_axis, 1e200, 0.1), "sigma**2 is out of"),
+        (lambda: gaussian_wavefield(GRID.x_axis, 1e-200, 0.1), "sigma**2 is out of"),
+        (lambda: gaussian_quasidist(GRID, 1.0, 1e300), "covariance matrix must be"),
+        (lambda: gaussian_quasidist(GRID, 1.0, 0.5, 1e300), "covariance matrix must be"),
+        (lambda: superposition_quasidist(GRID, 1.0, 0.5, 1e308), "is identically zero"),
+    ],
+    ids=["wide-wavefield", "narrow-wavefield", "wide-momentum", "huge-correlation", "far-peaks"],
+)
+def test_beam_scales_out_of_float_range_raise_state_error(call, message):
+    # A width whose square leaves the float range, either way, and peaks so
+    # far off the grid that their squared distances overflow (exp gives 0).
+    with pytest.raises(StateError, match=re.escape(message)):
+        call()
