@@ -360,8 +360,8 @@ class _LinearKernel:
         (:func:`_shear_states`) leaves the grid, the steps are split at
         the middle one, recursively; a single step is not split.
         """
-        begin = tuple(self.totals[start - 1].tolist()) if start else _IDENTITY
-        shears = _shear_sequence(_compose(tuple(self.totals[end - 1].tolist()), _inverse(begin)))
+        begin = self.totals[start - 1].tolist() if start else _IDENTITY
+        shears = _shear_sequence(_compose(self.totals[end - 1].tolist(), _inverse(begin)))
         if end - start > 1 and (
             shears is None
             or _first_exit(self.support, self.grid, _shear_states(begin, shears), True) is not None

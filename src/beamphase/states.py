@@ -195,14 +195,14 @@ def _coherent_peaks(grid, sigma, epsilon, x0, p0, offsets, name) -> WaveField:
     check_finite("x0", x0, StateError)
     check_finite("p0", p0, StateError)
     try:
-        spread = 4.0 * sigma**2
+        scale = 4.0 * sigma**2
     except OverflowError:
-        spread = math.inf
-    if not 0.0 < spread < math.inf:
+        scale = math.inf
+    if not 0.0 < scale < math.inf:
         raise StateError(f"sigma**2 is out of floating-point range, got sigma={sigma!r}")
     dx = grid.points() - x0
     with np.errstate(over="ignore"):  # an overflowing exponent gives exp's limit, 0
-        envelope = reduce(np.add, (np.exp(-((dx - c) ** 2) / spread) for c in offsets))
+        envelope = reduce(np.add, (np.exp(-((dx - c) ** 2) / scale) for c in offsets))
     _check_boundary_decay(envelope, f"{name} wavefield")
     values = envelope * np.exp(1j * p0 * dx / epsilon)
     values /= math.sqrt(float(np.sum(np.abs(values) ** 2)) * grid.spacing)
