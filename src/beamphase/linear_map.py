@@ -321,8 +321,10 @@ class _LinearKernel:
 
     lost = 0
 
-    def __init__(self, state: QuasiDistribution, spec: PotentialSpec, plan: StepPlan, kind: str,
-                 zs: list[float]):
+    def __init__(
+        self, state: QuasiDistribution, spec: PotentialSpec, plan: StepPlan, kind: str,
+        zs: list[float],
+    ):
         self.grid, self.kind = state.grid, kind
         self.last = (0, state)  # the latest snapshot and its step
         self.totals, failure, self.support = _linear_run(state, spec, plan, zs)
