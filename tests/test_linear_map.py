@@ -237,7 +237,7 @@ def far_snapshots(state, spec, plan, every):
     totals, _, support = _linear_run(state, spec, plan, _step_boundaries(state.z, plan))
     far = []
     for step in range(every, plan.n_steps + 1, every):
-        shears = _shear_sequence(tuple(totals[step - 1].tolist()))
+        shears = _shear_sequence(totals[step - 1].tolist())
         states = _shear_states(_IDENTITY, shears)
         if _first_exit(support, state.grid, states, True) is not None:
             far.append(step)
@@ -291,18 +291,12 @@ def test_a_squeeze_has_no_three_shear_form():
 
 def test_failing_shear_names_its_snapshot(monkeypatch):
     # The shears of the second snapshot (step 80) fail their residue check.
-    snapshots = []
-    shear_map = linear_map._shear_map
-
-    def counted(*args):
-        snapshots.append(args)
-        return shear_map(*args)
+    snapshots = count_shear_maps(monkeypatch)
 
     def failing(values, residue):
         if len(snapshots) == 2:
             raise SolverError("shear residue")
 
-    monkeypatch.setattr(linear_map, "_shear_map", counted)
     monkeypatch.setattr(linear_map, "_check_residue", failing)
     state = BEAMS["gaussian"](LENS_GRID)
     with pytest.raises(SolverError, match=r"^step 80/100: shear residue$"):
