@@ -5,15 +5,11 @@ Verbs:
 * ``run <scenario>``: execute a scenario file and write its artifacts.
 * ``compare <scenario>``: same, with engines forced to twm + moyal +
   liouville so the cross-engine distances are always recorded.
-* ``validate <scenario>``: parse, validate and echo the resolved config.
-  Step-1 phase guards that ``run`` would refuse, for a potential of degree
-  <= 2 the grid engines' closed-form guards and support check, and in free
-  space the twm engine's own closed-form run (when no guard refuses twm),
-  are printed as ``warning:`` lines, one per engine; a beam carried to the
-  box edge is named by ``grid.x_length`` or ``grid.p_length``.  When none
-  of these refuses, a twm initial field that fails the Wigner transform the
-  run compares it through is refused with ``run``'s text (exit 2 here, 1
-  from ``run``): ``validate`` reports the fault that ``run`` stops at.
+* ``validate <scenario>``: parse, validate and echo the resolved config,
+  then print each refusal that ``runner.preflight`` finds, in run order, as
+  a ``warning:`` line with ``run``'s text.  A twm initial field that fails
+  its Wigner transform is refused with ``run``'s text (exit 2 here, 1 from
+  ``run``): ``validate`` reports the fault that ``run`` stops at.
 * ``info <grid-dump>``: print the header and value statistics of a dump.
 
 Exit codes: 0 success, 2 configuration or validation problem, 1 runtime
@@ -27,11 +23,10 @@ import argparse
 import dataclasses
 import sys
 
-from .exceptions import BeamPhaseError, ConfigError, SolverError, TransformError
+from .exceptions import BeamPhaseError, ConfigError, TransformError, check_count
 from .outputs import read_grid_dump
-from .runner import RunReport, _engine_plan, _guard_failures, _initial_wigner, run_scenario
+from .runner import RunReport, preflight, run_scenario
 from .scenario import ScenarioConfig, load_scenario
-from .twm import evolve_twm
 
 __all__ = ["main"]
 
@@ -77,9 +72,7 @@ def _describe_run(report: RunReport) -> list[str]:
 def _load_with_overrides(args) -> ScenarioConfig:
     config = load_scenario(args.scenario)
     if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-        config = config.with_seed(args.seed)
+        config = config.with_seed(check_count(args.seed, "--seed", 0, ConfigError))
     if args.output_dir is not None:
         if not args.output_dir:
             raise ConfigError("--output-dir must not be empty")
@@ -100,29 +93,15 @@ def _cmd_run(args) -> int:
 
 def _cmd_validate(args) -> int:
     config = load_scenario(args.scenario)
-    spec = config.potential.build()
-    failures = _guard_failures(config, spec)
-    if "twm" in config.run.engines:
-        psi = config.initial_wavefield()
-        if "twm" not in failures and spec.degree < 0:
-            # Free space maps the run in closed form (twm._FreeKernel), so the engine's
-            # own check of the box edge is cheap enough to run here.
-            try:
-                evolve_twm(psi, spec, _engine_plan("twm", config), config.run.snapshot_every)
-            except SolverError as exc:
-                failures["twm"] = f"engine twm: {exc}"
-        # ``run`` reaches the initial field's Wigner transform only when no
-        # engine is refused and twm's own run passes.
-        if not failures:
-            try:
-                _initial_wigner(config, psi)
-            except TransformError as exc:
-                raise ConfigError(str(exc)) from None
+    try:
+        failures = preflight(config)
+    except TransformError as exc:
+        raise ConfigError(str(exc)) from None
     if not args.quiet:
         print(f"scenario {args.scenario} is valid")
         for line in _echo_config(config):
             print(line)
-        for failure in failures.values():
+        for failure in failures:
             print(f"warning: {failure}")
     return 0
 
@@ -152,26 +131,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     verbs = parser.add_subparsers(dest="verb", required=True)
 
-    def scenario_verb(name: str, help_text: str, force_compare: bool):
+    def verb(name, help_text, func, target="scenario", target_help="path to a scenario file",
+             overrides=False, **defaults):
         sub = verbs.add_parser(name, help=help_text)
-        sub.add_argument("scenario", help="path to a scenario file")
-        sub.add_argument("--output-dir", default=None, help="override output.directory")
-        sub.add_argument("--seed", type=int, default=None, help="override run.seed")
+        sub.add_argument(target, help=target_help)
+        if overrides:
+            sub.add_argument("--output-dir", default=None, help="override output.directory")
+            sub.add_argument("--seed", type=int, default=None, help="override run.seed")
         sub.add_argument("--quiet", action="store_true", help="suppress informational output")
-        sub.set_defaults(func=_cmd_run, force_compare=force_compare)
+        sub.set_defaults(func=func, **defaults)
 
-    scenario_verb("run", "run a scenario and write its artifacts", False)
-    scenario_verb("compare", "run with engines forced to twm+moyal+liouville", True)
-
-    validate = verbs.add_parser("validate", help="check a scenario file and echo the config")
-    validate.add_argument("scenario", help="path to a scenario file")
-    validate.add_argument("--quiet", action="store_true", help="suppress informational output")
-    validate.set_defaults(func=_cmd_validate)
-
-    info = verbs.add_parser("info", help="describe a binary grid dump")
-    info.add_argument("dump", help="path to a .mbgd file")
-    info.add_argument("--quiet", action="store_true", help="suppress informational output")
-    info.set_defaults(func=_cmd_info)
+    for name, help_text in (("run", "run a scenario and write its artifacts"),
+                            ("compare", "run with engines forced to twm+moyal+liouville")):
+        verb(name, help_text, _cmd_run, overrides=True, force_compare=name == "compare")
+    verb("validate", "check a scenario file and echo the config", _cmd_validate)
+    verb("info", "describe a binary grid dump", _cmd_info, "dump", "path to a .mbgd file")
     return parser
 
 

@@ -40,6 +40,7 @@ __all__ = [
     "RunReport",
     "run_scenario",
     "build_initial_states",
+    "preflight",
 ]
 
 # Marginal-identity slack used when transforming wavefield snapshots for
@@ -118,7 +119,7 @@ def _initial_wigner(config: ScenarioConfig, psi):
 
     That transform depends only on the grid, the beam and epsilon, so its
     failure raises a :class:`TransformError` naming the grid keys, which
-    ``run`` reports and ``validate`` raises as a configuration error.
+    ``run`` reports and :func:`preflight` raises.
     """
     try:
         wigner = _WignerMap(psi.grid, psi.epsilon, config.grid.p_axis())
@@ -140,7 +141,7 @@ def _guard_failures(config: ScenarioConfig, spec, rho=None) -> dict[str, str]:
 
     Maps each refused engine, in run order, to the text ``run`` reports:
     ``run_scenario`` refuses the first one before any engine starts and
-    ``validate`` prints each as a warning.  The twm kinetic guard and the
+    :func:`preflight` returns each.  The twm kinetic guard and the
     grid kick guard of step 1 depend only on the grid, the potential, dz and
     epsilon.  For a potential of degree at most 2 the grid engines map the
     run in closed form, and building that map (``linear_map._LinearKernel``
@@ -177,6 +178,29 @@ def _guard_failures(config: ScenarioConfig, spec, rho=None) -> dict[str, str]:
         except SolverError as exc:
             failures[name] = f"engine {name}: {exc}"
     return failures
+
+
+def preflight(config: ScenarioConfig) -> tuple[str, ...]:
+    """The refusals ``run_scenario`` stops at on ``config``, without stepping an engine.
+
+    In run order: the guard refusals of :func:`_guard_failures`, then, in free
+    space and when no guard refuses twm, the refusal of twm's closed-form run,
+    which refuses at its snapshots.  Each is ``run``'s text; ``run`` stops at
+    the first.  When none refuses, the initial twm field's Wigner transform is
+    checked as ``run`` checks it, raising its :class:`TransformError`.
+    """
+    spec = config.potential.build()
+    failures = _guard_failures(config, spec)
+    if "twm" in config.run.engines:
+        psi = config.initial_wavefield()
+        if "twm" not in failures and spec.degree < 0:
+            try:
+                evolve_twm(psi, spec, _engine_plan("twm", config), config.run.snapshot_every)
+            except SolverError as exc:
+                failures["twm"] = f"engine twm: {exc}"
+        if not failures:
+            _initial_wigner(config, psi)
+    return tuple(failures.values())
 
 
 def _linf(a: np.ndarray, b: np.ndarray) -> float:

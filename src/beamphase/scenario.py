@@ -30,6 +30,7 @@ from .potentials import (
 from .states import (
     QuasiDistribution,
     WaveField,
+    _OffGridError,
     gaussian_quasidist,
     gaussian_wavefield,
     superposition_quasidist,
@@ -166,7 +167,8 @@ class ScenarioConfig:
 
     def with_engines(self, engines: tuple[str, ...]) -> "ScenarioConfig":
         """This config with other engines, checked again: twm adds its wavefield to the box."""
-        config = replace(self, run=replace(self.run, engines=_canonical_engines(engines)))
+        engines = _canonical(engines, ENGINES, "run.engines", "engine")
+        config = replace(self, run=replace(self.run, engines=engines))
         _cross_validate(config)
         return config
 
@@ -254,17 +256,17 @@ class _Section:
             raise ConfigError(f"{self.name}.{key}: unknown key")
 
 
-def _canonical_engines(engines) -> tuple[str, ...]:
-    requested = set(engines)
-    unknown = requested - set(ENGINES)
+def _canonical(words, choices: tuple[str, ...], key: str, noun: str) -> tuple[str, ...]:
+    """``words`` in ``choices`` order; an unknown word or an empty list is refused, naming ``key``."""
+    requested = set(words)
+    unknown = requested - set(choices)
     if unknown:
         raise ConfigError(
-            f"run.engines: unknown engine {sorted(unknown)[0]!r} "
-            f"(choose from {', '.join(ENGINES)})"
+            f"{key}: unknown {noun} {sorted(unknown)[0]!r} (choose from {', '.join(choices)})"
         )
     if not requested:
-        raise ConfigError("run.engines: at least one engine is required")
-    return tuple(name for name in ENGINES if name in requested)
+        raise ConfigError(f"{key}: at least one {noun} is required")
+    return tuple(name for name in choices if name in requested)
 
 
 def _positive(sec: _Section, key: str, value: float) -> float:
@@ -364,7 +366,8 @@ def _parse_run(sec: _Section) -> RunSection:
     dz = _positive(sec, "dz", sec.get("dz", _number, _REQUIRED))
     n_steps = _at_least(sec, "n_steps", 0, _REQUIRED)
     snapshot_every = _at_least(sec, "snapshot_every", 1, max(n_steps, 1))
-    engines = _canonical_engines(sec.get("engines", _words, ("moyal",)))
+    engines = sec.get("engines", _words, ("moyal",))
+    engines = _canonical(engines, ENGINES, "run.engines", "engine")
     ray_count = sec.get("ray_count", _integer, DEFAULT_RAY_COUNT)
     if ray_count < 2:
         raise ConfigError(f"run.ray_count: moments need at least two rays, got {ray_count}")
@@ -379,13 +382,7 @@ def _parse_output(sec: _Section) -> OutputSection:
     if not directory:
         raise ConfigError("output.directory: must not be empty")
     formats = sec.get("formats", _words, ("csv",))
-    unknown = set(formats) - set(FORMATS)
-    if unknown:
-        raise ConfigError(
-            f"output.formats: unknown format {sorted(unknown)[0]!r} "
-            f"(choose from {', '.join(FORMATS)})"
-        )
-    return OutputSection(directory, tuple(name for name in FORMATS if name in set(formats)))
+    return OutputSection(directory, _canonical(formats, FORMATS, "output.formats", "format"))
 
 
 _PARSERS = {
@@ -447,11 +444,15 @@ def _cross_validate(config: ScenarioConfig):
         config.initial_density()
         if "twm" in config.run.engines:
             config.initial_wavefield()
-    except StateError as exc:
+    except _OffGridError as exc:
         # A beam that misses the box altogether samples to zero everywhere.
         raise ConfigError(
             f"grid.x_length, grid.p_length: {exc}; the box must hold the beam"
         ) from None
+    except StateError as exc:
+        # Every other builder refusal is of the beam's own widths, sigma0 and
+        # epsilon / (2 sigma0), whose squares must stay in floating-point range.
+        raise ConfigError(f"beam.sigma0, physics.epsilon: {exc}") from None
     except GridError as exc:
         if "(p axis)" in str(exc):
             raise ConfigError(
@@ -462,3 +463,14 @@ def _cross_validate(config: ScenarioConfig):
             f"grid.x_length: beam does not decay at the grid edges ({exc}); enlarge the "
             "grid or shrink the beam"
         ) from None
+    # The Wigner map takes x p / epsilon and the grid drift kx p as exponents;
+    # both grow with the momentum reach.
+    grid = config.grid
+    p_reach = abs(grid.p_center) + 0.5 * grid.p_length
+    wigner = (abs(grid.x_center) + 0.5 * grid.x_length) * p_reach / config.epsilon
+    drift = math.pi * grid.nx / grid.x_length * p_reach
+    if not math.isfinite(wigner + drift):
+        raise ConfigError(
+            "grid.p_length: the box's phase products leave the floating-point range "
+            f"(max |x p| / epsilon = {wigner:.3e}, max |kx p| = {drift:.3e}); shrink the box"
+        )

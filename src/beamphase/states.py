@@ -176,10 +176,14 @@ class RayEnsemble:
         return RNG_ALGORITHM
 
 
+class _OffGridError(StateError):
+    """Every sample of a beam is zero: the box misses the beam, whatever its scales."""
+
+
 def _check_boundary_decay(magnitudes: np.ndarray, what: str):
     peak = float(magnitudes.max())
     if peak <= 0.0:
-        raise StateError(f"{what} is identically zero")
+        raise _OffGridError(f"{what} is identically zero")
     edge = max(float(magnitudes[0]), float(magnitudes[-1]))
     if edge > BOUNDARY_DECAY * peak:
         raise GridError(

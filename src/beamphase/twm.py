@@ -202,5 +202,11 @@ def free_gaussian_sigma(sigma0: float, epsilon: float, z: float) -> float:
     if epsilon < 0.0:
         raise BeamPhaseError(f"epsilon must be >= 0, got {epsilon!r}")
     z = check_finite("z", z, BeamPhaseError)
-    spread = epsilon * z / (2.0 * sigma0**2)
+    try:
+        square = sigma0**2
+    except OverflowError:
+        square = math.inf
+    if not 0.0 < square < math.inf:
+        raise BeamPhaseError(f"sigma0**2 is out of floating-point range, got sigma0={sigma0!r}")
+    spread = epsilon * z / (2.0 * square)
     return sigma0 * math.sqrt(1.0 + spread * spread)

@@ -11,6 +11,7 @@ import sys
 import textwrap
 import threading
 import time
+import warnings
 import weakref
 from pathlib import Path
 
@@ -598,6 +599,28 @@ class TestVerbs:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "covariance matrix must be positive definite" in err
+        # The beam's own scale is at fault, not the box.
+        assert err.startswith("error: beam.sigma0, physics.epsilon: ")
+
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    @pytest.mark.parametrize("engines", ["twm, moyal, liouville, rays", "moyal, liouville, rays"])
+    def test_a_box_whose_phase_products_overflow_is_refused_at_load(
+        self, tmp_path, capsys, verb, engines
+    ):
+        # p_length = 1e308 overflows x p / epsilon in the Wigner map and kx p in the grid drift.
+        bench = Path(__file__).parents[1] / "bench" / "scenarios" / "quartic_mixed.ini"
+        text = bench.read_text().replace("p_length = 6.4", "p_length = 1e308")
+        path = tmp_path / "huge.ini"
+        path.write_text(re.sub(r"(?m)^engines = .*$", f"engines = {engines}", text))
+        argv = [verb, str(path), "--quiet"]
+        if verb == "run":
+            argv += ["--output-dir", str(tmp_path / "out")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid.p_length: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_missing_scenario_is_a_config_error(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.ini")]) == 2
@@ -1229,6 +1252,51 @@ class TestLinearMapWrap:
         assert re.match(r"warning: engine moyal: step \d+/1000: grid\.x_length: ", warnings[0])
         assert main(["run", str(ini), "--quiet"]) == 1
         assert capsys.readouterr().err == "error: " + warnings[0].removeprefix("warning: ") + "\n"
+
+
+# One fixture per refusal that ``validate`` reports: the scenario, its format
+# fields, the start of the text that ``run`` exits 1 with, and validate's exit
+# code (0 with the refusal as a warning, 2 with it as the error).
+VALIDATE_REFUSALS = {
+    "kinetic-guard": (
+        FREE_SCENARIO.replace("dz = 0.05", "dz = 0.5"), {}, "engine twm: kinetic phase overflow", 0
+    ),
+    "kick-guard": (
+        OUTGROWN_WIGNER_SCENARIO.replace("engines = twm", "engines = twm, moyal, liouville"), {},
+        "engine moyal: step 1/500: kick phase overflow", 0,
+    ),
+    "closed-form-support": (
+        UNRESOLVED_LENS_SCENARIO,
+        dict(zip(("nx", "beam", "n_steps"), UNRESOLVED_LENS_SCENARIOS["coarse_x"])),
+        "engine moyal: step 46/100: grid.nx: ", 0,
+    ),
+    "free-twm-box-edge": (WRAPPING_TWM_SCENARIO, {}, "engine twm: step ", 0),
+    "initial-wigner": (
+        FREE_SCENARIO.replace("x_length = 32.0", "x_length = 24.0"), {},
+        "grid.x_length, grid.np, grid.p_length: the Wigner transform of the initial twm field", 2,
+    ),
+}
+
+
+class TestValidateReportsWhatRunRefuses:
+    @pytest.mark.parametrize("case", VALIDATE_REFUSALS.values(), ids=VALIDATE_REFUSALS.keys())
+    def test_validate_line_equals_the_run_error(self, tmp_path, capsys, case):
+        text, fields, start, validate_code = case
+        outdir = tmp_path / "out"
+        ini = write_ini(tmp_path, text, outdir=outdir, **fields)
+        assert main(["run", str(ini), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {start}") and err.count("\n") == 1
+        assert not outdir.exists()
+        assert main(["validate", str(ini)]) == validate_code
+        out, validate_err = capsys.readouterr()
+        if validate_code == 2:
+            assert validate_err == err
+        else:
+            assert validate_err == ""
+            first = next(line for line in out.splitlines() if line.startswith("warning:"))
+            assert first == "warning: " + err.removeprefix("error: ").rstrip("\n")
+
 
 class TestWignerSnapshotStream:
     """twm snapshots are transformed one at a time; only the densities a run needs stay alive."""

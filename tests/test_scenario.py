@@ -312,6 +312,19 @@ class TestClearance:
         with pytest.raises(ConfigError, match="grid.x_length, grid.p_length: .* identically zero"):
             load_text(tmp_path, MINIMAL.replace("sigma0 = 1.0", "sigma0 = 1.0\nx0 = 100.0"))
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [("sigma0 = 1.0", "sigma0 = 1e-300"), ("epsilon = 0.1", "epsilon = 1e300")],
+        ids=["narrow-beam", "wide-momentum"],
+    )
+    def test_beam_scale_refusal_names_the_beam_keys(self, tmp_path, old, new):
+        # The builders refuse the beam's own widths, sigma0 and epsilon / (2 sigma0), not the box.
+        with pytest.raises(
+            ConfigError,
+            match=r"^beam\.sigma0, physics\.epsilon: covariance matrix must be positive definite",
+        ):
+            load_text(tmp_path, MINIMAL.replace(old, new))
+
 
 class TestRun:
     def test_ray_count_floor(self, tmp_path):

@@ -166,6 +166,14 @@ class TestFreeGaussianSigma:
         with pytest.raises(BeamPhaseError):
             free_gaussian_sigma(0.0, 0.1, 1.0)
 
+    @pytest.mark.parametrize("sigma0", [1e-200, 1e200], ids=["underflow", "overflow"])
+    def test_refuses_a_width_whose_square_leaves_the_float_range(self, sigma0):
+        # The square underflows to 0 or overflows, which would divide by zero or overflow.
+        message = f"sigma0**2 is out of floating-point range, got sigma0={sigma0!r}"
+        with pytest.raises(BeamPhaseError, match=f"^{re.escape(message)}$") as info:
+            free_gaussian_sigma(sigma0, 0.1, 1.0)
+        assert type(info.value) is BeamPhaseError
+
 
 class TestGuards:
     def test_kinetic_phase_overflow(self):
