@@ -14,7 +14,7 @@ carried by the map between them, ``M_k M_j^-1``, in at most three Fourier
 shears, the same sub-flows as a step (Paeth's raster rotation; Courant &
 Snyder for the matrices).  ``D K D`` is used when ``|M21| >= |M12|``, else
 ``K D K``, and the translation rides in the shear offsets.  Every step
-still refuses non-finite coefficients and runs the kick guard.  The grid
+still runs the kick guard, which refuses a non-finite coefficient.  The grid
 checks of the steps that are not computed become one rule, which one
 scan (:func:`_first_exit`) applies to the initial density's support in
 real space and in the spectrum: a state is on the grid while its map
@@ -73,10 +73,11 @@ def _linear_steps(spec: PotentialSpec, grid: PhaseGrid, plan: StepPlan, zs: list
 
     Step k is ``D(dz/2) K_k D(dz/2)``, where ``K_k`` is the kick
     ``p <- p - dz U'(x)`` with ``U' = c1 + 2 c2 x`` at the step midpoint.
-    Each step with a force refuses non-finite coefficients, then runs the
-    kick guard with the value and message of a stepped kick.  Returns an
-    ``(n, 6)`` array whose row k - 1 is the map of steps 1..k, cut before
-    the first failing step, and that step's error (naming no step) or None.
+    Each step with a force runs the kick guard with the value and message
+    of a stepped kick; a non-finite coefficient makes its step's guard
+    non-finite, which the guard refuses.  Returns an ``(n, 6)`` array whose
+    row k - 1 is the map of steps 1..k, cut before the first failing step,
+    and that step's error (naming no step) or None.
     A row ``(a, b, c, d, e, f)`` is the matrix ``[[a, b], [c, d]]`` by rows
     and the offset ``(e, f)``: ``(x, p) <- (a x + b p + e, c x + d p + f)``.
     """
@@ -92,20 +93,11 @@ def _linear_steps(spec: PotentialSpec, grid: PhaseGrid, plan: StepPlan, zs: list
         x, y_row = _kick_operands(grid)
         # U' = c1 + 2 c2 x, rounding included, is monotone in x, and rounding
         # keeps max_ij |U'_i y_j| = (max_i |U'_i|) y_max: the stepped guard.
-        with np.errstate(over="ignore", invalid="ignore"):  # non-finite steps are refused first
+        with np.errstate(over="ignore", invalid="ignore"):  # the guard refuses a non-finite step
             ends = [np.abs(2.0 * c2 * float(x[i, 0]) + c1) for i in (0, -1)]
             guards = (np.maximum(*ends) * float(y_row[0, -1]) * plan.dz).tolist()
-        finite = (np.isfinite(c1) & np.isfinite(c2)).tolist()
-        for step, (z_mid, ok, guard) in enumerate(zip(mids, finite, guards), start=1):
+        for step, guard in enumerate(guards, start=1):
             try:
-                if not ok:
-                    # A stepped kick's guard is nan here (a non-finite U' times the
-                    # y = 0 column), so the step raises only on its state.
-                    raise SolverError(
-                        f"potential coefficients ({float(c1[step - 1])}, "
-                        f"{float(c2[step - 1])}) of x and x**2 at z = {z_mid:.6g} are "
-                        "non-finite; the step would fill the state with non-finite values"
-                    )
                 _check_kick_phase(guard)
             except SolverError as exc:
                 failure = exc
@@ -331,8 +323,8 @@ class _LinearKernel:
         if failure is not None:
             raise _step_error(len(self.totals) + 1, plan.n_steps, failure)
         x, p = state.grid.x_axis.points(), state.grid.p_axis.points()
-        mean_x, mean_p, xx, pp, xp = _grid_central(state.values, x, p, state.grid.cell_area)
-        self.start = _beam_moments(zs[0], mean_x, mean_p, xx, pp, xp)
+        self.central = _grid_central(state.values, x, p, state.grid.cell_area)
+        mean_x, mean_p, xx, pp, xp = self.central
         a, b, c, d, e, f = self.totals.T
         series = (
             a * mean_x + b * mean_p + e,
@@ -343,11 +335,15 @@ class _LinearKernel:
         )
         self.rows = list(zip(*(m.tolist() for m in series)))
 
+    def enter(self, values: np.ndarray) -> int:
+        """The run's first value: step 0."""
+        return 0
+
     def advance(self, step: int, z: float) -> int:
         return step + 1
 
     def measure(self, step: int, z: float) -> BeamMoments:
-        return _beam_moments(z, *self.rows[step - 1]) if step else self.start
+        return _beam_moments(z, *(self.rows[step - 1] if step else self.central))
 
     def wrap(self, step: int, z: float) -> QuasiDistribution:
         last, snapshot = self.last

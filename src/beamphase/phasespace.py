@@ -151,24 +151,25 @@ def _evolve(kernel, initial, values, zs: list[float], snapshot_every: int | None
     states every ``snapshot_every`` steps plus always the initial and the
     final one (default: only those two).  The initial one is ``initial``,
     or the state measured when measuring it dropped rays.  Step errors,
-    snapshots' included, carry ``step k/n``.
+    step 0's and snapshots' included, carry ``step k/n``.
     """
     n_steps = len(zs) - 1
     if snapshot_every is None:
         snapshot_every = max(n_steps, 1)
     snapshot_every = check_count(snapshot_every, "snapshot_every", 1, SolverError)
-    moments = [kernel.measure(values, zs[0])]
-    snapshots = [kernel.wrap(values, zs[0]) if kernel.lost else initial]
-    snapshot_steps = [0]
-    for step in range(1, n_steps + 1):
-        try:
+    step = 0
+    try:
+        moments = [kernel.measure(values, zs[0])]
+        snapshots = [kernel.wrap(values, zs[0]) if kernel.lost else initial]
+        snapshot_steps = [0]
+        for step in range(1, n_steps + 1):
             values = kernel.advance(values, zs[step - 1])
             moments.append(kernel.measure(values, zs[step]))
             if step % snapshot_every == 0 or step == n_steps:
                 snapshots.append(kernel.wrap(values, zs[step]))
                 snapshot_steps.append(step)
-        except (SolverError, StateError) as exc:
-            raise _step_error(step, n_steps, exc) from None
+    except (SolverError, StateError) as exc:
+        raise _step_error(step, n_steps, exc) from None
     return Trajectory(tuple(snapshots), tuple(snapshot_steps), tuple(moments), kernel.lost)
 
 
@@ -177,19 +178,19 @@ class _GridKernel:
 
     Its values are post-kick arrays (see the module docstring), and a step
     depends only on its input and z.  Construction builds the drift phases
-    on the ``nx/2 + 1`` non-negative kx rows and, for a z-independent
-    potential, every step's kick (:func:`_first_kick`); for a z-dependent one
-    ``advance`` builds the kick at the step midpoint.  A kick covers the
-    ``np/2 + 1`` non-negative y columns, the Nyquist column at ``|y|``.
-    ``kind`` tags the evolved states; a ``"classical"`` state is checked for
-    negative values every step.
+    on the ``nx/2 + 1`` non-negative kx rows and step 1's kick of a run
+    from ``z0`` (its guard names step 1), every step's kick for a
+    z-independent potential; ``advance`` builds a z-dependent one at each
+    later midpoint.  A kick covers the ``np/2 + 1`` non-negative y columns,
+    the Nyquist column at ``|y|``.  ``kind`` tags the evolved states; a
+    ``"classical"`` state is checked for negative values every step.
     """
 
     lost = 0
 
     def __init__(
         self, grid: PhaseGrid, spec: PotentialSpec, epsilon: float, plan: StepPlan,
-        kind: str = "wigner",
+        kind: str = "wigner", z0: float = 0.0,
     ):
         self.grid = grid
         self.kind = kind
@@ -201,8 +202,12 @@ class _GridKernel:
         self.half_drift = np.exp(-1j * kx_p * self.half)
         self.drift = np.exp(-1j * kx_p * plan.dz)
         self.static = spec.is_static
-        self.kick = _first_kick(grid, spec, epsilon, plan) if self.static and plan.n_steps else None
         self.kick_args = (spec, x_col, y_row, epsilon, plan)
+        self.mid = z0 + self.half  # step 1's midpoint
+        try:
+            self.kick = _kick_multiplier(*self.kick_args, self.mid) if plan.n_steps else None
+        except SolverError as exc:
+            raise _step_error(1, plan.n_steps, exc) from None
 
     def enter(self, rho: np.ndarray) -> np.ndarray:
         """The post-kick form of a step-boundary array: its backward half drift."""
@@ -210,7 +215,10 @@ class _GridKernel:
 
     def advance(self, rho: np.ndarray, z: float) -> np.ndarray:
         """One step from z: the full drift, then the kick at the step midpoint."""
-        kick = self.kick if self.static else _kick_multiplier(*self.kick_args, z + self.half)
+        mid = z + self.half
+        kick = (
+            self.kick if self.static or mid == self.mid else _kick_multiplier(*self.kick_args, mid)
+        )
         rho, residue = _spectral_flow(np.fft.rfft(rho, axis=0), self.drift, 0)
         if kick is not None:
             rho, kick_residue = _spectral_flow(np.fft.rfft(rho, axis=1), kick, 1)
@@ -240,24 +248,28 @@ def _kick_multiplier(
 ):
     """``exp(i dz G)`` on ``x_col`` x ``y_row`` as ``cos + i sin`` (None without a force).
 
-    Raises when the kick phase ``max |dz G|`` reaches pi.
+    Raises when the kick phase ``max |dz G|``, non-finite if G overflows, is not below pi.
     """
     if spec.degree < 1:
         return None
-    if plan.max_order is None:
-        g = moyal_generator(spec, x_col, y_row, z_mid, epsilon)
-    else:
-        g = moyal_generator_truncated(spec, x_col, y_row, z_mid, epsilon, plan.max_order)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if plan.max_order is None:
+            g = moyal_generator(spec, x_col, y_row, z_mid, epsilon)
+        else:
+            g = moyal_generator_truncated(spec, x_col, y_row, z_mid, epsilon, plan.max_order)
     # G is odd in y, so max |G| over the half spectrum is the whole-box value.
     _check_kick_phase(float(np.abs(g).max()) * plan.dz)
     return _unit_phase(plan.dz * g)
 
 
 def _check_kick_phase(guard: float) -> None:
-    if guard >= math.pi:
+    """Refuse a kick phase ``max |dz G|`` that is not below pi, NaN and inf included."""
+    if not guard < math.pi:
         raise SolverError(
-            f"kick phase overflow: max |dz * G| = {guard:.3e} >= pi "
-            "(the complex exponential would alias); reduce dz or the grid extents"
+            f"kick phase overflow: max |dz * G| = {guard:.3e} >= pi (the complex exponential "
+            "would alias); reduce dz or the grid extents" if math.isfinite(guard) else
+            f"kick phase is non-finite: max |dz * G| = {guard}; a potential coefficient is "
+            "non-finite or the generator overflows on the grid"
         )
 
 
@@ -267,17 +279,6 @@ def _unit_phase(angle: np.ndarray) -> np.ndarray:
     np.cos(angle, out=out.real)
     np.sin(angle, out=out.imag)
     return out
-
-
-def _first_kick(grid: PhaseGrid, spec: PotentialSpec, epsilon: float, plan: StepPlan):
-    """Step 1's kick of a grid run from z = 0 (None without a force); its guard names step 1.
-
-    It needs no state, so a caller can refuse a plan before any engine starts.
-    """
-    try:
-        return _kick_multiplier(spec, *_kick_operands(grid), epsilon, plan, 0.5 * plan.dz)
-    except SolverError as exc:
-        raise _step_error(1, plan.n_steps, exc) from None
 
 
 def _half_spectrum(axis: AxisGrid) -> np.ndarray:
@@ -346,17 +347,27 @@ def evolve_phase_space(
     refused run raises when this function starts, before any snapshot.
     """
     epsilon = check_positive("epsilon", epsilon, SolverError)
+    zs = _step_boundaries(state.z, plan)
+    kernel = _grid_kernel(state, spec, epsilon, plan, zs)
+    return _evolve(kernel, state, kernel.enter(state.values), zs, snapshot_every)
+
+
+def _grid_kernel(
+    state: QuasiDistribution, spec: PotentialSpec, epsilon: float, plan: StepPlan, zs: list[float]
+):
+    """The kernel of a grid run of ``state`` over ``zs``; it takes no step, so it refuses early.
+
+    ``linear_map._LinearKernel`` for a potential of degree at most 2 runs
+    every step's kick guard and support check, a :class:`_GridKernel` step
+    1's kick guard at ``zs[0] + dz/2``; either names the step it refuses.
+    """
     # Classical transport preserves positivity; deformed transport does not.
     kind = state.kind if plan.is_classical else "wigner"
-    zs = _step_boundaries(state.z, plan)
     if spec.kick_is_classical:
         from .linear_map import _LinearKernel  # loaded by the runs that take it
 
-        kernel, values = _LinearKernel(state, spec, plan, kind, zs), 0
-    else:
-        kernel = _GridKernel(state.grid, spec, epsilon, plan, kind)
-        values = kernel.enter(state.values)
-    return _evolve(kernel, state, values, zs, snapshot_every)
+        return _LinearKernel(state, spec, plan, kind, zs)
+    return _GridKernel(state.grid, spec, epsilon, plan, kind, zs[0])
 
 
 class _RayKernel:

@@ -28,7 +28,7 @@ from .diagnostics import (
     truncation_ratio,
 )
 from .exceptions import SolverError, StateError, TransformError
-from .phasespace import StepPlan, _first_kick, _step_boundaries, evolve_phase_space, trace_rays
+from .phasespace import StepPlan, _grid_kernel, _step_boundaries, evolve_phase_space, trace_rays
 from .scenario import ScenarioConfig
 from .states import sample_rays
 from .transforms import _WignerMap
@@ -137,46 +137,38 @@ def _engine_plan(name: str, config: ScenarioConfig) -> StepPlan:
 
 
 def _guard_failures(config: ScenarioConfig, spec, rho=None) -> dict[str, str]:
-    """The guard errors of the requested engines that need no evolved state, by engine.
+    """The refusals of the requested engines that need no evolved state, by engine.
 
     Maps each refused engine, in run order, to the text ``run`` reports:
     ``run_scenario`` refuses the first one before any engine starts and
-    :func:`preflight` returns each.  The twm kinetic guard and the
-    grid kick guard of step 1 depend only on the grid, the potential, dz and
-    epsilon.  For a potential of degree at most 2 the grid engines map the
-    run in closed form, and building that map (``linear_map._LinearKernel``
-    on the initial density ``rho``, built from ``config`` when None) runs
-    every step's coefficient check, kick guard and support check, which
-    keeps the beam in the box and short of the Nyquist lines
-    (``grid.x_length``, ``grid.p_length``, ``grid.nx``, ``grid.np``).
-    Guards at later steps of a z-dependent potential of higher degree stay
-    in the step loop.  A run without steps takes none, so it checks none.
+    :func:`preflight` returns each.  twm's refusal is its kinetic guard, the
+    one its kernels raise when they are built.  A grid engine's is what
+    building its kernel raises (``phasespace._grid_kernel`` on the initial
+    density ``rho``, built from ``config`` when None), without entering or
+    stepping it.  For a potential of degree at most 2 both grid engines are
+    one closed-form map, built once.  A run without steps takes no guard,
+    so it checks none.
     """
     failures = {}
     run = config.run
     if run.n_steps == 0:
         return failures
-    linear = None  # both grid engines map a degree <= 2 run alike, so it is checked once
-    if spec.kick_is_classical and set(GRID_ENGINES) & set(run.engines):
-        from .linear_map import _LinearKernel  # loaded by the runs that take it
-
-        rho = config.initial_density() if rho is None else rho
-        plan = _engine_plan("moyal", config)
-        try:
-            _LinearKernel(rho, spec, plan, rho.kind, _step_boundaries(rho.z, plan))
-        except SolverError as exc:
-            linear = exc
+    refused = {}  # by kernel, its refusal or None: "linear" is both grid engines as one map
     for name in run.engines:
         plan = _engine_plan(name, config)
-        try:
-            if name == "twm":
-                _kinetic_phase(config.grid.x_axis(), config.epsilon, plan.dz)
-            elif name in GRID_ENGINES and linear is not None:
-                raise linear
-            elif name in GRID_ENGINES and not spec.kick_is_classical:
-                _first_kick(config.grid.phase_grid(), spec, config.epsilon, plan)
-        except SolverError as exc:
-            failures[name] = f"engine {name}: {exc}"
+        kernel = "linear" if name in GRID_ENGINES and spec.kick_is_classical else name
+        if kernel not in refused:
+            refused[kernel] = None
+            try:
+                if name == "twm":
+                    _kinetic_phase(config.grid.x_axis(), config.epsilon, plan.dz)
+                elif name in GRID_ENGINES:
+                    rho = config.initial_density() if rho is None else rho
+                    _grid_kernel(rho, spec, config.epsilon, plan, _step_boundaries(rho.z, plan))
+            except SolverError as exc:
+                refused[kernel] = exc
+        if refused[kernel] is not None:
+            failures[name] = f"engine {name}: {refused[kernel]}"
     return failures
 
 
@@ -331,7 +323,7 @@ def run_scenario(config: ScenarioConfig, emit: bool = True) -> RunReport:
     """
     spec = config.potential.build()
     run = config.run
-    # The density before the guards, which map it for a degree <= 2 grid run;
+    # The density before the guards, which build the grid kernels on it;
     # the other states after them, so a refused run samples no rays.
     rho = config.initial_density() if set(DENSITY_ENGINES) & set(run.engines) else None
     failures = _guard_failures(config, spec, rho)

@@ -463,11 +463,19 @@ def _cross_validate(config: ScenarioConfig):
             f"grid.x_length: beam does not decay at the grid edges ({exc}); enlarge the "
             "grid or shrink the beam"
         ) from None
+    # A state's second moments sum x**2 and p**2 up to the box's reach on each axis.
+    grid = config.grid
+    x_reach = abs(grid.x_center) + 0.5 * grid.x_length
+    p_reach = abs(grid.p_center) + 0.5 * grid.p_length
+    for key, reach in (("grid.x_length", x_reach), ("grid.p_length", p_reach)):
+        if not math.isfinite(reach * reach):
+            raise ConfigError(
+                f"{key}: the box's reach {reach:.3e} squared leaves the floating-point range, "
+                "so no moment of a state on it is finite; shrink the box"
+            )
     # The Wigner map takes x p / epsilon and the grid drift kx p as exponents;
     # both grow with the momentum reach.
-    grid = config.grid
-    p_reach = abs(grid.p_center) + 0.5 * grid.p_length
-    wigner = (abs(grid.x_center) + 0.5 * grid.x_length) * p_reach / config.epsilon
+    wigner = x_reach * p_reach / config.epsilon
     drift = math.pi * grid.nx / grid.x_length * p_reach
     if not math.isfinite(wigner + drift):
         raise ConfigError(

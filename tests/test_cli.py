@@ -607,7 +607,7 @@ class TestVerbs:
     def test_a_box_whose_phase_products_overflow_is_refused_at_load(
         self, tmp_path, capsys, verb, engines
     ):
-        # p_length = 1e308 overflows x p / epsilon in the Wigner map and kx p in the grid drift.
+        # p_length = 1e308 leaves the float range when squared, and overflows x p / epsilon.
         bench = Path(__file__).parents[1] / "bench" / "scenarios" / "quartic_mixed.ini"
         text = bench.read_text().replace("p_length = 6.4", "p_length = 1e308")
         path = tmp_path / "huge.ini"
@@ -620,6 +620,26 @@ class TestVerbs:
             assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: grid.p_length: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    @pytest.mark.parametrize("x_length", ["1e200", "1e308"])
+    def test_a_box_whose_squared_reach_overflows_names_its_axis(
+        self, tmp_path, capsys, verb, x_length
+    ):
+        # x**2 overflows at the edge of these boxes, so would every moment of a
+        # state on them; at 1e308 x p / epsilon overflows too, through x.
+        bench = Path(__file__).parents[1] / "bench" / "scenarios" / "quartic_mixed.ini"
+        path = tmp_path / "wide.ini"
+        path.write_text(bench.read_text().replace("x_length = 12.8", f"x_length = {x_length}"))
+        argv = [verb, str(path), "--quiet"]
+        if verb == "run":
+            argv += ["--output-dir", str(tmp_path / "out")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid.x_length: ") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
     def test_missing_scenario_is_a_config_error(self, tmp_path, capsys):
@@ -1098,8 +1118,8 @@ class TestGridErrorParity:
         assert not outdir.exists()
 
     def test_failure_of_both_engines_names_moyal(self, tmp_path, capsys, monkeypatch):
-        # A NaN coefficient passes the kick guard (nan >= pi is false); the
-        # per-step finiteness check of either engine catches it.
+        # A NaN coefficient makes the kick phase non-finite, which the kick
+        # guard refuses for either engine; moyal is first in run order.
         nan_lens = PotentialSpec(((2, HarmonicProfile(math.nan, 3.0)),))
         monkeypatch.setattr(scenario.PotentialSection, "build", lambda self: nan_lens)
         assert main(["run", str(lens_ini(tmp_path)), "--quiet"]) == 1
@@ -1158,6 +1178,56 @@ class TestLinearPreflight:
         monkeypatch.setattr(scenario.ScenarioConfig, "initial_density", counted)
         run_scenario(config, emit=False)
         assert len(built) == 1
+
+
+class TestGridKernelBuilds:
+    """The pre-flight builds the kernels the grid engines build, without entering or stepping."""
+
+    def test_linear_map_built_at_most_three_times(self, tmp_path, monkeypatch):
+        # Once by the pre-flight for both grid engines, once by each engine.
+        from beamphase import linear_map
+
+        builds = []
+
+        class Counted(linear_map._LinearKernel):
+            def __init__(self, *args):
+                builds.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(linear_map, "_LinearKernel", Counted)
+        run_scenario(load_scenario(lens_ini(tmp_path)), emit=False)
+        assert 0 < len(builds) <= 3
+
+    def test_static_quartic_kick_built_at_most_four_times(self, tmp_path, monkeypatch):
+        # Each grid engine's kick, once by the pre-flight and once by the engine.
+        builds = []
+        for name in ("moyal_generator", "moyal_generator_truncated"):
+            build = getattr(phasespace, name)
+            monkeypatch.setattr(
+                phasespace, name, lambda *args, build=build: builds.append(args) or build(*args)
+            )
+        run_scenario(load_scenario(lens_ini(tmp_path, QUARTIC)), emit=False)
+        assert 0 < len(builds) <= 4
+
+
+class TestStepZeroRefusal:
+    """A refusal of the initial state names the engine and step 0."""
+
+    # A momentum box this wide overflows the drift phase and the moments with
+    # RuntimeWarnings before the refusal; only the refusal is under test.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "potential, text",
+        [("", "beam moments are not finite"), (QUARTIC, "density mass is nan")],
+        ids=["closed_form", "stepped"],
+    )
+    def test_step_0_refusal_names_the_engine(self, tmp_path, potential, text):
+        # load_scenario refuses such a box, so the density is built by hand.
+        config = load_scenario(lens_ini(tmp_path, potential))
+        rho = gaussian_quasidist(PhaseGrid(AxisGrid(256, 12.8), AxisGrid(128, 1e308)), 0.4, 0.25)
+        outcome = runner._outcome("moyal", {"rho": rho}, config.potential.build(), config)
+        assert isinstance(outcome, SolverError)
+        assert str(outcome).startswith(f"engine moyal: step 0/40: {text}")
 
 
 class TestLazyLinearMap:

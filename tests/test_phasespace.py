@@ -1,5 +1,6 @@
 """Grid solvers for the deformed and classical transport equations, plus rays."""
 
+import dataclasses
 import math
 from collections import Counter
 
@@ -496,8 +497,9 @@ class TestTrajectoryBookkeeping:
 
 
 class TestNonFiniteStep:
-    # A NaN coefficient passes every input check and the kick guard
-    # (nan >= pi is false); the per-step finiteness check must catch it.
+    # A NaN coefficient passes every input check.  The grid engines' kick
+    # guard refuses the non-finite phase it makes; twm and the rays refuse
+    # the non-finite state their step makes.
     NAN_LENS = PotentialSpec(((2, ConstantProfile(math.nan)),))
 
     @pytest.mark.parametrize("engine", ["twm", "moyal", "liouville", "rays"])
@@ -511,6 +513,34 @@ class TestNonFiniteStep:
                 trace_rays(sample_rays(rho, 100, seed=1), self.NAN_LENS, plan)
             else:
                 evolve_phase_space(rho, self.NAN_LENS, EPS, plan)
+
+    @pytest.mark.parametrize("order", [None, 1], ids=["moyal", "liouville"])
+    def test_overflowing_generator_refused_by_the_kick_guard(self, order):
+        # x**4 overflows on an x box this long, so the quartic generator holds
+        # inf and nan; no RuntimeWarning may escape before the guard refuses it.
+        grid = PhaseGrid(AxisGrid(256, 1e120), AxisGrid(128, 6.4))
+        rho = gaussian_quasidist(grid, 0.4, 0.25)
+        with pytest.raises(SolverError, match=r"^step 1/5: kick phase is non-finite"):
+            evolve_phase_space(rho, quartic_channel(1.0, 0.1), EPS, StepPlan(2e-4, 5, order))
+
+
+class TestStepZeroNamed:
+    # Past the float range the drift phase and the moments overflow with
+    # RuntimeWarnings before the refusal; only the refusal is under test.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "spec, text",
+        [
+            (free_space(), "beam moments are not finite"),
+            (quartic_channel(1.0, 0.1), "density mass is nan"),
+        ],
+        ids=["closed_form", "stepped"],
+    )
+    def test_unmeasurable_initial_state_names_step_0(self, spec, text):
+        grid = PhaseGrid(AxisGrid(256, 12.8), AxisGrid(128, 1e308))
+        rho = gaussian_quasidist(grid, 0.4, 0.25)
+        with pytest.raises(SolverError, match=rf"^step 0/5: {text}"):
+            evolve_phase_space(rho, spec, EPS, StepPlan(1e-3, 5))
 
 
 class TestClassicalCheckPerStep:
@@ -859,6 +889,25 @@ class TestStaticOperators:
         else:
             evolve_phase_space(gaussian_quasidist(self.GRID, 0.4, 0.25), spec, EPS, plan)
         assert len(calls) == builds
+
+    def test_z_dependent_step_1_guard_taken_at_the_run_start(self, monkeypatch):
+        # cos(pi z / 2) scales the quartic term: at z = 0 step 1's kick phase
+        # passes pi, from z = 1 it is near 0, and a run from z = 1 must run.
+        spec = PotentialSpec(
+            ((2, ConstantProfile(0.5)), (4, HarmonicProfile(1.0, math.pi / 2)))
+        )
+        rho, plan = gaussian_quasidist(self.GRID, 0.4, 0.25), StepPlan(2e-4, 5)
+        with pytest.raises(SolverError, match=r"^step 1/5: kick phase overflow"):
+            evolve_phase_space(rho, spec, EPS, plan)
+        mids = []
+        build = phasespace.moyal_generator
+        monkeypatch.setattr(
+            phasespace, "moyal_generator", lambda *args: mids.append(args[3]) or build(*args)
+        )
+        run = evolve_phase_space(dataclasses.replace(rho, z=1.0), spec, EPS, plan)
+        assert run.snapshot_steps == (0, 5)
+        # One kick per step, each at its own midpoint: step 1's is built with the kernel.
+        assert mids == [z + 0.5 * plan.dz for z in _step_boundaries(1.0, plan)[:-1]]
 
     def test_static_kick_guard_names_step_1(self):
         rho = gaussian_quasidist(self.GRID, 0.4, 0.25)
