@@ -95,13 +95,15 @@ def _grid_central(
     _check_norm(total * cell_area, "density mass")
     w_x = values.sum(axis=1)
     w_p = values.sum(axis=0)
-    mean_x = float(w_x @ x) / total
-    mean_p = float(w_p @ p) / total
-    dx = x - mean_x
-    dp = p - mean_p
-    var_x = float(w_x @ dx**2) / total
-    var_p = float(w_p @ dp**2) / total
-    cov_xp = float(dx @ values @ dp) / total
+    # Axes past the float range overflow these; ``_beam_moments`` refuses the result.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean_x = float(w_x @ x) / total
+        mean_p = float(w_p @ p) / total
+        dx = x - mean_x
+        dp = p - mean_p
+        var_x = float(w_x @ dx**2) / total
+        var_p = float(w_p @ dp**2) / total
+        cov_xp = float(dx @ values @ dp) / total
     return mean_x, mean_p, var_x, var_p, cov_xp
 
 

@@ -198,9 +198,11 @@ class _GridKernel:
         x_col, y_row = _kick_operands(grid)
         self.x = x_col[:, 0]
         self.p = grid.p_axis.points()
-        kx_p = np.outer(_half_spectrum(grid.x_axis), self.p)
-        self.half_drift = np.exp(-1j * kx_p * self.half)
-        self.drift = np.exp(-1j * kx_p * plan.dz)
+        # A p box past the float range makes these non-finite; step 0's moments refuse it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            kx_p = np.outer(_half_spectrum(grid.x_axis), self.p)
+            self.half_drift = np.exp(-1j * kx_p * self.half)
+            self.drift = np.exp(-1j * kx_p * plan.dz)
         self.static = spec.is_static
         self.kick_args = (spec, x_col, y_row, epsilon, plan)
         self.mid = z0 + self.half  # step 1's midpoint

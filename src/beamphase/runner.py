@@ -4,7 +4,9 @@
 records moments at every step and full states at the snapshot cadence,
 computes cross-engine distances where the representations are comparable
 (grid engines directly, the wavefield engine through its Wigner transform)
-and emits the configured artifacts.  Each engine's outcome, its
+and emits the configured artifacts.  Before any engine starts, each
+kernel but the rays' is built by its engine's own builder, and a refusal
+stops the run (``_guard_failures``).  Each engine's outcome, its
 trajectory and wall time or the error it raised, is taken in one place
 (``_outcome``).  A run with rays and a grid engine evolves its grid
 engines on one worker thread while the rays are traced, and reports as if
@@ -32,7 +34,7 @@ from .phasespace import StepPlan, _grid_kernel, _step_boundaries, evolve_phase_s
 from .scenario import ScenarioConfig
 from .states import sample_rays
 from .transforms import _WignerMap
-from .twm import _kinetic_phase, evolve_twm
+from .twm import _twm_kernel, evolve_twm
 
 __all__ = [
     "EngineResult",
@@ -96,20 +98,18 @@ class RunReport:
         raise KeyError(f"engine {name!r} was not part of this run")
 
 
-def build_initial_states(config: ScenarioConfig, rho=None):
+def build_initial_states(config: ScenarioConfig):
     """Construct the initial state for every requested engine.
 
     The wavefield engine gets ``config.initial_wavefield()``, the grid and
     ray engines ``config.initial_density()``: the builders that
-    ``load_scenario`` already ran to check the box.  ``rho`` is that
-    density when the caller has built it.  Returns a dict with keys
-    ``psi``, ``rho`` and ``rays`` (values may be None when the
+    ``load_scenario`` already ran to check the box.  Returns a dict with
+    keys ``psi``, ``rho`` and ``rays`` (values may be None when the
     corresponding engine was not requested).
     """
     engines = config.run.engines
     psi = config.initial_wavefield() if "twm" in engines else None
-    if rho is None and set(DENSITY_ENGINES) & set(engines):
-        rho = config.initial_density()
+    rho = config.initial_density() if set(DENSITY_ENGINES) & set(engines) else None
     rays = sample_rays(rho, config.run.ray_count, config.run.seed) if "rays" in engines else None
     return {"psi": psi, "rho": rho, "rays": rays}
 
@@ -136,35 +136,36 @@ def _engine_plan(name: str, config: ScenarioConfig) -> StepPlan:
     return StepPlan(config.run.dz, config.run.n_steps, 1 if name == "liouville" else None)
 
 
-def _guard_failures(config: ScenarioConfig, spec, rho=None) -> dict[str, str]:
+def _build_kernel(name: str, states: dict, spec, config: ScenarioConfig):
+    """Engine ``name``'s kernel on its initial state, from the engine's own builder."""
+    plan = _engine_plan(name, config)
+    if name == "twm":
+        psi = states["psi"]
+        return _twm_kernel(psi, spec, plan, _step_boundaries(psi.z, plan))
+    rho = states["rho"]
+    return _grid_kernel(rho, spec, config.epsilon, plan, _step_boundaries(rho.z, plan))
+
+
+def _guard_failures(config: ScenarioConfig, spec, states: dict) -> dict[str, str]:
     """The refusals of the requested engines that need no evolved state, by engine.
 
     Maps each refused engine, in run order, to the text ``run`` reports:
     ``run_scenario`` refuses the first one before any engine starts and
-    :func:`preflight` returns each.  twm's refusal is its kinetic guard, the
-    one its kernels raise when they are built.  A grid engine's is what
-    building its kernel raises (``phasespace._grid_kernel`` on the initial
-    density ``rho``, built from ``config`` when None), without entering or
-    stepping it.  For a potential of degree at most 2 both grid engines are
-    one closed-form map, built once.  A run without steps takes no guard,
-    so it checks none.
+    :func:`preflight` returns each.  An engine's refusal is what building its
+    kernel raises (:func:`_build_kernel`); the rays have none.  For a
+    potential of degree at most 2 both grid engines are one closed-form map,
+    built once.
     """
     failures = {}
-    run = config.run
-    if run.n_steps == 0:
-        return failures
     refused = {}  # by kernel, its refusal or None: "linear" is both grid engines as one map
-    for name in run.engines:
-        plan = _engine_plan(name, config)
+    for name in config.run.engines:
+        if name == "rays":
+            continue
         kernel = "linear" if name in GRID_ENGINES and spec.kick_is_classical else name
         if kernel not in refused:
             refused[kernel] = None
             try:
-                if name == "twm":
-                    _kinetic_phase(config.grid.x_axis(), config.epsilon, plan.dz)
-                elif name in GRID_ENGINES:
-                    rho = config.initial_density() if rho is None else rho
-                    _grid_kernel(rho, spec, config.epsilon, plan, _step_boundaries(rho.z, plan))
+                _build_kernel(name, states, spec, config)
             except SolverError as exc:
                 refused[kernel] = exc
         if refused[kernel] is not None:
@@ -182,9 +183,10 @@ def preflight(config: ScenarioConfig) -> tuple[str, ...]:
     checked as ``run`` checks it, raising its :class:`TransformError`.
     """
     spec = config.potential.build()
-    failures = _guard_failures(config, spec)
+    states = build_initial_states(config)
+    failures = _guard_failures(config, spec, states)
     if "twm" in config.run.engines:
-        psi = config.initial_wavefield()
+        psi = states["psi"]
         if "twm" not in failures and spec.degree < 0:
             try:
                 evolve_twm(psi, spec, _engine_plan("twm", config), config.run.snapshot_every)
@@ -322,14 +324,10 @@ def run_scenario(config: ScenarioConfig, emit: bool = True) -> RunReport:
     reported (see ``_trajectories``).
     """
     spec = config.potential.build()
-    run = config.run
-    # The density before the guards, which build the grid kernels on it;
-    # the other states after them, so a refused run samples no rays.
-    rho = config.initial_density() if set(DENSITY_ENGINES) & set(run.engines) else None
-    failures = _guard_failures(config, spec, rho)
+    states = build_initial_states(config)
+    failures = _guard_failures(config, spec, states)
     if failures:
         raise SolverError(next(iter(failures.values())))
-    states = build_initial_states(config, rho)
     warnings: list[str] = []
 
     if config.physics.from_thermal:

@@ -17,6 +17,7 @@ the phase-space grid solver; both are second order in dz, so cross-solver
 disagreement is pure splitting error and shrinks by four when dz is halved.
 Stepped or closed-form, a run goes through the step loop of the phase-space
 engines and returns their :class:`~beamphase.phasespace.Trajectory` record.
+Its kernel comes from :func:`_twm_kernel`, which the runner's pre-flight calls too.
 """
 
 from __future__ import annotations
@@ -28,12 +29,7 @@ import numpy as np
 from .diagnostics import BeamMoments, _beam_moments, _drifted, _WavefieldMoments
 from .exceptions import BeamPhaseError, SolverError, check_finite, check_positive
 from .grids import AxisGrid
-from .phasespace import (
-    StepPlan,
-    Trajectory,
-    _evolve,
-    _step_boundaries,
-)
+from .phasespace import StepPlan, Trajectory, _evolve, _step_boundaries, _step_error
 from .potentials import ConstantProfile, PotentialSpec, eval_potential
 from .states import WaveField
 
@@ -45,11 +41,7 @@ __all__ = [
 
 
 def _kinetic_phase(grid: AxisGrid, epsilon: float, dz: float) -> np.ndarray:
-    """``exp(-i eps k^2 dz / 2)`` on the grid's wavenumbers, refused when it would alias.
-
-    The guard depends only on the grid, epsilon and dz, so a caller can
-    check it before any engine starts.
-    """
+    """``exp(-i eps k^2 dz / 2)`` on the grid's wavenumbers, refused when it would alias."""
     kinetic_angle = 0.5 * epsilon * grid.frequencies() ** 2 * dz
     guard = float(kinetic_angle.max())
     if guard >= math.pi:
@@ -61,26 +53,39 @@ def _kinetic_phase(grid: AxisGrid, epsilon: float, dz: float) -> np.ndarray:
 
 
 def _half_phase(spec: PotentialSpec, x: np.ndarray, scale: float, z_mid: float) -> np.ndarray:
-    """``exp(-i U(x, z_mid) scale)``, the half potential phase."""
-    return np.exp(-1j * eval_potential(spec, x, z_mid) * scale)
+    """``exp(-i U(x, z_mid) scale)``, the half potential phase, refused when not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        angle = eval_potential(spec, x, z_mid) * scale
+    if not np.isfinite(angle).all():
+        raise SolverError(
+            f"potential phase is non-finite: max |U dz / (2 eps)| = {np.abs(angle).max()}; "
+            "a potential coefficient is non-finite or the potential overflows on the grid"
+        )
+    return np.exp(-1j * angle)
 
 
 class _TwmKernel:
     """Strang steps of one plan on one grid, from spectral phases and moment constants.
 
     For a plan with steps, construction builds and guards the kinetic phase and
-    builds a z-independent half potential phase; ``advance`` builds a z-dependent one.
+    a static half potential phase (refused as step 1's); ``advance`` a z-dependent one.
     """
 
     lost = 0
 
     def __init__(self, psi: WaveField, spec: PotentialSpec, plan: StepPlan):
-        self.dz, self.psi = plan.dz, psi
+        self.dz, self.psi, self.half = plan.dz, psi, None
+        self.half_args = (spec, psi.grid.points(), 0.5 * plan.dz / psi.epsilon)
         if plan.n_steps:
             self.kinetic_phase = _kinetic_phase(psi.grid, psi.epsilon, plan.dz)
-        self.half_args = (spec, psi.grid.points(), 0.5 * plan.dz / psi.epsilon)
-        self.half = _half_phase(*self.half_args, psi.z) if spec.is_static and plan.n_steps else None
+            try:
+                self.half = _half_phase(*self.half_args, psi.z) if spec.is_static else None
+            except SolverError as exc:
+                raise _step_error(1, plan.n_steps, exc) from None
         self.moments = _WavefieldMoments(psi.grid, psi.epsilon)
+
+    def enter(self, psi: np.ndarray) -> np.ndarray:
+        return psi
 
     def advance(self, psi: np.ndarray, z: float) -> np.ndarray:
         half = _half_phase(*self.half_args, z + 0.5 * self.dz) if self.half is None else self.half
@@ -126,6 +131,9 @@ class _FreeKernel:
         self.angle = 0.5 * psi.epsilon * psi.grid.frequencies() ** 2  # per unit of z
         self.start = self.moments.central(psi.values, self.spectrum)
 
+    def enter(self, psi: np.ndarray) -> int:
+        return 0  # step 0's number: the field is held as its initial spectrum
+
     def field(self, z: float) -> tuple[np.ndarray, np.ndarray]:
         """The field at ``z`` and its spectrum."""
         spectrum = self.spectrum * np.exp(-1j * (self.angle * (z - self.zs[0])))
@@ -170,11 +178,13 @@ def evolve_twm(
     law), is checked for finite values and unit norm; :class:`SolverError` names the step.
     """
     zs = _step_boundaries(psi.z, plan)
-    if spec.degree < 0:
-        kernel, values = _FreeKernel(psi, plan, zs), 0
-    else:
-        kernel, values = _TwmKernel(psi, spec, plan), psi.values
-    return _evolve(kernel, psi, values, zs, snapshot_every)
+    kernel = _twm_kernel(psi, spec, plan, zs)
+    return _evolve(kernel, psi, kernel.enter(psi.values), zs, snapshot_every)
+
+
+def _twm_kernel(psi: WaveField, spec: PotentialSpec, plan: StepPlan, zs: list[float]):
+    """The kernel of a twm run of ``psi`` over ``zs``; it takes no step, so it refuses early."""
+    return _FreeKernel(psi, plan, zs) if spec.degree < 0 else _TwmKernel(psi, spec, plan)
 
 
 def matched_width(spec: PotentialSpec, epsilon: float) -> float:

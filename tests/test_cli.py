@@ -39,7 +39,7 @@ from beamphase import (
     write_grid_dump,
     write_heatmap,
 )
-from beamphase import phasespace, runner, scenario
+from beamphase import phasespace, runner, scenario, twm
 from beamphase.cli import main
 from beamphase.outputs import CSV_COLUMNS, MBGD_HEADER, MBGD_MAGIC, MBGD_VERSION, write_moments_csv
 
@@ -642,6 +642,27 @@ class TestVerbs:
         assert err.startswith("error: grid.x_length: ") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    def test_a_potential_that_overflows_refuses_twm_at_step_1(self, tmp_path, capsys):
+        # x**4 overflows on this box: twm's half potential phase is not finite.
+        # Both verbs report that refusal, without a warning.
+        bench = Path(__file__).parents[1] / "bench" / "scenarios" / "quartic_mixed.ini"
+        text = bench.read_text().replace("x_length = 12.8", "x_length = 1e120")
+        path = tmp_path / "wide.ini"
+        path.write_text(re.sub(r"(?m)^engines = .*$", "engines = twm", text))
+        outdir = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["validate", str(path)]) == 0
+            out, validate_err = capsys.readouterr()
+            assert main(["run", str(path), "--quiet", "--output-dir", str(outdir)]) == 1
+        err = capsys.readouterr().err
+        assert validate_err == ""
+        assert err.startswith("error: engine twm: step 1/300: potential phase is non-finite")
+        assert err.count("\n") == 1
+        warned = [line for line in out.splitlines() if line.startswith("warning:")]
+        assert warned == ["warning: " + err.removeprefix("error: ").rstrip("\n")]
+        assert not outdir.exists()
+
     def test_missing_scenario_is_a_config_error(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.ini")]) == 2
         assert "error:" in capsys.readouterr().err
@@ -1181,7 +1202,7 @@ class TestLinearPreflight:
 
 
 class TestGridKernelBuilds:
-    """The pre-flight builds the kernels the grid engines build, without entering or stepping."""
+    """The pre-flight builds the kernels the engines build, without entering or stepping."""
 
     def test_linear_map_built_at_most_three_times(self, tmp_path, monkeypatch):
         # Once by the pre-flight for both grid engines, once by each engine.
@@ -1209,13 +1230,52 @@ class TestGridKernelBuilds:
         run_scenario(load_scenario(lens_ini(tmp_path, QUARTIC)), emit=False)
         assert 0 < len(builds) <= 4
 
+    @pytest.mark.parametrize(
+        "potential, kernel", [(QUARTIC, "_TwmKernel"), ("", "_FreeKernel")], ids=["stepped", "free"]
+    )
+    def test_twm_kernel_built_at_most_twice(self, tmp_path, monkeypatch, potential, kernel):
+        # Once by the pre-flight and once by the engine.
+        builds = []
+        for name in ("_TwmKernel", "_FreeKernel"):
+            base = getattr(twm, name)
+
+            class Counted(base):
+                def __init__(self, *args, name=name, base=base):
+                    builds.append(name)
+                    base.__init__(self, *args)
+
+            monkeypatch.setattr(twm, name, Counted)
+        run_scenario(load_scenario(lens_ini(tmp_path, potential, "twm")), emit=False)
+        assert set(builds) == {kernel} and len(builds) <= 2
+
+    def test_run_without_steps_builds_every_kernel_and_refuses_nothing(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # At dz = 1 the kinetic phase and the quartic kick alias, which only a step meets.
+        text = lens_ini(tmp_path, QUARTIC, "twm, moyal, liouville, rays").read_text()
+        ini = tmp_path / "stepless.ini"
+        ini.write_text(text.replace("dz = 2e-4", "dz = 1.0").replace("n_steps = 40", "n_steps = 0"))
+        built = []
+        build = runner._build_kernel
+        monkeypatch.setattr(
+            runner, "_build_kernel", lambda name, *args: built.append(name) or build(name, *args)
+        )
+        assert main(["validate", str(ini)]) == 0
+        assert "warning" not in capsys.readouterr().out
+        assert built == ["twm", "moyal", "liouville"]
+        report = run_scenario(load_scenario(ini), emit=False)
+        assert built == ["twm", "moyal", "liouville"] * 2
+        assert [len(result.moments) for result in report.engines] == [1, 1, 1, 1]
+        ini.write_text(ini.read_text().replace("n_steps = 0", "n_steps = 1"))
+        assert main(["validate", str(ini)]) == 0
+        warned = [line for line in capsys.readouterr().out.splitlines() if "warning" in line]
+        assert [line.split(":")[1] for line in warned] == [" engine twm", " engine moyal",
+                                                          " engine liouville"]
+
 
 class TestStepZeroRefusal:
     """A refusal of the initial state names the engine and step 0."""
 
-    # A momentum box this wide overflows the drift phase and the moments with
-    # RuntimeWarnings before the refusal; only the refusal is under test.
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize(
         "potential, text",
         [("", "beam moments are not finite"), (QUARTIC, "density mass is nan")],

@@ -525,9 +525,6 @@ class TestNonFiniteStep:
 
 
 class TestStepZeroNamed:
-    # Past the float range the drift phase and the moments overflow with
-    # RuntimeWarnings before the refusal; only the refusal is under test.
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize(
         "spec, text",
         [
