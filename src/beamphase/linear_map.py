@@ -44,6 +44,7 @@ from .phasespace import (
     StepPlan,
     _check_kick_phase,
     _check_residue,
+    _ClosedForm,
     _half_spectrum,
     _kick_operands,
     _spectral_flow,
@@ -300,7 +301,7 @@ def _shear_map(values: np.ndarray, grid: PhaseGrid, shears) -> np.ndarray:
     return values
 
 
-class _LinearKernel:
+class _LinearKernel(_ClosedForm):
     """The closed form as a kernel of ``phasespace._evolve``, whose values are step numbers.
 
     The moments of step k are the measured initial ones carried by the
@@ -310,8 +311,6 @@ class _LinearKernel:
     every step that ``advance`` reaches passes.  Each snapshot is the one
     before it carried by the shears of the map between them (:meth:`_carry`).
     """
-
-    lost = 0
 
     def __init__(
         self, state: QuasiDistribution, spec: PotentialSpec, plan: StepPlan, kind: str,
@@ -334,13 +333,6 @@ class _LinearKernel:
             a * c * xx + (a * d + b * c) * xp + b * d * pp,
         )
         self.rows = list(zip(*(m.tolist() for m in series)))
-
-    def enter(self, values: np.ndarray) -> int:
-        """The run's first value: step 0."""
-        return 0
-
-    def advance(self, step: int, z: float) -> int:
-        return step + 1
 
     def measure(self, step: int, z: float) -> BeamMoments:
         return _beam_moments(z, *(self.rows[step - 1] if step else self.central))

@@ -14,6 +14,7 @@ nx * np cell values as row-major (x rows) little-endian f64.
 from __future__ import annotations
 
 import struct
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +48,7 @@ CSV_COLUMNS = (
 # One row of the moments CSV: "%.17g" writes each float as ``_fmt`` does,
 # in one formatting call per row.
 CSV_ROW = ",".join(["%.17g"] * len(CSV_COLUMNS))
+_MOMENT_CELLS = attrgetter(*CSV_COLUMNS[:8])
 
 MBGD_MAGIC = b"MBGD"
 MBGD_VERSION = 1
@@ -68,28 +70,15 @@ def _write(path: Path, data: bytes) -> Path:
 def write_moments_csv(path, result) -> Path:
     """Write one engine's per-step series.
 
-    Columns are fixed (see ``CSV_COLUMNS``).  negativity_volume and r3 are
-    grid diagnostics recorded at snapshot steps; rows in between, and all
-    rows of engines without a grid representation, carry ``nan``.
+    Columns are ``CSV_COLUMNS``: eight BeamMoments attributes, then the two
+    grid diagnostics negativity_volume and r3, recorded at snapshot steps;
+    rows in between, and all rows of engines without a grid representation, carry ``nan``.
     """
     path = Path(path)
     by_step = dict(zip(result.snapshot_steps, zip(result.snapshot_negativity, result.snapshot_r3)))
     lines = [",".join(CSV_COLUMNS)]
     for step, m in enumerate(result.moments):
-        volume, r3 = by_step.get(step, (float("nan"), float("nan")))
-        cells = (
-            m.z,
-            m.mean_x,
-            m.mean_p,
-            m.sigma_x,
-            m.sigma_p,
-            m.sigma_xp,
-            m.emittance,
-            m.uncertainty_product,
-            volume,
-            r3,
-        )
-        lines.append(CSV_ROW % cells)
+        lines.append(CSV_ROW % (_MOMENT_CELLS(m) + by_step.get(step, (float("nan"),) * 2)))
     return _write(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 

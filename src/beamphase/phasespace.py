@@ -146,7 +146,7 @@ def _evolve(kernel, initial, values, zs: list[float], snapshot_every: int | None
     The step loop of every engine.  ``kernel`` supplies ``advance(values,
     z)`` (one step starting at z), ``measure(values, z)`` (moments plus the
     per-step state checks) and ``wrap(values, z)`` (a state object); the
-    values are the kernel's own (arrays, or the closed form's step numbers).
+    values are the kernel's own (arrays, or a :class:`_ClosedForm`'s step numbers).
     Moments are recorded at every step including the initial state; full
     states every ``snapshot_every`` steps plus always the initial and the
     final one (default: only those two).  The initial one is ``initial``,
@@ -171,6 +171,18 @@ def _evolve(kernel, initial, values, zs: list[float], snapshot_every: int | None
     except (SolverError, StateError) as exc:
         raise _step_error(step, n_steps, exc) from None
     return Trajectory(tuple(snapshots), tuple(snapshot_steps), tuple(moments), kernel.lost)
+
+
+class _ClosedForm:
+    """The protocol of a closed-form kernel: its values are step numbers, from step 0."""
+
+    lost = 0
+
+    def enter(self, values) -> int:
+        return 0
+
+    def advance(self, step: int, z: float) -> int:
+        return step + 1
 
 
 class _GridKernel:

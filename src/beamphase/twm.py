@@ -18,6 +18,8 @@ disagreement is pure splitting error and shrinks by four when dz is halved.
 Stepped or closed-form, a run goes through the step loop of the phase-space
 engines and returns their :class:`~beamphase.phasespace.Trajectory` record.
 Its kernel comes from :func:`_twm_kernel`, which the runner's pre-flight calls too.
+A stepped kernel builds step 1's half potential phase at the run's first midpoint,
+as the grid kernel does its first kick, so building it refuses what step 1 would.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 from .diagnostics import BeamMoments, _beam_moments, _drifted, _WavefieldMoments
 from .exceptions import BeamPhaseError, SolverError, check_finite, check_positive
 from .grids import AxisGrid
-from .phasespace import StepPlan, Trajectory, _evolve, _step_boundaries, _step_error
+from .phasespace import StepPlan, Trajectory, _ClosedForm, _evolve, _step_boundaries, _step_error
 from .potentials import ConstantProfile, PotentialSpec, eval_potential
 from .states import WaveField
 
@@ -67,19 +69,20 @@ def _half_phase(spec: PotentialSpec, x: np.ndarray, scale: float, z_mid: float) 
 class _TwmKernel:
     """Strang steps of one plan on one grid, from spectral phases and moment constants.
 
-    For a plan with steps, construction builds and guards the kinetic phase and
-    a static half potential phase (refused as step 1's); ``advance`` a z-dependent one.
+    For a plan with steps, construction builds and guards the kinetic phase and step 1's half
+    potential phase at ``psi.z + dz/2`` (named step 1); ``advance`` builds later z-dependent ones.
     """
 
     lost = 0
 
     def __init__(self, psi: WaveField, spec: PotentialSpec, plan: StepPlan):
-        self.dz, self.psi, self.half = plan.dz, psi, None
+        self.dz, self.psi, self.static = plan.dz, psi, spec.is_static
         self.half_args = (spec, psi.grid.points(), 0.5 * plan.dz / psi.epsilon)
+        self.mid = psi.z + 0.5 * plan.dz  # step 1's midpoint
         if plan.n_steps:
             self.kinetic_phase = _kinetic_phase(psi.grid, psi.epsilon, plan.dz)
             try:
-                self.half = _half_phase(*self.half_args, psi.z) if spec.is_static else None
+                self.half = _half_phase(*self.half_args, self.mid)
             except SolverError as exc:
                 raise _step_error(1, plan.n_steps, exc) from None
         self.moments = _WavefieldMoments(psi.grid, psi.epsilon)
@@ -88,7 +91,8 @@ class _TwmKernel:
         return psi
 
     def advance(self, psi: np.ndarray, z: float) -> np.ndarray:
-        half = _half_phase(*self.half_args, z + 0.5 * self.dz) if self.half is None else self.half
+        mid = z + 0.5 * self.dz
+        half = self.half if self.static or mid == self.mid else _half_phase(*self.half_args, mid)
         spectrum = np.fft.fft(psi * half)
         spectrum *= self.kinetic_phase
         psi = np.fft.ifft(spectrum)
@@ -106,7 +110,7 @@ class _TwmKernel:
 FREE_LAW_TOL = 1e-9
 
 
-class _FreeKernel:
+class _FreeKernel(_ClosedForm):
     """Free space in closed form, a ``phasespace._evolve`` kernel whose values are step numbers.
 
     The moments of step k are the drift law at ``t = zs[k] - zs[0]`` from the
@@ -119,8 +123,6 @@ class _FreeKernel:
     grid means the field has reached the edge of the box.
     """
 
-    lost = 0
-
     def __init__(self, psi: WaveField, plan: StepPlan, zs: list[float]):
         # No step is taken, but a plan with steps is held to a step's kinetic guard.
         if plan.n_steps:
@@ -131,16 +133,10 @@ class _FreeKernel:
         self.angle = 0.5 * psi.epsilon * psi.grid.frequencies() ** 2  # per unit of z
         self.start = self.moments.central(psi.values, self.spectrum)
 
-    def enter(self, psi: np.ndarray) -> int:
-        return 0  # step 0's number: the field is held as its initial spectrum
-
     def field(self, z: float) -> tuple[np.ndarray, np.ndarray]:
         """The field at ``z`` and its spectrum."""
         spectrum = self.spectrum * np.exp(-1j * (self.angle * (z - self.zs[0])))
         return np.fft.ifft(spectrum), spectrum
-
-    def advance(self, step: int, z: float) -> int:
-        return step + 1
 
     def measure(self, step: int, z: float) -> BeamMoments:
         central = _drifted(self.start, z - self.zs[0]) if step else self.start

@@ -642,11 +642,16 @@ class TestVerbs:
         assert err.startswith("error: grid.x_length: ") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
-    def test_a_potential_that_overflows_refuses_twm_at_step_1(self, tmp_path, capsys):
-        # x**4 overflows on this box: twm's half potential phase is not finite.
-        # Both verbs report that refusal, without a warning.
+    @pytest.mark.parametrize(
+        "profile", ["", "profile = harmonic\nomega = 3.0\n"], ids=["constant", "harmonic"]
+    )
+    def test_a_potential_that_overflows_refuses_twm_at_step_1(self, tmp_path, capsys, profile):
+        # x**4 overflows on this box: twm's half potential phase is not finite
+        # at step 1's midpoint, whether or not it depends on z.  Both verbs
+        # report that refusal, without a warning.
         bench = Path(__file__).parents[1] / "bench" / "scenarios" / "quartic_mixed.ini"
         text = bench.read_text().replace("x_length = 12.8", "x_length = 1e120")
+        text = text.replace("lambda4 = 0.1\n", "lambda4 = 0.1\n" + profile)
         path = tmp_path / "wide.ini"
         path.write_text(re.sub(r"(?m)^engines = .*$", "engines = twm", text))
         outdir = tmp_path / "out"

@@ -35,6 +35,8 @@ from beamphase.states import NORM_TOL, WaveField
 from beamphase.twm import _kinetic_phase, _TwmKernel
 
 EPS = 0.1
+# The quartic channel with both coefficients modulated along z.
+HARMONIC_QUARTIC = PotentialSpec(((2, HarmonicProfile(0.5, 3.0)), (4, HarmonicProfile(0.1, 3.0))))
 
 
 def total_energy(field, spec):
@@ -186,6 +188,15 @@ class TestGuards:
         with pytest.raises(SolverError, match="kinetic phase overflow"):
             evolve_twm(psi, free_space(), StepPlan(1.0, 3))
 
+    @pytest.mark.parametrize(
+        "spec", [quartic_channel(1.0, 0.1), HARMONIC_QUARTIC], ids=["static", "harmonic"]
+    )
+    def test_overflowing_potential_refused_when_built(self, spec):
+        # x**4 overflows on this box, so step 1's half potential phase is not finite.
+        psi = gaussian_wavefield(AxisGrid(256, 1e120), 1e118, EPS)
+        with pytest.raises(SolverError, match=r"^step 1/10: potential phase is non-finite"):
+            _TwmKernel(psi, spec, StepPlan(2e-3, 10))
+
     def test_zero_steps_check_no_guard(self):
         # dz = 1 aliases on this grid (see above), but a plan without steps
         # never applies the kinetic phase.
@@ -260,7 +271,9 @@ class TestHeldSpectrum:
         assert np.abs(run.final.values - final).max() <= 1e-11 * np.abs(final).max()
 
     @pytest.mark.parametrize(
-        "spec", [free_space(), quartic_channel(1.0, 0.1)], ids=["free", "quartic"]
+        "spec",
+        [free_space(), quartic_channel(1.0, 0.1), HARMONIC_QUARTIC],
+        ids=["free", "quartic", "harmonic-quartic"],
     )
     def test_copy_of_last_output_steps_as_in_a_fresh_kernel(self, spec):
         psi = gaussian_wavefield(AxisGrid(256, 12.8), 0.4, EPS)
@@ -276,7 +289,9 @@ class TestHeldSpectrum:
         assert kernel.advance(copy, z).tobytes() == fresh.advance(copy, z).tobytes()
 
     @pytest.mark.parametrize(
-        "spec", [free_space(), quartic_channel(1.0, 0.1)], ids=["free", "quartic"]
+        "spec",
+        [free_space(), quartic_channel(1.0, 0.1), HARMONIC_QUARTIC],
+        ids=["free", "quartic", "harmonic-quartic"],
     )
     def test_kernel_freed_without_garbage_collection(self, spec):
         psi = gaussian_wavefield(AxisGrid(256, 12.8), 0.4, EPS)
